@@ -9,6 +9,7 @@ from .core import (
     Configuration,
     Conflict,
     DirectedGraph,
+    EnabledTracker,
     GraphConstructionError,
     bidirectional_clique,
     build_graph,
@@ -34,6 +35,7 @@ from .algorithms import (
     expected_steps_per_conflict,
     expected_total_steps_bound,
     prob_command,
+    recolor,
 )
 from .schedulers import (
     AmbiguousChaseError,
@@ -45,6 +47,7 @@ from .schedulers import (
     ring_chase_initial,
     ring_chase_schedule,
     select,
+    select_from,
 )
 from .engine import EngineStepError, ExecutionTrace, StepRecord, run, run_uniform
 from .verify import (

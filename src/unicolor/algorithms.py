@@ -47,16 +47,6 @@ class AlgorithmSpec:
     def probabilistic(cls, k: int) -> AlgorithmSpec:
         return cls(AlgorithmKind.PROBABILISTIC, k)
 
-    @classmethod
-    def ring_deterministic(cls, k: int) -> AlgorithmSpec:
-        """Deterministic rule on a single-predecessor graph.
-
-        Not a separate rule: with one predecessor the cyclic scan reduces to
-        a plain increment (two at most, when the predecessor sits on the
-        next color).  The constructor only documents the specialization.
-        """
-        return cls(AlgorithmKind.DETERMINISTIC, k)
-
     def summary(self) -> dict:
         return {"kind": self.kind.value, "k": self.k}
 
@@ -74,51 +64,53 @@ class NonTerminatingCommandError(RuntimeError):
     """Deterministic command found every palette color among predecessors."""
 
 
-def predecessor_colors(graph: DirectedGraph, config: Configuration, i: int) -> set[int]:
-    return {config.colors[p] for p in graph.preds[i]}
+def recolor(kind: AlgorithmKind, i: int, preds_i, colors, k: int, rng: random.Random | None) -> int:
+    """The new color of process ``i`` under rule ``kind``.
+
+    ``preds_i`` are the predecessors of ``i`` and ``colors`` the pre-step
+    colors.  The deterministic rule runs the inner increment loop to
+    quiescence as one atomic move: the first of ``old+1, old+2, ...``
+    (mod k) absent from the predecessors' colors.  The probabilistic rule
+    draws uniformly from the sorted list of those absent colors, one
+    ``rng.randrange`` per move, so runs are bit-reproducible for a fixed
+    seed.  Raises ``ValueError`` when ``i`` is not enabled or no color is
+    free for the probabilistic rule, and
+    :class:`NonTerminatingCommandError` when the predecessors hold every
+    color, which the deterministic increment loop would never escape.
+    """
+    taken = {colors[p] for p in preds_i}
+    old = colors[i]
+    if old not in taken:
+        raise ValueError(f"process {i} is not enabled")
+    if kind is AlgorithmKind.DETERMINISTIC:
+        if len(taken) >= k:
+            raise NonTerminatingCommandError(
+                f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+            )
+        new = (old + 1) % k
+        while new in taken:
+            new = (new + 1) % k
+        return new
+    candidates = [c for c in range(k) if c not in taken]
+    if not candidates:
+        raise ValueError(
+            f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
+        )
+    return candidates[rng.randrange(len(candidates))]
 
 
 def det_command(graph: DirectedGraph, config: Configuration, i: int) -> Move:
-    """Recolor ``i`` to the first conflict-free color in cyclic order.
-
-    Runs the inner increment loop to quiescence as one atomic move: the
-    returned color is the first of ``old+1, old+2, ...`` (mod k) absent
-    from the predecessors' colors.  Raises
-    :class:`NonTerminatingCommandError` when the predecessors hold every
-    palette color, which the increment loop would never escape.
-    """
-    taken = predecessor_colors(graph, config, i)
-    old = config.colors[i]
-    if old not in taken:
-        raise ValueError(f"process {i} is not enabled")
-    k = config.k
-    if len(taken) >= k:
-        raise NonTerminatingCommandError(
-            f"process {i}: all {k} colors held by predecessors (in-degree {graph.in_degrees[i]})"
-        )
-    new = (old + 1) % k
-    while new in taken:
-        new = (new + 1) % k
-    return Move(process=i, old_color=old, new_color=new)
+    """Recolor ``i`` to the first conflict-free color in cyclic order (see :func:`recolor`)."""
+    colors = config.colors
+    new = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
+    return Move(process=i, old_color=colors[i], new_color=new)
 
 
 def prob_command(graph: DirectedGraph, config: Configuration, i: int, rng: random.Random) -> Move:
-    """Recolor ``i`` uniformly among the colors no predecessor holds.
-
-    The draw indexes into the sorted candidate list, so runs are
-    bit-reproducible for a fixed seed.
-    """
-    taken = predecessor_colors(graph, config, i)
-    old = config.colors[i]
-    if old not in taken:
-        raise ValueError(f"process {i} is not enabled")
-    candidates = [c for c in range(config.k) if c not in taken]
-    if not candidates:
-        raise ValueError(
-            f"process {i}: empty candidate set, palette {config.k} too small for in-degree {graph.in_degrees[i]}"
-        )
-    new = candidates[rng.randrange(len(candidates))]
-    return Move(process=i, old_color=old, new_color=new)
+    """Recolor ``i`` uniformly among the colors no predecessor holds (see :func:`recolor`)."""
+    colors = config.colors
+    new = recolor(AlgorithmKind.PROBABILISTIC, i, graph.preds[i], colors, config.k, rng)
+    return Move(process=i, old_color=colors[i], new_color=new)
 
 
 def command(

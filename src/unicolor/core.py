@@ -12,6 +12,8 @@ of equal color).
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 
@@ -42,9 +44,6 @@ class DirectedGraph:
     max_out_degree: int
     max_degree: int
     label: str = "custom"
-
-    def is_arc(self, i: int, j: int) -> bool:
-        return j in self.succs[i]
 
     def summary(self) -> dict:
         return {
@@ -140,11 +139,16 @@ def random_digraph(n: int, max_degree: int, seed: int) -> DirectedGraph:
     if n < 2 or max_degree < 1:
         raise GraphConstructionError(f"random digraph needs n >= 2, max_degree >= 1, got n={n}, max_degree={max_degree}")
     rng = random.Random(seed)
-    candidates = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # Arc (i, j) is packed as the code i*n + j, in ascending (i, j) order;
+    # the codes divisible by n+1 are the self-loops.  ``shuffle`` draws
+    # depend only on the length, so this is the same candidate order as a
+    # shuffled list of the n(n-1) pairs, at 8 bytes per candidate.
+    candidates = array("q", (c for c in range(n * n) if c % (n + 1)))
     rng.shuffle(candidates)
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
     arcs: list[tuple[int, int]] = []
-    for i, j in candidates:
+    for code in candidates:
+        i, j = divmod(code, n)
         grows_i = j not in neighbor_sets[i]
         grows_j = i not in neighbor_sets[j]
         if grows_i and len(neighbor_sets[i]) >= max_degree:
@@ -236,21 +240,70 @@ def _check(graph: DirectedGraph, config: Configuration) -> None:
         raise ValueError(f"configuration has {len(config.colors)} colors for a {graph.n}-process graph")
 
 
+def process_enabled(preds_i, colors, i: int) -> bool:
+    """The guard: true iff some predecessor in ``preds_i`` holds ``colors[i]``."""
+    ci = colors[i]
+    for p in preds_i:
+        if colors[p] == ci:
+            return True
+    return False
+
+
 def enabled(graph: DirectedGraph, config: Configuration, i: int) -> bool:
     """True iff some predecessor of ``i`` holds ``i``'s color."""
     _check(graph, config)
-    ci = config.colors[i]
-    return any(config.colors[p] == ci for p in graph.preds[i])
+    return process_enabled(graph.preds[i], config.colors, i)
 
 
 def enabled_set(graph: DirectedGraph, config: Configuration) -> tuple[int, ...]:
-    """All enabled processes, ascending."""
+    """All enabled processes, ascending.
+
+    A full O(n) scan, for callers outside a simulation loop; a loop that
+    moves a few processes per step keeps an :class:`EnabledTracker`.
+    """
     _check(graph, config)
     colors = config.colors
-    return tuple(
-        i for i in range(graph.n)
-        if any(colors[p] == colors[i] for p in graph.preds[i])
-    )
+    preds = graph.preds
+    return tuple(i for i in range(graph.n) if process_enabled(preds[i], colors, i))
+
+
+class EnabledTracker:
+    """The enabled set of a color list that changes a few processes at a time.
+
+    ``colors`` is shared with the caller, who writes the new colors of a
+    step into it and then calls :meth:`refresh` with the processes that
+    moved.  A move by ``i`` can change enabledness only at ``i`` and at its
+    successors, so only those are rechecked: O(in-degree) per recheck plus
+    a bisected list update when a flag flips.  ``members`` holds the enabled
+    processes in ascending order, the sequence :func:`enabled_set` returns;
+    ``flags[i]`` is 1 iff ``i`` is enabled.
+    """
+
+    __slots__ = ("preds", "succs", "colors", "flags", "members")
+
+    def __init__(self, graph: DirectedGraph, colors: list[int]):
+        if len(colors) != graph.n:
+            raise ValueError(f"configuration has {len(colors)} colors for a {graph.n}-process graph")
+        self.preds = graph.preds
+        self.succs = graph.succs
+        self.colors = colors
+        self.members = [i for i in range(graph.n) if process_enabled(self.preds[i], colors, i)]
+        self.flags = bytearray(graph.n)
+        for i in self.members:
+            self.flags[i] = 1
+
+    def refresh(self, movers) -> None:
+        """Recheck ``movers`` and their successors after their colors changed."""
+        preds, succs, colors, flags, members = self.preds, self.succs, self.colors, self.flags, self.members
+        for i in movers:
+            for j in (i, *succs[i]):
+                now = process_enabled(preds[j], colors, j)
+                if now != flags[j]:
+                    flags[j] = now
+                    if now:
+                        insort(members, j)
+                    else:
+                        del members[bisect_left(members, j)]
 
 
 def conflicts(graph: DirectedGraph, config: Configuration) -> list[Conflict]:

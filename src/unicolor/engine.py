@@ -16,13 +16,19 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Configuration, DirectedGraph, enabled_set
-from .algorithms import AlgorithmKind, AlgorithmSpec, Move, command
-from .schedulers import SchedulerPolicy, select
+from .core import Configuration, DirectedGraph, EnabledTracker
+from .algorithms import AlgorithmKind, AlgorithmSpec, Move, NonTerminatingCommandError, recolor
+from .schedulers import SchedulerPolicy, ScriptViolationError, select_from
+
+# The model's own failures: a command with no color to move to, a script
+# that activates a disabled process or two neighbors, a command on a
+# disabled process.  Anything else is a bug and propagates unwrapped.
+MODEL_ERRORS = (NonTerminatingCommandError, ScriptViolationError, ValueError)
 
 
 class EngineStepError(RuntimeError):
-    """Command or scheduler failure, tagged with the step it happened at."""
+    """A model error (see ``MODEL_ERRORS``) raised by a step's scheduler
+    round or commands, tagged with the step it happened at."""
 
     def __init__(self, step_index: int, cause: BaseException):
         super().__init__(f"step {step_index}: {cause}")
@@ -135,35 +141,38 @@ def run(
         max_steps = default_max_steps(graph, algo)
 
     rng = random.Random(seed)
-    config = initial
+    preds = graph.preds
+    kind = algo.kind
+    k = algo.k
+    colors = list(initial.colors)
+    tracker = EnabledTracker(graph, colors)
+    enabled_now = tracker.members
     steps: list[StepRecord] = []
     total_moves = 0
     total_steps = 0
     terminated = False
     while True:
-        if not enabled_set(graph, config):
+        if not enabled_now:
             terminated = True
             break
         if total_steps >= max_steps:
             break
         try:
-            chosen = select(policy, graph, config, rng, total_steps)
+            chosen = select_from(policy, graph, enabled_now, rng, total_steps)
             if chosen is None:
                 break  # script exhausted before termination
-            moves = tuple(command(graph, config, i, algo, rng) for i in chosen)
-        except Exception as exc:
+            # Every command reads the pre-step colors.
+            moves = tuple(Move(i, colors[i], recolor(kind, i, preds[i], colors, k, rng)) for i in chosen)
+        except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
-        config = config.replace({m.process: m.new_color for m in moves})
+        for m in moves:
+            colors[m.process] = m.new_color
+        tracker.refresh(chosen)
         total_moves += len(moves)
         total_steps += 1
         if record != "none":
-            steps.append(
-                StepRecord(
-                    activated=chosen,
-                    moves=moves,
-                    config_after=config.colors if record == "full" else None,
-                )
-            )
+            config_after = tuple(colors) if record == "full" else None
+            steps.append(StepRecord(activated=chosen, moves=moves, config_after=config_after))
 
     return ExecutionTrace(
         graph=graph.summary(),
@@ -173,7 +182,7 @@ def run(
         max_steps=max_steps,
         initial=initial.colors,
         steps=tuple(steps),
-        final=config.colors,
+        final=tuple(colors),
         terminated=terminated,
         total_steps=total_steps,
         total_moves=total_moves,

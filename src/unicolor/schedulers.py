@@ -13,11 +13,12 @@ enabledness cannot be known at script-construction time.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Configuration, DirectedGraph, enabled_set, ring
-from .algorithms import det_command
+from .core import Configuration, DirectedGraph, EnabledTracker, enabled_set, ring
+from .algorithms import AlgorithmKind, recolor
 
 
 class SchedulerKind(Enum):
@@ -116,7 +117,7 @@ class SchedulerPolicy:
 def _validate_scripted(
     policy: SchedulerPolicy,
     graph: DirectedGraph,
-    enabled_now: tuple[int, ...],
+    enabled_now,
     step_index: int,
 ) -> tuple[int, ...] | None:
     script = policy.script
@@ -124,9 +125,9 @@ def _validate_scripted(
     if step_index >= len(script.steps):
         return None
     chosen = script.steps[step_index]
-    enabled_lookup = set(enabled_now)
     for i in chosen:
-        if i not in enabled_lookup:
+        at = bisect_left(enabled_now, i)
+        if at == len(enabled_now) or enabled_now[at] != i:
             raise ScriptViolationError(step_index, f"process {i} is not enabled")
     if script.locally_central:
         for a in chosen:
@@ -138,26 +139,22 @@ def _validate_scripted(
     return chosen
 
 
-def select(
+def select_from(
     policy: SchedulerPolicy,
     graph: DirectedGraph,
-    config: Configuration,
+    enabled_now,
     rng: random.Random,
     step_index: int = 0,
 ) -> tuple[int, ...] | None:
-    """Pick this step's activation set from the enabled processes.
+    """Pick this step's activation set from ``enabled_now``.
 
-    Returns a sorted tuple, or None when a scripted policy has run out of
-    steps.  Callers check terminality first; with at least one process
-    enabled every non-scripted policy returns a nonempty set.
+    ``enabled_now`` is the nonempty ascending sequence of enabled
+    processes; it is only read.  Returns a sorted tuple, or None when a
+    scripted policy has run out of steps.
     """
-    enabled_now = enabled_set(graph, config)
-    if not enabled_now:
-        raise ValueError("select called on a terminal configuration")
-
     kind = policy.kind
     if kind is SchedulerKind.SYNCHRONOUS:
-        return enabled_now
+        return tuple(enabled_now)
     if kind is SchedulerKind.DISTRIBUTED_RANDOM_SUBSET:
         mask = rng.randrange(1, 1 << len(enabled_now))
         return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
@@ -175,6 +172,25 @@ def select(
                 blocked.update(graph.neighbors[i])
         return tuple(sorted(picked))
     return _validate_scripted(policy, graph, enabled_now, step_index)
+
+
+def select(
+    policy: SchedulerPolicy,
+    graph: DirectedGraph,
+    config: Configuration,
+    rng: random.Random,
+    step_index: int = 0,
+) -> tuple[int, ...] | None:
+    """Pick this step's activation set from the enabled processes of ``config``.
+
+    One :func:`enabled_set` scan, then :func:`select_from`.  Callers check
+    terminality first; with at least one process enabled every
+    non-scripted policy returns a nonempty set.
+    """
+    enabled_now = enabled_set(graph, config)
+    if not enabled_now:
+        raise ValueError("select called on a terminal configuration")
+    return select_from(policy, graph, enabled_now, rng, step_index)
 
 
 def chain_schedule(n: int) -> Script:
@@ -226,17 +242,19 @@ def ring_chase_schedule(
     """
     graph = ring(n)
     config = ring_chase_initial(n, k) if initial is None else initial
+    colors = list(config.colors)
+    tracker = EnabledTracker(graph, colors)
     steps: list[tuple[int, ...]] = []
     for _ in range(max_steps):
-        enabled_now = enabled_set(graph, config)
+        enabled_now = tracker.members
         if not enabled_now:
             break
         if len(enabled_now) > 1:
             raise AmbiguousChaseError(
-                f"expected one enabled process, found {enabled_now} after {len(steps)} steps"
+                f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
             )
         i = enabled_now[0]
-        move = det_command(graph, config, i)
-        config = config.replace({i: move.new_color})
+        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
+        tracker.refresh((i,))
         steps.append((i,))
     return Script(steps=tuple(steps))

@@ -37,7 +37,7 @@ class TestSpec:
 
     def test_constructors(self):
         assert AlgorithmSpec.probabilistic(4).kind is AlgorithmKind.PROBABILISTIC
-        assert AlgorithmSpec.ring_deterministic(3).kind is AlgorithmKind.DETERMINISTIC
+        assert AlgorithmSpec.deterministic(3).kind is AlgorithmKind.DETERMINISTIC
 
 
 class TestDetCommand:

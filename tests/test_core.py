@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from unicolor import (
     Configuration,
+    EnabledTracker,
     GraphConstructionError,
     bidirectional_clique,
     build_graph,
@@ -23,6 +24,7 @@ from helpers import (
     oracle_enabled_set,
     oracle_legitimate,
     random_instance,
+    reference_random_digraph_arcs,
 )
 
 
@@ -120,6 +122,13 @@ class TestGenerators:
         assert random_digraph(12, 3, seed=5).arcs == random_digraph(12, 3, seed=5).arcs
         assert random_digraph(12, 3, seed=5).arcs != random_digraph(12, 3, seed=6).arcs
 
+    @pytest.mark.parametrize(
+        "n,max_degree,seed",
+        [(2, 1, 0), (5, 2, 1), (6, 9, 3), (12, 3, 5), (30, 4, 7), (100, 4, 7), (100, 3, 11), (1000, 4, 424242)],
+    )
+    def test_random_digraph_matches_pair_list_construction(self, n, max_degree, seed):
+        assert list(random_digraph(n, max_degree, seed).arcs) == reference_random_digraph_arcs(n, max_degree, seed)
+
 
 class TestPredicates:
     def test_enabled_three_ring_oracle(self):
@@ -214,6 +223,29 @@ class TestInvariants:
             assert g.out_degrees[i] == len(g.succs[i])
             assert set(g.neighbors[i]) == set(g.preds[i]) | set(g.succs[i])
         assert g.max_degree == max(g.degrees)
+
+
+class TestEnabledTracker:
+    @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
+    def test_refresh_matches_full_scan(self, seed, batches):
+        # Arbitrary recolorings, not only legal moves: the tracker must
+        # follow any change the caller reports.
+        rng = random.Random(seed)
+        graph, cfg = random_instance(rng)
+        colors = list(cfg.colors)
+        tracker = EnabledTracker(graph, colors)
+        for batch in batches:
+            movers = sorted({i % graph.n for i in batch})
+            for i in movers:
+                colors[i] = rng.randrange(cfg.k)
+            tracker.refresh(movers)
+            expected = enabled_set(graph, Configuration(colors=tuple(colors), k=cfg.k))
+            assert tuple(tracker.members) == expected
+            assert [i for i in range(graph.n) if tracker.flags[i]] == list(expected)
+
+    def test_length_checked(self):
+        with pytest.raises(ValueError, match="2 colors for a 3-process graph"):
+            EnabledTracker(ring(3), [0, 0])
 
 
 class TestConfiguration:

@@ -1,26 +1,31 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unicolor import (
     AlgorithmSpec,
     Configuration,
     EngineStepError,
     Move,
+    NonTerminatingCommandError,
     SchedulerPolicy,
     Script,
     ScriptViolationError,
+    bidirectional_clique,
     chain,
     chain_schedule,
     det_command,
     enabled_set,
     is_legitimate,
+    random_digraph,
     ring,
     run,
     run_uniform,
 )
+from unicolor import engine
 
-from helpers import apply_moves, random_instance
+from helpers import apply_moves, random_instance, reference_run
 
 LC1 = SchedulerPolicy.locally_central_single()
 
@@ -198,3 +203,95 @@ class TestRun:
         g = ring(3)
         trace = run_uniform(g, AlgorithmSpec.deterministic(3), LC1, 0, seed=2)
         assert trace.max_steps == 10 * 9
+
+
+POLICIES = {
+    "sync": SchedulerPolicy.synchronous(),
+    "dist": SchedulerPolicy.distributed(),
+    "lc1": LC1,
+    "lcmax": SchedulerPolicy.locally_central_maximal(),
+}
+
+GRAPHS = st.one_of(
+    st.integers(2, 8).map(ring),
+    st.integers(2, 8).map(chain),
+    st.integers(2, 6).map(bidirectional_clique),
+    st.builds(random_digraph, st.integers(2, 8), st.integers(1, 4), st.integers(0, 10**6)),
+)
+
+
+@st.composite
+def executions(draw):
+    """Arguments for ``run``: small graph, either rule, every policy kind
+    (scripts random or replayed from a run, possibly violating), uniform
+    or random start, every record mode."""
+    graph = draw(GRAPHS)
+    n = graph.n
+    if draw(st.booleans()):
+        algo = AlgorithmSpec.probabilistic(draw(st.integers(graph.max_degree + 1, graph.max_degree + 3)))
+    else:
+        algo = AlgorithmSpec.deterministic(draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        initial = Configuration.uniform(n, draw(st.integers(0, algo.k - 1)), algo.k)
+    else:
+        initial = Configuration(colors=tuple(draw(st.lists(st.integers(0, algo.k - 1), min_size=n, max_size=n))), k=algo.k)
+    seed = draw(st.integers(0, 2**32 - 1))
+    name = draw(st.sampled_from(["sync", "dist", "lc1", "lcmax", "script-random", "script-replay"]))
+    if name == "script-random":
+        steps = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), max_size=10))
+        policy = SchedulerPolicy.scripted(Script(steps=tuple(map(tuple, steps)), locally_central=draw(st.booleans())))
+    elif name == "script-replay":
+        source = draw(st.sampled_from(sorted(POLICIES)))
+        try:
+            steps = [rec.activated for rec in reference_run(graph, algo, POLICIES[source], initial, max_steps=30, seed=seed).steps]
+        except EngineStepError:
+            steps = []
+        steps = steps[: draw(st.integers(0, len(steps)))]
+        steps += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2).map(tuple), max_size=2))
+        policy = SchedulerPolicy.scripted(Script(steps=tuple(steps), locally_central=source in ("lc1", "lcmax")))
+    else:
+        policy = POLICIES[name]
+    max_steps = draw(st.one_of(st.none(), st.integers(0, 40)))
+    record = draw(st.sampled_from(["none", "moves", "full"]))
+    return graph, algo, policy, initial, dict(max_steps=max_steps, seed=seed, record=record)
+
+
+def outcome(runner, args, kwargs):
+    try:
+        return runner(*args, **kwargs)
+    except EngineStepError as err:
+        return err
+
+
+class TestIncrementalEngine:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(executions())
+    def test_matches_full_rescan_reference(self, case):
+        *args, kwargs = case
+        expected = outcome(reference_run, args, kwargs)
+        got = outcome(run, args, kwargs)
+        if isinstance(expected, EngineStepError):
+            assert isinstance(got, EngineStepError)
+            assert got.step_index == expected.step_index
+            assert type(got.cause) is type(expected.cause)
+            assert str(got) == str(expected)
+        else:
+            assert got == expected
+            assert got.to_json() == expected.to_json()
+
+    def test_programming_error_is_not_wrapped(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in a command")
+
+        monkeypatch.setattr(engine, "recolor", broken)
+        with pytest.raises(TypeError, match="bug in a command"):
+            run_uniform(ring(3), AlgorithmSpec.deterministic(3), LC1, 0)
+
+    def test_nonterminating_command_is_a_step_error(self):
+        # On clique:4 with k = 3, after processes 0 and 1 move from the
+        # uniform start, process 2's predecessors hold all three colors.
+        policy = SchedulerPolicy.scripted(Script(steps=((0,), (1,), (2,), (3,))))
+        with pytest.raises(EngineStepError) as err:
+            run_uniform(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, 0)
+        assert err.value.step_index == 2
+        assert isinstance(err.value.cause, NonTerminatingCommandError)
