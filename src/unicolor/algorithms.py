@@ -64,6 +64,14 @@ class NonTerminatingCommandError(RuntimeError):
     """Deterministic command found every palette color among predecessors."""
 
 
+def _check_prob_headroom(graph: DirectedGraph, k: int) -> None:
+    """The probabilistic rule's set-up check: ``k > max_degree``."""
+    if k <= graph.max_degree:
+        raise ValueError(
+            f"probabilistic rule needs k > max_degree, got k={k}, max_degree={graph.max_degree}"
+        )
+
+
 def recolor(kind: AlgorithmKind, i: int, preds_i, colors, k: int, rng: random.Random | None) -> int:
     """The new color of process ``i`` under rule ``kind``.
 

@@ -23,7 +23,7 @@ from .core import (
     ring,
 )
 from .algorithms import AlgorithmSpec
-from .engine import run
+from .engine import EngineStepError, run
 from .experiments import (
     ExperimentConfig,
     InitialDistribution,
@@ -139,6 +139,9 @@ def cmd_run(args) -> int:
             seed=args.seed,
             record=args.trace,
         )
+    except EngineStepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(

@@ -17,7 +17,15 @@ import random
 from dataclasses import dataclass
 
 from .core import Configuration, DirectedGraph, EnabledTracker
-from .algorithms import AlgorithmKind, AlgorithmSpec, Move, NonTerminatingCommandError, recolor
+from .algorithms import (
+    AlgorithmKind,
+    AlgorithmSpec,
+    Move,
+    NonTerminatingCommandError,
+    _check_prob_headroom,
+    expected_total_steps_bound,
+    recolor,
+)
 from .schedulers import SchedulerPolicy, ScriptViolationError, select_from
 
 # The model's own failures: a command with no color to move to, a script
@@ -103,12 +111,12 @@ class ExecutionTrace:
 
 
 def default_max_steps(graph: DirectedGraph, algo: AlgorithmSpec) -> int:
-    """10 n^2 rounds for the deterministic rule (well above n(n-1)/2);
-    100x the expected-move bound for the probabilistic one."""
-    if algo.kind is AlgorithmKind.DETERMINISTIC:
+    """10 n^2 rounds for the deterministic rule (well above n(n-1)/2), and
+    for a graph without arcs, where no process is ever enabled; 100x the
+    exact expected-move bound for the probabilistic one."""
+    if algo.kind is AlgorithmKind.DETERMINISTIC or not graph.arcs:
         return 10 * graph.n * graph.n
-    bound = graph.n * (algo.k - 1) / (algo.k - graph.max_degree)
-    return math.ceil(100 * bound)
+    return math.ceil(100 * expected_total_steps_bound(graph.n, graph.max_degree, algo.k))
 
 
 def run(
@@ -131,10 +139,8 @@ def run(
         raise ValueError(f"initial configuration has {len(initial.colors)} colors for n={graph.n}")
     if initial.k != algo.k:
         raise ValueError(f"initial palette {initial.k} != algorithm palette {algo.k}")
-    if algo.kind is AlgorithmKind.PROBABILISTIC and algo.k <= graph.max_degree:
-        raise ValueError(
-            f"probabilistic rule needs k > max_degree, got k={algo.k}, max_degree={graph.max_degree}"
-        )
+    if algo.kind is AlgorithmKind.PROBABILISTIC:
+        _check_prob_headroom(graph, algo.k)
     if record not in ("none", "moves", "full"):
         raise ValueError(f"unknown record mode {record!r}")
     if max_steps is None:

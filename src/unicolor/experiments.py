@@ -21,15 +21,14 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import Configuration, DirectedGraph
-from .algorithms import AlgorithmKind, AlgorithmSpec, expected_total_steps_bound
-from .engine import run
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound
+from .engine import EngineStepError, run
 from .schedulers import SchedulerPolicy
 
 
 class InitialDistribution(Enum):
     UNIFORM_COLOR0 = "uniform0"
     RANDOM_EACH_TRIAL = "random"
-    WORST_UNIFORM = "worst"  # adversarial all-equal start; same start as uniform0
 
 
 def split_seed(seed_base: int, trial_index: int, stream: str) -> int:
@@ -55,14 +54,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-        if (
-            self.algorithm.kind is AlgorithmKind.PROBABILISTIC
-            and self.algorithm.k <= self.graph.max_degree
-        ):
-            raise ValueError(
-                f"probabilistic rule needs k > max_degree, got k={self.algorithm.k}, "
-                f"max_degree={self.graph.max_degree}"
-            )
+        if self.algorithm.kind is AlgorithmKind.PROBABILISTIC:
+            _check_prob_headroom(self.graph, self.algorithm.k)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
             seed=split_seed(config.seed_base, index, "engine"),
             record="none",
         )
-    except Exception as exc:
+    except EngineStepError as exc:
         return TrialResult(index=index, moves=0, steps=0, converged=False, error=str(exc))
     return TrialResult(
         index=index,

@@ -9,18 +9,26 @@ precondition for probability-1 convergence (some scheduler-and-random
 outcome path reaches a terminal configuration from everywhere, and the
 terminal configurations are exactly the legitimate ones).
 
-Configurations are packed as base-k integers for the visited structures.
+Both checks run on one builder, :func:`_transitions`.  A configuration is
+its base-k code ``sum(colors[i] * k**i)``, process 0 being the lowest
+digit.  The builder walks the codes in ascending order, applying the rule
+straight to the digits: a move of process ``i`` from ``old`` to ``new``
+adds ``(new - old) * k**i`` to the code, so no ``Configuration`` is built
+per state.  Edges are stored as compressed rows of ``array("q")``: the
+edges of code ``c`` are ``offsets[c]:offsets[c + 1]`` in ``targets`` (the
+successor codes) and ``masks`` (the activated processes as a bitmask).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 
-from .core import Configuration, DirectedGraph, enabled_set, is_legitimate
-from .algorithms import AlgorithmSpec, det_command
+from .core import Configuration, DirectedGraph, process_enabled
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, recolor
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
@@ -101,13 +109,6 @@ class VerificationReport:
         }
 
 
-def _encode(colors: tuple[int, ...], k: int) -> int:
-    code = 0
-    for c in reversed(colors):
-        code = code * k + c
-    return code
-
-
 def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
     colors = []
     for _ in range(n):
@@ -116,21 +117,80 @@ def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _state_space_size(graph: DirectedGraph, k: int, cap: int) -> int:
-    total = k ** graph.n
+def _processes(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class: PolicyClass, cap: int):
+    """Build the transition graph of rule ``kind`` under ``policy_class``.
+
+    The deterministic rule gives each enabled process one move (the
+    :func:`recolor` target); the probabilistic rule gives it one move per
+    color no predecessor holds.  Under ``lc1`` every move is an edge; under
+    ``subsets`` every nonempty set of moves is one, applied together, in
+    ``combinations`` order by size.  A code's row is empty iff no process
+    is enabled (for the probabilistic rule that needs ``k > max_degree``,
+    which its caller checks).  Returns the rows ``offsets, targets,
+    masks``, whether the terminal and legitimate sets differ, and
+    ``report(worst_moves, divergence, worst_witness=None)``, which fills a
+    :class:`VerificationReport` with the counts taken here.
+    """
+    n = graph.n
+    total = k**n
     if total > cap:
         raise EnumerationCapError(required=total, allowed=cap)
-    return total
+    preds, arcs = graph.preds, graph.arcs
+    weights = [k**i for i in range(n)]
+    deterministic = kind is AlgorithmKind.DETERMINISTIC
+    subsets = policy_class is PolicyClass.ALL_DISTRIBUTED_SUBSETS
+    offsets, targets, masks = array("q", [0]), array("q"), array("q")
+    terminal_count = legitimate_count = 0
+    mismatch = False
+    # ``product`` varies its last digit fastest, so reversed tuples come in
+    # ascending code order with process 0 as the lowest digit.
+    for code, digits in enumerate(product(range(k), repeat=n)):
+        colors = digits[::-1]
+        legit = all(colors[i] != colors[j] for i, j in arcs)
+        moves = []
+        for i in range(n):
+            if not process_enabled(preds[i], colors, i):
+                continue
+            if deterministic:
+                news = (recolor(kind, i, preds[i], colors, k, None),)
+            else:
+                taken = {colors[p] for p in preds[i]}
+                news = [c for c in range(k) if c not in taken]
+            moves += [(1 << i, (c - colors[i]) * weights[i]) for c in news]
+        legitimate_count += legit
+        terminal_count += not moves
+        mismatch = mismatch or legit != (not moves)
+        if subsets:
+            moves = [
+                (sum(bit for bit, _ in choice), sum(delta for _, delta in choice))
+                for size in range(1, len(moves) + 1)
+                for choice in combinations(moves, size)
+            ]
+        for mask, delta in moves:
+            masks.append(mask)
+            targets.append(code + delta)
+        offsets.append(len(targets))
 
+    def report(worst_moves, divergence, worst_witness=None) -> VerificationReport:
+        return VerificationReport(
+            graph=graph.summary(),
+            algorithm=AlgorithmSpec(kind, k).summary(),
+            policy_class=policy_class.value,
+            configurations_checked=total,
+            all_converge=divergence is None,
+            worst_case_moves=worst_moves,
+            witness_divergence=divergence,
+            worst_case_witness=worst_witness,
+            terminal_count=terminal_count,
+            legitimate_count=legitimate_count,
+            terminal_equals_legitimate=not mismatch,
+        )
 
-def _subset_choices(enabled_now: tuple[int, ...], policy_class: PolicyClass):
-    if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
-        return [(i,) for i in enabled_now]
-    return [
-        subset
-        for size in range(1, len(enabled_now) + 1)
-        for subset in combinations(enabled_now, size)
-    ]
+    return offsets, targets, masks, mismatch, report
 
 
 def verify_deterministic(
@@ -149,98 +209,56 @@ def verify_deterministic(
     short-circuits to a divergence witness whose replay revisits a
     configuration.
     """
-    total = _state_space_size(graph, k, cap)
-    n = graph.n
-
-    # Precompute per-configuration outgoing edges (choice, successor code).
-    adj: list[list[tuple[tuple[int, ...], int]]] = []
-    terminal_count = 0
-    legitimate_count = 0
-    mismatch = False
-    for code in range(total):
-        config = Configuration(colors=_decode(code, n, k), k=k)
-        enabled_now = enabled_set(graph, config)
-        legit = is_legitimate(graph, config)
-        if legit:
-            legitimate_count += 1
-        if not enabled_now:
-            terminal_count += 1
-            if not legit:
-                mismatch = True
-            adj.append([])
-            continue
-        if legit:
-            mismatch = True
-        edges = []
-        for choice in _subset_choices(enabled_now, policy_class):
-            moves = [det_command(graph, config, i) for i in choice]
-            succ = config.replace({m.process: m.new_color for m in moves})
-            edges.append((choice, _encode(succ.colors, k)))
-        adj.append(edges)
-
-    def report(all_converge, worst_moves, div, worst_wit):
-        return VerificationReport(
-            graph=graph.summary(),
-            algorithm=AlgorithmSpec.deterministic(k).summary(),
-            policy_class=policy_class.value,
-            configurations_checked=total,
-            all_converge=all_converge,
-            worst_case_moves=worst_moves,
-            witness_divergence=div,
-            worst_case_witness=worst_wit,
-            terminal_count=terminal_count,
-            legitimate_count=legitimate_count,
-            terminal_equals_legitimate=not mismatch,
-        )
+    offsets, targets, masks, _, report = _transitions(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
+    total, n = len(offsets) - 1, graph.n
 
     # DFS with cycle detection; on the acyclic side, longest-path memo.
+    # Paths are kept as edge indices into the rows.
     state = bytearray(total)
-    longest_moves = [0] * total
-    longest_steps = [0] * total
-    best_move_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
-    best_step_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
+    longest_moves = array("q", [0]) * total
+    longest_steps = array("q", [0]) * total
+    best_move_edge = array("q", [-1]) * total
+    best_step_edge = array("q", [-1]) * total
 
     for root in range(total):
         if state[root] != _WHITE:
             continue
         state[root] = _GRAY
-        stack: list[list[int]] = [[root, 0]]
+        stack = [[root, offsets[root]]]  # frames: code, next edge
+        incoming = [-1]
         pos = {root: 0}
-        incoming: list[tuple[int, ...] | None] = [None]
         while stack:
             frame = stack[-1]
-            code = frame[0]
-            edges = adj[code]
-            if frame[1] < len(edges):
-                choice, succ = edges[frame[1]]
+            code, edge = frame
+            if edge < offsets[code + 1]:
                 frame[1] += 1
+                succ = targets[edge]
                 if state[succ] == _WHITE:
                     state[succ] = _GRAY
                     pos[succ] = len(stack)
-                    stack.append([succ, 0])
-                    incoming.append(choice)
+                    stack.append([succ, offsets[succ]])
+                    incoming.append(edge)
                 elif state[succ] == _GRAY:
-                    start = pos[succ]
                     schedule = tuple(
-                        incoming[d] for d in range(start + 1, len(stack))
-                    ) + (choice,)
+                        _processes(masks[e], n) for e in incoming[pos[succ] + 1:] + [edge]
+                    )
                     witness = DivergenceWitness(
                         initial=_decode(succ, n, k),
                         schedule=schedule,
                         note="configuration cycle",
                     )
-                    return report(False, None, witness, None)
+                    return report(None, witness)
             else:
                 best_m, best_s = 0, 0
-                for choice, succ in edges:
-                    m = len(choice) + longest_moves[succ]
-                    s = 1 + longest_steps[succ]
+                for e in range(offsets[code], offsets[code + 1]):
+                    m = masks[e].bit_count() + longest_moves[targets[e]]
+                    s = 1 + longest_steps[targets[e]]
                     if m > best_m:
                         best_m = m
-                        best_move_edge[code] = (choice, succ)
+                        best_move_edge[code] = e
                     if s > best_s:
                         best_s = s
-                        best_step_edge[code] = (choice, succ)
+                        best_step_edge[code] = e
                 longest_moves[code] = best_m
                 longest_steps[code] = best_s
                 state[code] = _BLACK
@@ -248,13 +266,12 @@ def verify_deterministic(
                 stack.pop()
                 incoming.pop()
 
-    def follow(start: int, edge_table) -> tuple[tuple[int, ...], ...]:
+    def follow(code: int, best_edge: array) -> tuple[tuple[int, ...], ...]:
         schedule = []
-        code = start
-        while edge_table[code] is not None:
-            choice, succ = edge_table[code]
-            schedule.append(choice)
-            code = succ
+        while best_edge[code] >= 0:
+            edge = best_edge[code]
+            schedule.append(_processes(masks[edge], n))
+            code = targets[edge]
         return tuple(schedule)
 
     worst = max(longest_moves)
@@ -265,6 +282,7 @@ def verify_deterministic(
         moves=worst,
     )
 
+    witness = None
     deepest = max(longest_steps)
     if max_depth is not None and deepest > max_depth:
         deep_code = longest_steps.index(deepest)
@@ -273,8 +291,7 @@ def verify_deterministic(
             schedule=follow(deep_code, best_step_edge)[:max_depth],
             note=f"path of {deepest} steps exceeds max_depth {max_depth}",
         )
-        return report(False, worst, witness, worst_witness)
-    return report(True, worst, None, worst_witness)
+    return report(worst, witness, worst_witness)
 
 
 def verify_probabilistic_support(
@@ -292,63 +309,44 @@ def verify_probabilistic_support(
     largest, over configurations, of the fewest moves that can reach a
     terminal configuration.
     """
-    if k <= graph.max_degree:
-        raise ValueError(
-            f"probabilistic rule needs k > max_degree, got k={k}, max_degree={graph.max_degree}"
-        )
-    total = _state_space_size(graph, k, cap)
-    n = graph.n
+    _check_prob_headroom(graph, k)
+    lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
+    offsets, targets, _, mismatch, report = _transitions(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
+    total, n = len(offsets) - 1, graph.n
 
-    rev: list[list[int]] = [[] for _ in range(total)]
-    terminal_codes = []
-    terminal_count = 0
-    legitimate_count = 0
-    mismatch = False
+    # Reverse rows by counting sort: the predecessors of code c are
+    # sources[starts[c]:starts[c + 1]].
+    starts = array("q", [0]) * (total + 1)
+    for succ in targets:
+        starts[succ + 1] += 1
     for code in range(total):
-        config = Configuration(colors=_decode(code, n, k), k=k)
-        enabled_now = enabled_set(graph, config)
-        legit = is_legitimate(graph, config)
-        if legit:
-            legitimate_count += 1
-        if not enabled_now:
-            terminal_count += 1
-            terminal_codes.append(code)
-            if not legit:
-                mismatch = True
-            continue
-        if legit:
-            mismatch = True
-        colors = config.colors
-        for i in enabled_now:
-            taken = {colors[p] for p in graph.preds[i]}
-            for c in range(k):
-                if c in taken:
-                    continue
-                succ = _encode(colors[:i] + (c,) + colors[i + 1:], k)
-                rev[succ].append(code)
+        starts[code + 1] += starts[code]
+    fill = starts[:-1]
+    sources = array("q", [0]) * len(targets)
+    for code in range(total):
+        for succ in targets[offsets[code]:offsets[code + 1]]:
+            sources[fill[succ]] = code
+            fill[succ] += 1
 
-    dist = [-1] * total
+    # Backward BFS from the terminal codes (the empty rows).
+    dist = array("q", [-1]) * total
     queue = deque()
-    for code in terminal_codes:
-        dist[code] = 0
-        queue.append(code)
+    for code in range(total):
+        if offsets[code] == offsets[code + 1]:
+            dist[code] = 0
+            queue.append(code)
     while queue:
         code = queue.popleft()
-        for prev in rev[code]:
+        for prev in sources[starts[code]:starts[code + 1]]:
             if dist[prev] < 0:
                 dist[prev] = dist[code] + 1
                 queue.append(prev)
 
-    stuck = [code for code in range(total) if dist[code] < 0]
-    reached = [d for d in dist if d >= 0]
-    escape = max(reached) if reached else 0
-    depth_ok = max_depth is None or escape <= max_depth
-    all_converge = not stuck and not mismatch and depth_ok
-
+    escape = max(max(dist), 0)
     witness = None
-    if stuck:
+    if -1 in dist:
         witness = DivergenceWitness(
-            initial=_decode(stuck[0], n, k),
+            initial=_decode(dist.index(-1), n, k),
             schedule=(),
             note="no path to a terminal configuration",
         )
@@ -356,27 +354,13 @@ def verify_probabilistic_support(
         witness = DivergenceWitness(
             initial=(), schedule=(), note="terminal and legitimate sets differ"
         )
-    elif not depth_ok:
-        far = dist.index(escape)
+    elif max_depth is not None and escape > max_depth:
         witness = DivergenceWitness(
-            initial=_decode(far, n, k),
+            initial=_decode(dist.index(escape), n, k),
             schedule=(),
             note=f"shortest escape of {escape} moves exceeds max_depth {max_depth}",
         )
-
-    return VerificationReport(
-        graph=graph.summary(),
-        algorithm=AlgorithmSpec.probabilistic(k).summary(),
-        policy_class="lc1",
-        configurations_checked=total,
-        all_converge=all_converge,
-        worst_case_moves=escape,
-        witness_divergence=witness,
-        worst_case_witness=None,
-        terminal_count=terminal_count,
-        legitimate_count=legitimate_count,
-        terminal_equals_legitimate=not mismatch,
-    )
+    return report(escape, witness)
 
 
 def replay_witness(

@@ -8,16 +8,26 @@ paths they check.
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import combinations
 
 from unicolor import (
+    AlgorithmSpec,
     Configuration,
     DirectedGraph,
+    DivergenceWitness,
     EngineStepError,
+    EnumerationCapError,
     ExecutionTrace,
+    PolicyClass,
     StepRecord,
+    VerificationReport,
+    WorstCaseWitness,
     build_graph,
     command,
+    det_command,
     enabled_set,
+    is_legitimate,
     select,
 )
 from unicolor.engine import default_max_steps
@@ -140,4 +150,290 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
         terminated=terminated,
         total_steps=total_steps,
         total_moves=total_moves,
+    )
+
+
+# The exhaustive verifier as it was before the shared code-space builder:
+# each check enumerates the k^n configurations itself, through
+# ``Configuration``, ``enabled_set``, ``is_legitimate`` and ``det_command``.
+# Kept verbatim (renamed) as the reference for the differential tests.
+
+_WHITE, _GRAY, _BLACK = 0, 1, 2
+
+
+def _encode(colors: tuple[int, ...], k: int) -> int:
+    code = 0
+    for c in reversed(colors):
+        code = code * k + c
+    return code
+
+
+def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
+    colors = []
+    for _ in range(n):
+        colors.append(code % k)
+        code //= k
+    return tuple(colors)
+
+
+def _state_space_size(graph: DirectedGraph, k: int, cap: int) -> int:
+    total = k ** graph.n
+    if total > cap:
+        raise EnumerationCapError(required=total, allowed=cap)
+    return total
+
+
+def _subset_choices(enabled_now: tuple[int, ...], policy_class: PolicyClass):
+    if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
+        return [(i,) for i in enabled_now]
+    return [
+        subset
+        for size in range(1, len(enabled_now) + 1)
+        for subset in combinations(enabled_now, size)
+    ]
+
+
+def reference_verify_deterministic(
+    graph: DirectedGraph,
+    k: int,
+    policy_class: PolicyClass,
+    max_depth: int | None = None,
+    cap: int = 10**6,
+) -> VerificationReport:
+    """Enumerate every execution of the deterministic rule.
+
+    Convergence holds iff the transition graph over all k^n configurations
+    is acyclic (and, when ``max_depth`` is given, no path is longer).  On
+    the acyclic side the exact worst-case move count is the longest move
+    path, with a schedule witnessing it; on a cycle the report
+    short-circuits to a divergence witness whose replay revisits a
+    configuration.
+    """
+    total = _state_space_size(graph, k, cap)
+    n = graph.n
+
+    # Precompute per-configuration outgoing edges (choice, successor code).
+    adj: list[list[tuple[tuple[int, ...], int]]] = []
+    terminal_count = 0
+    legitimate_count = 0
+    mismatch = False
+    for code in range(total):
+        config = Configuration(colors=_decode(code, n, k), k=k)
+        enabled_now = enabled_set(graph, config)
+        legit = is_legitimate(graph, config)
+        if legit:
+            legitimate_count += 1
+        if not enabled_now:
+            terminal_count += 1
+            if not legit:
+                mismatch = True
+            adj.append([])
+            continue
+        if legit:
+            mismatch = True
+        edges = []
+        for choice in _subset_choices(enabled_now, policy_class):
+            moves = [det_command(graph, config, i) for i in choice]
+            succ = config.replace({m.process: m.new_color for m in moves})
+            edges.append((choice, _encode(succ.colors, k)))
+        adj.append(edges)
+
+    def report(all_converge, worst_moves, div, worst_wit):
+        return VerificationReport(
+            graph=graph.summary(),
+            algorithm=AlgorithmSpec.deterministic(k).summary(),
+            policy_class=policy_class.value,
+            configurations_checked=total,
+            all_converge=all_converge,
+            worst_case_moves=worst_moves,
+            witness_divergence=div,
+            worst_case_witness=worst_wit,
+            terminal_count=terminal_count,
+            legitimate_count=legitimate_count,
+            terminal_equals_legitimate=not mismatch,
+        )
+
+    # DFS with cycle detection; on the acyclic side, longest-path memo.
+    state = bytearray(total)
+    longest_moves = [0] * total
+    longest_steps = [0] * total
+    best_move_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
+    best_step_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
+
+    for root in range(total):
+        if state[root] != _WHITE:
+            continue
+        state[root] = _GRAY
+        stack: list[list[int]] = [[root, 0]]
+        pos = {root: 0}
+        incoming: list[tuple[int, ...] | None] = [None]
+        while stack:
+            frame = stack[-1]
+            code = frame[0]
+            edges = adj[code]
+            if frame[1] < len(edges):
+                choice, succ = edges[frame[1]]
+                frame[1] += 1
+                if state[succ] == _WHITE:
+                    state[succ] = _GRAY
+                    pos[succ] = len(stack)
+                    stack.append([succ, 0])
+                    incoming.append(choice)
+                elif state[succ] == _GRAY:
+                    start = pos[succ]
+                    schedule = tuple(
+                        incoming[d] for d in range(start + 1, len(stack))
+                    ) + (choice,)
+                    witness = DivergenceWitness(
+                        initial=_decode(succ, n, k),
+                        schedule=schedule,
+                        note="configuration cycle",
+                    )
+                    return report(False, None, witness, None)
+            else:
+                best_m, best_s = 0, 0
+                for choice, succ in edges:
+                    m = len(choice) + longest_moves[succ]
+                    s = 1 + longest_steps[succ]
+                    if m > best_m:
+                        best_m = m
+                        best_move_edge[code] = (choice, succ)
+                    if s > best_s:
+                        best_s = s
+                        best_step_edge[code] = (choice, succ)
+                longest_moves[code] = best_m
+                longest_steps[code] = best_s
+                state[code] = _BLACK
+                del pos[code]
+                stack.pop()
+                incoming.pop()
+
+    def follow(start: int, edge_table) -> tuple[tuple[int, ...], ...]:
+        schedule = []
+        code = start
+        while edge_table[code] is not None:
+            choice, succ = edge_table[code]
+            schedule.append(choice)
+            code = succ
+        return tuple(schedule)
+
+    worst = max(longest_moves)
+    argmax = longest_moves.index(worst)
+    worst_witness = WorstCaseWitness(
+        initial=_decode(argmax, n, k),
+        schedule=follow(argmax, best_move_edge),
+        moves=worst,
+    )
+
+    deepest = max(longest_steps)
+    if max_depth is not None and deepest > max_depth:
+        deep_code = longest_steps.index(deepest)
+        witness = DivergenceWitness(
+            initial=_decode(deep_code, n, k),
+            schedule=follow(deep_code, best_step_edge)[:max_depth],
+            note=f"path of {deepest} steps exceeds max_depth {max_depth}",
+        )
+        return report(False, worst, witness, worst_witness)
+    return report(True, worst, None, worst_witness)
+
+
+def reference_verify_probabilistic_support(
+    graph: DirectedGraph,
+    k: int,
+    max_depth: int | None = None,
+    cap: int = 10**6,
+) -> VerificationReport:
+    """Structural probability-1 convergence check for the random rule.
+
+    Certifies that the terminal configurations are exactly the legitimate
+    ones and that every configuration has some path (choosing both the
+    activated process and the random color) to a terminal one.
+    ``worst_case_moves`` here is the worst-case shortest escape: the
+    largest, over configurations, of the fewest moves that can reach a
+    terminal configuration.
+    """
+    if k <= graph.max_degree:
+        raise ValueError(
+            f"probabilistic rule needs k > max_degree, got k={k}, max_degree={graph.max_degree}"
+        )
+    total = _state_space_size(graph, k, cap)
+    n = graph.n
+
+    rev: list[list[int]] = [[] for _ in range(total)]
+    terminal_codes = []
+    terminal_count = 0
+    legitimate_count = 0
+    mismatch = False
+    for code in range(total):
+        config = Configuration(colors=_decode(code, n, k), k=k)
+        enabled_now = enabled_set(graph, config)
+        legit = is_legitimate(graph, config)
+        if legit:
+            legitimate_count += 1
+        if not enabled_now:
+            terminal_count += 1
+            terminal_codes.append(code)
+            if not legit:
+                mismatch = True
+            continue
+        if legit:
+            mismatch = True
+        colors = config.colors
+        for i in enabled_now:
+            taken = {colors[p] for p in graph.preds[i]}
+            for c in range(k):
+                if c in taken:
+                    continue
+                succ = _encode(colors[:i] + (c,) + colors[i + 1:], k)
+                rev[succ].append(code)
+
+    dist = [-1] * total
+    queue = deque()
+    for code in terminal_codes:
+        dist[code] = 0
+        queue.append(code)
+    while queue:
+        code = queue.popleft()
+        for prev in rev[code]:
+            if dist[prev] < 0:
+                dist[prev] = dist[code] + 1
+                queue.append(prev)
+
+    stuck = [code for code in range(total) if dist[code] < 0]
+    reached = [d for d in dist if d >= 0]
+    escape = max(reached) if reached else 0
+    depth_ok = max_depth is None or escape <= max_depth
+    all_converge = not stuck and not mismatch and depth_ok
+
+    witness = None
+    if stuck:
+        witness = DivergenceWitness(
+            initial=_decode(stuck[0], n, k),
+            schedule=(),
+            note="no path to a terminal configuration",
+        )
+    elif mismatch:
+        witness = DivergenceWitness(
+            initial=(), schedule=(), note="terminal and legitimate sets differ"
+        )
+    elif not depth_ok:
+        far = dist.index(escape)
+        witness = DivergenceWitness(
+            initial=_decode(far, n, k),
+            schedule=(),
+            note=f"shortest escape of {escape} moves exceeds max_depth {max_depth}",
+        )
+
+    return VerificationReport(
+        graph=graph.summary(),
+        algorithm=AlgorithmSpec.probabilistic(k).summary(),
+        policy_class="lc1",
+        configurations_checked=total,
+        all_converge=all_converge,
+        worst_case_moves=escape,
+        witness_divergence=witness,
+        worst_case_witness=None,
+        terminal_count=terminal_count,
+        legitimate_count=legitimate_count,
+        terminal_equals_legitimate=not mismatch,
     )

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import unicolor
 from unicolor.cli import main, parse_graph_spec
 
 
@@ -52,6 +56,18 @@ class TestRun:
         )
         assert code == 0
         assert "terminated=True" in out
+
+    def test_model_error_is_an_error_line(self):
+        # clique:4 needs k >= 4; with k = 3 a command finds no free color.
+        src = os.path.dirname(os.path.dirname(unicolor.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unicolor.cli", "run", "--graph", "clique:4",
+             "--algo", "det", "--k", "3", "--sched", "lc1", "--seed", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: step ")
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_usage_error_bad_graph(self, capsys):
         code, _, err = run_cli(["run", "--graph", "torus:5", "--k", "3"], capsys)
@@ -218,6 +234,12 @@ class TestExperimentCommand:
     def test_needs_graph_or_config(self, capsys):
         code, _, err = run_cli(["experiment", "--trials", "5"], capsys)
         assert code == 2
+
+    def test_worst_initial_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["experiment", "--graph", "ring:6", "--k", "3", "--initial", "worst"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'worst'" in capsys.readouterr().err
 
     def test_det_experiment_uniform(self, capsys):
         code, out, _ = run_cli(

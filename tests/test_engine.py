@@ -13,6 +13,7 @@ from unicolor import (
     Script,
     ScriptViolationError,
     bidirectional_clique,
+    build_graph,
     chain,
     chain_schedule,
     det_command,
@@ -203,6 +204,16 @@ class TestRun:
         g = ring(3)
         trace = run_uniform(g, AlgorithmSpec.deterministic(3), LC1, 0, seed=2)
         assert trace.max_steps == 10 * 9
+
+    def test_default_cap_is_exact_bound(self):
+        # 100 * 4(12-1)/(12-2) is exactly 440; the float formula gave 441.
+        assert engine.default_max_steps(ring(4), AlgorithmSpec.probabilistic(12)) == 440
+        assert engine.default_max_steps(ring(20), AlgorithmSpec.probabilistic(3)) == 4000
+
+    def test_probabilistic_run_on_graph_without_arcs(self):
+        trace = run_uniform(build_graph(3, []), AlgorithmSpec.probabilistic(2), LC1, 0)
+        assert trace.terminated
+        assert trace.total_moves == 0
 
 
 POLICIES = {

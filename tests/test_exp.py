@@ -6,11 +6,13 @@ from unicolor import (
     AlgorithmSpec,
     SchedulerPolicy,
     Script,
+    bidirectional_clique,
     chain,
     chain_schedule,
     ring,
     split_seed,
 )
+from unicolor import engine
 from unicolor.experiments import (
     ExperimentConfig,
     InitialDistribution,
@@ -71,8 +73,8 @@ class TestRunExperiment:
         assert report.max_moves == max(moves)
         assert report.mean_moves == pytest.approx(sum(moves) / len(moves))
 
-    def test_worst_uniform_initial_used(self):
-        config = prob_config(ring(6), 3, trials=5, initial=InitialDistribution.WORST_UNIFORM)
+    def test_uniform0_initial_used(self):
+        config = prob_config(ring(6), 3, trials=5, initial=InitialDistribution.UNIFORM_COLOR0)
         report = run_experiment(config)
         # a uniform start conflicts everywhere, so every trial must move
         assert report.min_moves >= 1
@@ -90,6 +92,26 @@ class TestRunExperiment:
         assert report.failed == 3
         assert report.converged == 0
         assert all(t.error for t in report.per_trial)
+
+    def test_nonterminating_commands_recorded_as_errors(self):
+        # clique:4 needs k >= 4; with k = 3 a command finds no free color.
+        config = ExperimentConfig(
+            graph=bidirectional_clique(4),
+            algorithm=AlgorithmSpec.deterministic(3),
+            scheduler=LC1,
+            trials=20,
+        )
+        report = run_experiment(config)
+        assert report.failed == 20
+        assert all("all 3 colors held" in t.error for t in report.per_trial)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in a command")
+
+        monkeypatch.setattr(engine, "recolor", broken)
+        with pytest.raises(TypeError, match="bug in a command"):
+            run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
     def test_parallel_matches_sequential(self):
         config = prob_config(ring(8), 3, trials=40)

@@ -1,13 +1,17 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unicolor import (
+    AlgorithmKind,
     AlgorithmSpec,
     Configuration,
     EnumerationCapError,
+    NonTerminatingCommandError,
     PolicyClass,
     bidirectional_clique,
+    build_graph,
     chain,
     is_legitimate,
     replay_witness,
@@ -15,6 +19,9 @@ from unicolor import (
     verify_deterministic,
     verify_probabilistic_support,
 )
+from unicolor.verify import _transitions
+
+from helpers import reference_verify_deterministic, reference_verify_probabilistic_support
 
 LC1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
 SUBSETS = PolicyClass.ALL_DISTRIBUTED_SUBSETS
@@ -132,3 +139,89 @@ class TestProbabilisticSupport:
         assert full.all_converge
         tight = verify_probabilistic_support(ring(4), 3, max_depth=full.worst_case_moves - 1)
         assert not tight.all_converge
+
+
+class TestTransitions:
+    @staticmethod
+    def first_row(graph, kind, k, policy_class):
+        offsets, targets, masks, _, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
+        assert len(offsets) == k**graph.n + 1
+        return list(targets[offsets[0]:offsets[1]]), list(masks[offsets[0]:offsets[1]])
+
+    def test_rows_of_uniform_ring(self):
+        # Code 0 is the all-0 ring: every process moves to color 1, which
+        # adds k**i to the code.
+        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1) == ([1, 3, 9], [1, 2, 4])
+
+    def test_subset_rows_in_combinations_order(self):
+        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, SUBSETS) == (
+            [1, 3, 9, 4, 10, 12, 13],
+            [1, 2, 4, 3, 5, 6, 7],
+        )
+
+    def test_probabilistic_rows_hold_every_free_color(self):
+        # Code 0 of chain:2: process 0 reads process 1, both hold 0, so
+        # process 0 may take color 1 or 2.
+        assert self.first_row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1) == ([1, 2], [1, 1])
+
+
+@st.composite
+def small_graphs(draw):
+    kind = draw(st.sampled_from(["ring", "chain", "clique", "random"]))
+    if kind == "ring":
+        return ring(draw(st.integers(2, 5)))
+    if kind == "chain":
+        return chain(draw(st.integers(2, 5)))
+    if kind == "clique":
+        return bidirectional_clique(draw(st.integers(2, 4)))
+    n = draw(st.integers(2, 5))
+    pairs = list(permutations(range(n), 2))
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+
+
+def outcome(verify, *args, **kwargs):
+    try:
+        return verify(*args, **kwargs).to_dict()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    """The code-space verifier against the per-check enumerations it
+    replaced (``tests/helpers.py``)."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        small_graphs(),
+        st.integers(2, 5),
+        st.sampled_from([LC1, SUBSETS]),
+        st.one_of(st.none(), st.integers(0, 6)),
+        st.sampled_from([10**6, 100]),
+    )
+    def test_deterministic(self, graph, k, policy_class, max_depth, cap):
+        args = (graph, k, policy_class)
+        kwargs = dict(max_depth=max_depth, cap=cap)
+        assert outcome(verify_deterministic, *args, **kwargs) == outcome(
+            reference_verify_deterministic, *args, **kwargs
+        )
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        small_graphs(),
+        st.integers(2, 5),
+        st.one_of(st.none(), st.integers(0, 6)),
+        st.sampled_from([10**6, 100]),
+    )
+    def test_probabilistic(self, graph, k, max_depth, cap):
+        kwargs = dict(max_depth=max_depth, cap=cap)
+        assert outcome(verify_probabilistic_support, graph, k, **kwargs) == outcome(
+            reference_verify_probabilistic_support, graph, k, **kwargs
+        )
+
+    @pytest.mark.parametrize("policy_class", [LC1, SUBSETS])
+    def test_palette_below_in_degree_raises_the_same_error(self, policy_class):
+        # clique:4 has in-degree 3: with k = 3 some command has no free color.
+        new = outcome(verify_deterministic, bidirectional_clique(4), 3, policy_class)
+        old = outcome(reference_verify_deterministic, bidirectional_clique(4), 3, policy_class)
+        assert new == old
+        assert new[0] is NonTerminatingCommandError
