@@ -22,7 +22,7 @@ from .core import (
     read_graph_file,
     ring,
 )
-from .algorithms import AlgorithmSpec
+from .algorithms import AlgorithmSpec, NonTerminatingCommandError
 from .engine import EngineStepError, run
 from .experiments import (
     ExperimentConfig,
@@ -195,6 +195,7 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    ok = True
     for rep in reports:
         bound = "" if rep.bound is None else f" bound={float(rep.bound):.4f} within_bound={rep.bound_satisfied}"
         print(
@@ -209,6 +210,8 @@ def cmd_experiment(args) -> int:
                 f"  WARNING: {capped} trial(s) hit the step cap without converging",
                 file=sys.stderr,
             )
+        if rep.failed or (capped and not args.allow_capped) or rep.bound_satisfied is False:
+            ok = False
     if len(reports) > 1:
         print(sweep_table(reports), end="")
     payload = [rep.to_dict() for rep in reports]
@@ -216,7 +219,7 @@ def cmd_experiment(args) -> int:
     if args.trials_tsv:
         with open(args.trials_tsv, "w", encoding="utf-8") as fh:
             fh.write("".join(rep.per_trial_tsv() for rep in reports))
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
@@ -236,7 +239,7 @@ def cmd_verify(args) -> int:
             )
         else:
             raise UsageError(f"unknown algorithm {args.algo!r} (want det or prob)")
-    except (ValueError, EnumerationCapError) as exc:
+    except (ValueError, EnumerationCapError, NonTerminatingCommandError) as exc:
         raise UsageError(str(exc)) from exc
     print(
         f"graph={graph.label} algo={args.algo} k={args.k} policy_class={report.policy_class} "
@@ -308,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--sweep", help="comma-separated palette sizes, one report each")
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--trials-tsv", help="also write per-trial moves as TSV here")
+    p_exp.add_argument("--allow-capped", action="store_true",
+                       help="do not fail on trials that hit the step cap (divergence studies)")
     add_common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import Configuration, DirectedGraph
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound
-from .engine import EngineStepError, run
+from .engine import EngineStepError, default_max_steps, run
 from .schedulers import SchedulerPolicy
 
 
@@ -136,14 +136,15 @@ def _initial_for_trial(config: ExperimentConfig, index: int) -> Configuration:
     return Configuration.uniform(n, 0, k)
 
 
-def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
+def run_trial(config: ExperimentConfig, index: int, max_steps: int | None = None) -> TrialResult:
+    """Run trial ``index``; ``max_steps`` overrides ``config.max_steps``."""
     try:
         trace = run(
             config.graph,
             config.algorithm,
             config.scheduler,
             _initial_for_trial(config, index),
-            max_steps=config.max_steps,
+            max_steps=config.max_steps if max_steps is None else max_steps,
             seed=split_seed(config.seed_base, index, "engine"),
             record="none",
         )
@@ -158,13 +159,22 @@ def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run the batch and aggregate; trial errors are recorded, not raised."""
+    """Run the batch and aggregate; trial errors are recorded, not raised.
+
+    The default step cap is resolved once here, not once per trial; the
+    report keeps ``config.max_steps`` as given.
+    """
     indices = range(config.trials)
+    max_steps = config.max_steps
+    if max_steps is None:
+        max_steps = default_max_steps(config.graph, config.algorithm)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, [config] * config.trials, indices, chunksize=64))
+            results = list(pool.map(
+                run_trial, [config] * config.trials, indices, [max_steps] * config.trials, chunksize=64
+            ))
     else:
-        results = [run_trial(config, i) for i in indices]
+        results = [run_trial(config, i, max_steps) for i in indices]
     results.sort(key=lambda t: t.index)
 
     ok = [t for t in results if t.error is None]

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import unicolor
+from unicolor import experiments
 from unicolor.cli import main, parse_graph_spec
 
 
@@ -163,6 +165,17 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_palette_below_in_degree_is_a_usage_error(self):
+        # clique:4 has in-degree 3: with k = 3 some command has no free color.
+        src = os.path.dirname(os.path.dirname(unicolor.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unicolor.cli", "verify", "--graph", "clique:4", "--k", "3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: process ")
+        assert "Traceback" not in proc.stdout + proc.stderr
+
 
 class TestReproCommand:
     def test_chain_summary_line(self, capsys):
@@ -248,6 +261,35 @@ class TestExperimentCommand:
             capsys,
         )
         assert code == 0
+
+
+class TestExperimentExitCode:
+    def test_capped_trials_exit_one(self, capsys):
+        argv = ["experiment", "--graph", "ring:5", "--algo", "det", "--k", "5", "--sched", "sync",
+                "--initial", "uniform0", "--trials", "3", "--max-steps", "50"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "3 trial(s) hit the step cap" in err
+        code, _, _ = run_cli(argv + ["--allow-capped"], capsys)
+        assert code == 0
+
+    def test_errored_trials_exit_one(self, capsys):
+        argv = ["experiment", "--graph", "clique:4", "--algo", "det", "--k", "3", "--trials", "20"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "20 trial(s) errored" in err
+        code, _, _ = run_cli(argv + ["--allow-capped"], capsys)
+        assert code == 1
+
+    def test_failed_bound_exits_one(self, capsys, monkeypatch):
+        argv = ["experiment", "--graph", "ring:8", "--k", "3", "--trials", "40", "--seed-base", "4"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "within_bound=True" in out
+        monkeypatch.setattr(experiments, "expected_total_steps_bound", lambda n, d, k: Fraction(1))
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert "within_bound=False" in out
 
 
 class TestDeterminism:

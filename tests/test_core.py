@@ -213,6 +213,16 @@ class TestInvariants:
             got = {(c.process, c.offending_predecessor) for c in conflicts(graph, cfg)}
             assert got == oracle_conflict_pairs(list(graph.arcs), cfg.colors)
 
+    @given(st.integers(2, 7), st.integers(1, 6), st.data())
+    def test_legitimate_iff_nothing_enabled(self, n, k, data):
+        # The verifier counts the terminal configurations as the legitimate
+        # ones: an arc (p, i) joining equal colors is exactly what enables i.
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        graph = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        cfg = Configuration(colors=tuple(colors), k=k)
+        assert is_legitimate(graph, cfg) == (not enabled_set(graph, cfg))
+
     @given(st.integers(2, 7), st.data())
     def test_degree_fields_match_set_sizes(self, n, data):
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]

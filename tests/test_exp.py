@@ -12,7 +12,8 @@ from unicolor import (
     ring,
     split_seed,
 )
-from unicolor import engine
+from unicolor import engine, experiments
+from unicolor.engine import default_max_steps
 from unicolor.experiments import (
     ExperimentConfig,
     InitialDistribution,
@@ -112,6 +113,19 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "recolor", broken)
         with pytest.raises(TypeError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
+
+    def test_default_cap_resolved_once_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting(graph, algo):
+            calls.append(graph.label)
+            return default_max_steps(graph, algo)
+
+        monkeypatch.setattr(engine, "default_max_steps", counting)
+        monkeypatch.setattr(experiments, "default_max_steps", counting)
+        report = run_experiment(prob_config(ring(6), 3, trials=20), jobs=1)
+        assert calls == ["ring:6"]
+        assert report.to_dict()["max_steps"] is None
 
     def test_parallel_matches_sequential(self):
         config = prob_config(ring(8), 3, trials=40)

@@ -1,3 +1,4 @@
+import json
 from itertools import permutations, product
 
 import pytest
@@ -14,11 +15,13 @@ from unicolor import (
     build_graph,
     chain,
     is_legitimate,
+    recolor,
     replay_witness,
     ring,
     verify_deterministic,
     verify_probabilistic_support,
 )
+from unicolor.core import process_enabled
 from unicolor.verify import _transitions
 
 from helpers import reference_verify_deterministic, reference_verify_probabilistic_support
@@ -144,14 +147,29 @@ class TestProbabilisticSupport:
 class TestTransitions:
     @staticmethod
     def first_row(graph, kind, k, policy_class):
-        offsets, targets, masks, _, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
-        assert len(offsets) == k**graph.n + 1
-        return list(targets[offsets[0]:offsets[1]]), list(masks[offsets[0]:offsets[1]])
+        """Row 0 with each target lifted back to its concrete code."""
+        n = graph.n
+        offsets, targets, masks, shifts, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
+        assert len(offsets) == k ** (n - 1) + 1  # one row per representative
+        row = range(offsets[0], offsets[1])
+        assert all(targets[e] < k ** (n - 1) for e in row)
+        lifted = [
+            sum((targets[e] // k**i + shifts[e]) % k * k**i for i in range(n)) for e in row
+        ]
+        return lifted, [masks[e] for e in row]
 
     def test_rows_of_uniform_ring(self):
         # Code 0 is the all-0 ring: every process moves to color 1, which
-        # adds k**i to the code.
+        # adds k**i to the code.  Process 2's move is stored as its
+        # rotation by -1, (2, 2, 0), with shift 1.
         assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1) == ([1, 3, 9], [1, 2, 4])
+
+    def test_move_of_the_top_process_is_stored_rotated(self):
+        offsets, targets, _, shifts, _ = _transitions(
+            ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1, cap=10**6
+        )
+        assert list(targets[offsets[0]:offsets[1]]) == [1, 3, 8]
+        assert list(shifts[offsets[0]:offsets[1]]) == [0, 0, 1]
 
     def test_subset_rows_in_combinations_order(self):
         assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, SUBSETS) == (
@@ -225,3 +243,81 @@ class TestAgainstReference:
         old = outcome(reference_verify_deterministic, bidirectional_clique(4), 3, policy_class)
         assert new == old
         assert new[0] is NonTerminatingCommandError
+
+
+class _Pick:
+    """A stand-in rng whose draw is a fixed index into the candidates."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def randrange(self, size):
+        return self.index % size
+
+
+class TestPaletteRotation:
+    """The lemma behind the orbit quotient: rotating every color by ``r``
+    commutes with the guard and with both rules."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 7), st.data())
+    def test_rotation_commutes_with_guard_and_rules(self, n, k, data):
+        pairs = list(permutations(range(n), 2))
+        graph = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        colors = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+
+        def outcomes(kind, i, colors):
+            try:
+                return {recolor(kind, i, graph.preds[i], colors, k, _Pick(j)) for j in range(k)}
+            except (ValueError, NonTerminatingCommandError) as exc:
+                return type(exc)
+
+        for r in range(k):
+            rotated = tuple((c + r) % k for c in colors)
+            for i in range(n):
+                assert process_enabled(graph.preds[i], rotated, i) == process_enabled(
+                    graph.preds[i], colors, i
+                )
+                for kind in AlgorithmKind:
+                    before, after = outcomes(kind, i, colors), outcomes(kind, i, rotated)
+                    if isinstance(before, set):
+                        before = {(c + r) % k for c in before}
+                    assert after == before
+
+
+def relabeled(kind, n, perm):
+    if kind == "ring":
+        arcs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    else:
+        arcs = [(perm[i], perm[i - 1]) for i in range(1, n)]
+    return build_graph(n, arcs, label=f"{kind}:{n}:relabeled")
+
+
+def report_bytes(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
+class TestOrbitReportsByteIdentical:
+    """Instances past the hypothesis sizes, with process n-1 placed away
+    from the ring and chain order."""
+
+    @pytest.mark.parametrize("kind", ["ring", "chain"])
+    @pytest.mark.parametrize("policy_class", [LC1, SUBSETS])
+    def test_deterministic(self, kind, policy_class):
+        graph = relabeled(kind, 5, (3, 0, 4, 1, 2))
+        assert report_bytes(verify_deterministic(graph, 5, policy_class)) == report_bytes(
+            reference_verify_deterministic(graph, 5, policy_class)
+        )
+
+    @pytest.mark.parametrize("graph, k", [(relabeled("ring", 5, (3, 0, 4, 1, 2)), 5), (ring(7), 3)])
+    def test_probabilistic(self, graph, k):
+        assert report_bytes(verify_probabilistic_support(graph, k)) == report_bytes(
+            reference_verify_probabilistic_support(graph, k)
+        )
+
+    def test_wide_palette_shifts(self):
+        # k > 256 needs shifts wider than a byte.
+        report = verify_deterministic(ring(2), 300, LC1)
+        assert report.all_converge
+        assert report.terminal_count == report.legitimate_count == 300 * 299
+        assert report.worst_case_witness.initial == (0, 0)
