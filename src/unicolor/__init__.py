@@ -7,15 +7,12 @@ verifier for the deterministic (cyclic next-free-color) and probabilistic
 
 from .core import (
     Configuration,
-    Conflict,
     DirectedGraph,
     EnabledTracker,
     GraphConstructionError,
     bidirectional_clique,
     build_graph,
     chain,
-    conflicts,
-    enabled,
     enabled_set,
     is_legitimate,
     parse_graph_text,
@@ -28,13 +25,10 @@ from .algorithms import (
     AlgorithmSpec,
     Move,
     NonTerminatingCommandError,
-    command,
     conflict_creation_bound,
-    det_command,
     expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
-    prob_command,
     recolor,
 )
 from .schedulers import (
@@ -46,10 +40,9 @@ from .schedulers import (
     chain_schedule,
     ring_chase_initial,
     ring_chase_schedule,
-    select,
     select_from,
 )
-from .engine import EngineStepError, ExecutionTrace, StepRecord, run, run_uniform
+from .engine import EngineStepError, ExecutionTrace, StepRecord, run
 from .verify import (
     DivergenceWitness,
     EnumerationCapError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Configuration, DirectedGraph
+from .core import DirectedGraph
 
 
 class AlgorithmKind(Enum):
@@ -81,10 +81,11 @@ def recolor(kind: AlgorithmKind, i: int, preds_i, colors, k: int, rng: random.Ra
     (mod k) absent from the predecessors' colors.  The probabilistic rule
     draws uniformly from the sorted list of those absent colors, one
     ``rng.randrange`` per move, so runs are bit-reproducible for a fixed
-    seed.  Raises ``ValueError`` when ``i`` is not enabled or no color is
-    free for the probabilistic rule, and
-    :class:`NonTerminatingCommandError` when the predecessors hold every
-    color, which the deterministic increment loop would never escape.
+    seed.  Raises :class:`NonTerminatingCommandError` when the predecessors
+    hold every color, which the deterministic increment loop would never
+    escape, and ``ValueError`` when ``i`` is not enabled or no color is free
+    for the probabilistic rule: a caller's bug, since neither can happen in
+    a run that passed set-up.
     """
     taken = {colors[p] for p in preds_i}
     old = colors[i]
@@ -105,32 +106,6 @@ def recolor(kind: AlgorithmKind, i: int, preds_i, colors, k: int, rng: random.Ra
             f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
         )
     return candidates[rng.randrange(len(candidates))]
-
-
-def det_command(graph: DirectedGraph, config: Configuration, i: int) -> Move:
-    """Recolor ``i`` to the first conflict-free color in cyclic order (see :func:`recolor`)."""
-    colors = config.colors
-    new = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
-    return Move(process=i, old_color=colors[i], new_color=new)
-
-
-def prob_command(graph: DirectedGraph, config: Configuration, i: int, rng: random.Random) -> Move:
-    """Recolor ``i`` uniformly among the colors no predecessor holds (see :func:`recolor`)."""
-    colors = config.colors
-    new = recolor(AlgorithmKind.PROBABILISTIC, i, graph.preds[i], colors, config.k, rng)
-    return Move(process=i, old_color=colors[i], new_color=new)
-
-
-def command(
-    graph: DirectedGraph,
-    config: Configuration,
-    i: int,
-    algo: AlgorithmSpec,
-    rng: random.Random,
-) -> Move:
-    if algo.kind is AlgorithmKind.DETERMINISTIC:
-        return det_command(graph, config, i)
-    return prob_command(graph, config, i, rng)
 
 
 def expected_new_conflicts(graph: DirectedGraph, i: int, k: int) -> Fraction:

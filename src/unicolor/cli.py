@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .core import (
     Configuration,
@@ -155,41 +156,66 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+# The experiment settings: the --config keys, with their JSON type and default.
+# The flags fill the same fields (--sweep fills k_sweep) with the same defaults.
+EXPERIMENT_SETTINGS = {
+    "graph": (str, None),
+    "algo": (str, "prob"),
+    "k": (int, None),
+    "sched": (str, "lc1"),
+    "trials": (int, 100),
+    "seed_base": (int, 0),
+    "initial": (str, "random"),
+    "max_steps": (int, None),
+    "k_sweep": (list, None),
+}
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _experiment_settings(args) -> dict:
+    """The experiment's settings from the --config file, or else from the flags."""
+    if not args.config:
+        return {key: getattr(args, key) for key in EXPERIMENT_SETTINGS}
+    where = f"config file {args.config!r}"
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
             raw = json.load(fh)
-        graph = parse_graph_spec(raw["graph"])
-        algo = parse_algo(raw.get("algo", "prob"), int(raw["k"]))
-        policy = parse_policy(raw.get("sched", "lc1"))
-        trials = int(raw.get("trials", 100))
-        seed_base = int(raw.get("seed_base", 0))
-        initial = raw.get("initial", "random")
-        max_steps = raw.get("max_steps")
-        sweep_ks = raw.get("k_sweep")
-    else:
-        if args.graph is None or args.k is None:
-            raise UsageError("experiment needs --config or both --graph and --k")
-        graph = parse_graph_spec(args.graph)
-        algo = parse_algo(args.algo, args.k)
-        policy = parse_policy(args.sched)
-        trials = args.trials
-        seed_base = args.seed_base
-        initial = args.initial
-        max_steps = args.max_steps
-        sweep_ks = [int(tok) for tok in args.sweep.split(",")] if args.sweep else None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(f"{where}: want a JSON object")
+    settings = {key: raw.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
+    for key, (kind, _) in EXPERIMENT_SETTINGS.items():
+        if settings[key] is not None and not isinstance(settings[key], kind):
+            raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {settings[key]!r}")
+    if not all(isinstance(k, int) for k in settings["k_sweep"] or ()):
+        raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
+    return settings
+
+
+def cmd_experiment(args) -> int:
+    settings = _experiment_settings(args)
+    if settings["graph"] is None or settings["k"] is None:
+        raise UsageError(f"config file {args.config!r} needs both 'graph' and 'k'" if args.config
+                         else "experiment needs --config or both --graph and --k")
+    graph = parse_graph_spec(settings["graph"])
+    algo = parse_algo(settings["algo"], settings["k"])
+    policy = parse_policy(settings["sched"])
     try:
         config = ExperimentConfig(
             graph=graph,
             algorithm=algo,
             scheduler=policy,
-            trials=trials,
-            seed_base=seed_base,
-            initial=InitialDistribution(initial),
-            max_steps=max_steps,
+            trials=settings["trials"],
+            seed_base=settings["seed_base"],
+            initial=InitialDistribution(settings["initial"]),
+            max_steps=settings["max_steps"],
         )
-        if sweep_ks:
-            reports = sweep(config, sweep_ks, jobs=args.jobs)
+        if settings["k_sweep"]:
+            reports = sweep(config, settings["k_sweep"], jobs=args.jobs)
         else:
             reports = [run_experiment(config, jobs=args.jobs)]
     except ValueError as exc:
@@ -233,12 +259,10 @@ def cmd_verify(args) -> int:
                 max_depth=args.max_depth,
                 cap=args.cap,
             )
-        elif args.algo == "prob":
+        else:
             report = verify_probabilistic_support(
                 graph, args.k, max_depth=args.max_depth, cap=args.cap
             )
-        else:
-            raise UsageError(f"unknown algorithm {args.algo!r} (want det or prob)")
     except (ValueError, EnumerationCapError, NonTerminatingCommandError) as exc:
         raise UsageError(str(exc)) from exc
     print(
@@ -251,26 +275,29 @@ def cmd_verify(args) -> int:
     )
     if report.witness_divergence:
         print(f"divergence: {report.witness_divergence.note}")
-    _write_out(args, _json_text(report.to_dict()))
+    _write_out(args, _json_text(asdict(report)))
     if args.expect_diverge:
         return 0 if not report.all_converge else 1
     return 0 if report.all_converge else 1
 
 
 def cmd_repro(args) -> int:
-    if args.scenario == "sync-ring":
-        report = repro_sync_ring(args.n, args.steps, k=args.k)
-    elif args.scenario == "chain":
-        report = repro_chain_worst_case(args.n)
-        print(f"moves={report.details.get('moves')} expected={report.details['expected_moves']}", end=" ")
-    elif args.scenario == "ring-chase":
-        report = repro_ring_chase(args.n, args.laps)
-    else:
-        report = repro_clique_state_bound(args.delta)
+    try:
+        if args.scenario == "sync-ring":
+            report = repro_sync_ring(args.n, args.steps, k=args.k)
+        elif args.scenario == "chain":
+            report = repro_chain_worst_case(args.n)
+            print(f"moves={report.details.get('moves')} expected={report.details['expected_moves']}", end=" ")
+        elif args.scenario == "ring-chase":
+            report = repro_ring_chase(args.n, args.laps)
+        else:
+            report = repro_clique_state_bound(args.delta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     print("OK" if report.ok else "FAIL")
     for failure in report.failures:
         print(f"  {failure}", file=sys.stderr)
-    _write_out(args, _json_text(report.to_dict()))
+    _write_out(args, _json_text(asdict(report)))
     return 0 if report.ok else 1
 
 
@@ -301,20 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="seeded Monte Carlo batches with bound comparison")
     p_exp.add_argument("--config", help="JSON experiment config file")
     p_exp.add_argument("--graph")
-    p_exp.add_argument("--algo", default="prob", choices=["det", "prob"])
+    p_exp.add_argument("--algo", choices=["det", "prob"])
     p_exp.add_argument("--k", type=int)
-    p_exp.add_argument("--sched", default="lc1")
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--seed-base", type=int, default=0)
-    p_exp.add_argument("--initial", default="random", choices=[d.value for d in InitialDistribution])
-    p_exp.add_argument("--max-steps", type=int, default=None)
-    p_exp.add_argument("--sweep", help="comma-separated palette sizes, one report each")
+    p_exp.add_argument("--sched")
+    p_exp.add_argument("--trials", type=int)
+    p_exp.add_argument("--seed-base", type=int)
+    p_exp.add_argument("--initial", choices=[d.value for d in InitialDistribution])
+    p_exp.add_argument("--max-steps", type=int)
+    p_exp.add_argument("--sweep", dest="k_sweep", metavar="SWEEP", type=_int_list,
+                       help="comma-separated palette sizes, one report each")
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--trials-tsv", help="also write per-trial moves as TSV here")
     p_exp.add_argument("--allow-capped", action="store_true",
                        help="do not fail on trials that hit the step cap (divergence studies)")
     add_common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
+    p_exp.set_defaults(func=cmd_experiment, **{key: d for key, (_, d) in EXPERIMENT_SETTINGS.items()})
 
     p_ver = sub.add_parser("verify", help="exhaustive small-instance stabilization check")
     p_ver.add_argument("--graph", required=True)

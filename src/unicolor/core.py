@@ -4,9 +4,8 @@ An arc ``(i, j)`` means process ``j`` can read process ``i``'s variables:
 ``i`` is a predecessor of ``j`` and ``j`` a successor of ``i``.  A
 bidirectional link is modeled as two opposed arcs.  Everything downstream
 (recoloring rules, schedulers, the execution engine, the verifier) is built
-on the three predicates defined here: per-process enabledness, the list of
-color conflicts, and configuration legitimacy (no arc joins two processes
-of equal color).
+on the two predicates defined here: per-process enabledness and
+configuration legitimacy (no arc joins two processes of equal color).
 """
 
 from __future__ import annotations
@@ -220,24 +219,10 @@ class Configuration:
     def random(cls, n: int, k: int, rng: random.Random) -> Configuration:
         return cls(colors=tuple(rng.randrange(k) for _ in range(n)), k=k)
 
-    def replace(self, assignments: dict[int, int]) -> Configuration:
-        colors = list(self.colors)
-        for i, c in assignments.items():
-            colors[i] = c
-        return Configuration(colors=tuple(colors), k=self.k)
 
-
-@dataclass(frozen=True)
-class Conflict:
-    """Process whose color equals one of its predecessors' colors."""
-
-    process: int
-    offending_predecessor: int
-
-
-def _check(graph: DirectedGraph, config: Configuration) -> None:
-    if len(config.colors) != graph.n:
-        raise ValueError(f"configuration has {len(config.colors)} colors for a {graph.n}-process graph")
+def _check_length(graph: DirectedGraph, colors) -> None:
+    if len(colors) != graph.n:
+        raise ValueError(f"configuration has {len(colors)} colors for a {graph.n}-process graph")
 
 
 def process_enabled(preds_i, colors, i: int) -> bool:
@@ -249,22 +234,10 @@ def process_enabled(preds_i, colors, i: int) -> bool:
     return False
 
 
-def enabled(graph: DirectedGraph, config: Configuration, i: int) -> bool:
-    """True iff some predecessor of ``i`` holds ``i``'s color."""
-    _check(graph, config)
-    return process_enabled(graph.preds[i], config.colors, i)
-
-
 def enabled_set(graph: DirectedGraph, config: Configuration) -> tuple[int, ...]:
-    """All enabled processes, ascending.
-
-    A full O(n) scan, for callers outside a simulation loop; a loop that
-    moves a few processes per step keeps an :class:`EnabledTracker`.
-    """
-    _check(graph, config)
-    colors = config.colors
-    preds = graph.preds
-    return tuple(i for i in range(graph.n) if process_enabled(preds[i], colors, i))
+    """All enabled processes, ascending: the :class:`EnabledTracker`'s full
+    O(n) scan, for callers outside a loop that keeps a tracker."""
+    return tuple(EnabledTracker(graph, list(config.colors)).members)
 
 
 class EnabledTracker:
@@ -282,8 +255,7 @@ class EnabledTracker:
     __slots__ = ("preds", "succs", "colors", "flags", "members")
 
     def __init__(self, graph: DirectedGraph, colors: list[int]):
-        if len(colors) != graph.n:
-            raise ValueError(f"configuration has {len(colors)} colors for a {graph.n}-process graph")
+        _check_length(graph, colors)
         self.preds = graph.preds
         self.succs = graph.succs
         self.colors = colors
@@ -306,20 +278,8 @@ class EnabledTracker:
                         del members[bisect_left(members, j)]
 
 
-def conflicts(graph: DirectedGraph, config: Configuration) -> list[Conflict]:
-    """One entry per (process, predecessor) pair with equal colors."""
-    _check(graph, config)
-    colors = config.colors
-    return [
-        Conflict(process=i, offending_predecessor=p)
-        for i in range(graph.n)
-        for p in graph.preds[i]
-        if colors[p] == colors[i]
-    ]
-
-
 def is_legitimate(graph: DirectedGraph, config: Configuration) -> bool:
-    """True iff every arc joins two distinct colors."""
-    _check(graph, config)
+    """True iff every arc joins two distinct colors (read off the arcs, not the guard)."""
     colors = config.colors
+    _check_length(graph, colors)
     return all(colors[i] != colors[j] for i, j in graph.arcs)

@@ -29,9 +29,9 @@ from .algorithms import (
 from .schedulers import SchedulerPolicy, ScriptViolationError, select_from
 
 # The model's own failures: a command with no color to move to, a script
-# that activates a disabled process or two neighbors, a command on a
-# disabled process.  Anything else is a bug and propagates unwrapped.
-MODEL_ERRORS = (NonTerminatingCommandError, ScriptViolationError, ValueError)
+# that activates a disabled process or two neighbors.  Anything else,
+# ``ValueError`` included, is a bug and propagates unwrapped.
+MODEL_ERRORS = (NonTerminatingCommandError, ScriptViolationError)
 
 
 class EngineStepError(RuntimeError):
@@ -193,17 +193,3 @@ def run(
         total_steps=total_steps,
         total_moves=total_moves,
     )
-
-
-def run_uniform(
-    graph: DirectedGraph,
-    algo: AlgorithmSpec,
-    policy: SchedulerPolicy,
-    color0: int,
-    max_steps: int | None = None,
-    seed: int = 0,
-    record: str = "moves",
-) -> ExecutionTrace:
-    """Run from the all-``color0`` configuration, the adversarial start."""
-    initial = Configuration.uniform(graph.n, color0, algo.k)
-    return run(graph, algo, policy, initial, max_steps=max_steps, seed=seed, record=record)

@@ -66,15 +66,6 @@ class TrialResult:
     converged: bool
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "moves": self.moves,
-            "steps": self.steps,
-            "converged": self.converged,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:

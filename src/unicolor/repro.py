@@ -14,8 +14,9 @@ from itertools import product
 
 from .core import Configuration, bidirectional_clique, chain, is_legitimate, ring
 from .algorithms import AlgorithmSpec
-from .engine import run
+from .engine import EngineStepError, run
 from .schedulers import (
+    AmbiguousChaseError,
     SchedulerPolicy,
     ScriptViolationError,
     chain_schedule,
@@ -31,14 +32,6 @@ class ReproReport:
     ok: bool
     details: dict
     failures: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "ok": self.ok,
-            "details": self.details,
-            "failures": list(self.failures),
-        }
 
 
 def repro_sync_ring(n: int, steps: int, k: int | None = None) -> ReproReport:
@@ -98,8 +91,8 @@ def repro_chain_worst_case(n: int) -> ReproReport:
             Configuration.uniform(n, 0, k),
             max_steps=len(script) + 1,
         )
-    except Exception as exc:
-        violation = isinstance(getattr(exc, "cause", None), ScriptViolationError)
+    except EngineStepError as exc:
+        violation = isinstance(exc.cause, ScriptViolationError)
         failures.append(
             f"scripted activation was not enabled: {exc}" if violation else f"run failed: {exc}"
         )
@@ -137,7 +130,7 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
     details: dict = {"n": n, "k": k, "laps": laps, "initial": list(initial.colors)}
     try:
         script = ring_chase_schedule(n, max_steps=laps * (n - 1), k=k)
-    except Exception as exc:
+    except AmbiguousChaseError as exc:
         failures.append(f"chase schedule generation failed: {exc}")
         return ReproReport("ring-chase", False, details, tuple(failures))
     if len(script) != laps * (n - 1):

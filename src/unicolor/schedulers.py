@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Configuration, DirectedGraph, EnabledTracker, enabled_set, ring
+from .core import Configuration, DirectedGraph, EnabledTracker, ring
 from .algorithms import AlgorithmKind, recolor
 
 
@@ -172,25 +172,6 @@ def select_from(
                 blocked.update(graph.neighbors[i])
         return tuple(sorted(picked))
     return _validate_scripted(policy, graph, enabled_now, step_index)
-
-
-def select(
-    policy: SchedulerPolicy,
-    graph: DirectedGraph,
-    config: Configuration,
-    rng: random.Random,
-    step_index: int = 0,
-) -> tuple[int, ...] | None:
-    """Pick this step's activation set from the enabled processes of ``config``.
-
-    One :func:`enabled_set` scan, then :func:`select_from`.  Callers check
-    terminality first; with at least one process enabled every
-    non-scripted policy returns a nonempty set.
-    """
-    enabled_now = enabled_set(graph, config)
-    if not enabled_now:
-        raise ValueError("select called on a terminal configuration")
-    return select_from(policy, graph, enabled_now, rng, step_index)
 
 
 def chain_schedule(n: int) -> Script:

@@ -72,26 +72,12 @@ class DivergenceWitness:
     schedule: tuple[tuple[int, ...], ...]
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "initial": list(self.initial),
-            "schedule": [list(step) for step in self.schedule],
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class WorstCaseWitness:
     initial: tuple[int, ...]
     schedule: tuple[tuple[int, ...], ...]
     moves: int
-
-    def to_dict(self) -> dict:
-        return {
-            "initial": list(self.initial),
-            "schedule": [list(step) for step in self.schedule],
-            "moves": self.moves,
-        }
 
 
 @dataclass(frozen=True)
@@ -107,25 +93,6 @@ class VerificationReport:
     terminal_count: int
     legitimate_count: int
     terminal_equals_legitimate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "algorithm": self.algorithm,
-            "policy_class": self.policy_class,
-            "configurations_checked": self.configurations_checked,
-            "all_converge": self.all_converge,
-            "worst_case_moves": self.worst_case_moves,
-            "witness_divergence": (
-                self.witness_divergence.to_dict() if self.witness_divergence else None
-            ),
-            "worst_case_witness": (
-                self.worst_case_witness.to_dict() if self.worst_case_witness else None
-            ),
-            "terminal_count": self.terminal_count,
-            "legitimate_count": self.legitimate_count,
-            "terminal_equals_legitimate": self.terminal_equals_legitimate,
-        }
 
 
 def _decode(code: int, n: int, k: int, shift: int = 0) -> tuple[int, ...]:

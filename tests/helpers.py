@@ -12,6 +12,7 @@ from collections import deque
 from itertools import combinations
 
 from unicolor import (
+    AlgorithmKind,
     AlgorithmSpec,
     Configuration,
     DirectedGraph,
@@ -19,16 +20,18 @@ from unicolor import (
     EngineStepError,
     EnumerationCapError,
     ExecutionTrace,
+    Move,
+    NonTerminatingCommandError,
     PolicyClass,
+    ScriptViolationError,
     StepRecord,
     VerificationReport,
     WorstCaseWitness,
     build_graph,
-    command,
-    det_command,
     enabled_set,
     is_legitimate,
-    select,
+    recolor,
+    select_from,
 )
 from unicolor.engine import default_max_steps
 
@@ -77,8 +80,17 @@ def random_instance(rng: random.Random, max_n: int = 8, max_k: int = 5):
     return graph, config
 
 
+def with_colors(colors: tuple[int, ...], assignments) -> tuple[int, ...]:
+    """``colors`` with each ``(process, color)`` of ``assignments`` applied."""
+    updated = list(colors)
+    for i, c in assignments:
+        updated[i] = c
+    return tuple(updated)
+
+
 def apply_moves(config: Configuration, moves) -> Configuration:
-    return config.replace({m.process: m.new_color for m in moves})
+    new = with_colors(config.colors, ((m.process, m.new_color) for m in moves))
+    return Configuration(colors=new, k=config.k)
 
 
 def graph_arc_list(graph: DirectedGraph) -> list[tuple[int, int]]:
@@ -108,9 +120,10 @@ def reference_random_digraph_arcs(n: int, max_degree: int, seed: int) -> list[tu
 
 def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="moves") -> ExecutionTrace:
     """``engine.run`` as a full rescan per step: ``enabled_set``, then
-    ``select`` (which scans again), then ``command`` against a frozen
-    ``Configuration`` and ``Configuration.replace``.  Argument checks are
-    left to the caller; the differential tests run both on valid input."""
+    ``select_from`` on it, then ``recolor`` against a frozen
+    ``Configuration`` and a fresh one built from the moves.  Argument
+    checks are left to the caller; the differential tests run both on
+    valid input."""
     if max_steps is None:
         max_steps = default_max_steps(graph, algo)
     rng = random.Random(seed)
@@ -120,19 +133,23 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
     total_steps = 0
     terminated = False
     while True:
-        if not enabled_set(graph, config):
+        enabled_now = enabled_set(graph, config)
+        if not enabled_now:
             terminated = True
             break
         if total_steps >= max_steps:
             break
         try:
-            chosen = select(policy, graph, config, rng, total_steps)
+            chosen = select_from(policy, graph, enabled_now, rng, total_steps)
             if chosen is None:
                 break
-            moves = tuple(command(graph, config, i, algo, rng) for i in chosen)
-        except Exception as exc:
+            colors = config.colors
+            moves = tuple(
+                Move(i, colors[i], recolor(algo.kind, i, graph.preds[i], colors, algo.k, rng)) for i in chosen
+            )
+        except (NonTerminatingCommandError, ScriptViolationError) as exc:
             raise EngineStepError(total_steps, exc) from exc
-        config = config.replace({m.process: m.new_color for m in moves})
+        config = apply_moves(config, moves)
         total_moves += len(moves)
         total_steps += 1
         if record != "none":
@@ -155,8 +172,8 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
 
 # The exhaustive verifier as it was before the shared code-space builder:
 # each check enumerates the k^n configurations itself, through
-# ``Configuration``, ``enabled_set``, ``is_legitimate`` and ``det_command``.
-# Kept verbatim (renamed) as the reference for the differential tests.
+# ``Configuration``, ``enabled_set``, ``is_legitimate`` and ``recolor``.
+# Kept as the reference for the differential tests.
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
 
@@ -232,10 +249,10 @@ def reference_verify_deterministic(
         if legit:
             mismatch = True
         edges = []
+        colors = config.colors
         for choice in _subset_choices(enabled_now, policy_class):
-            moves = [det_command(graph, config, i) for i in choice]
-            succ = config.replace({m.process: m.new_color for m in moves})
-            edges.append((choice, _encode(succ.colors, k)))
+            moves = [(i, recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, k, None)) for i in choice]
+            edges.append((choice, _encode(with_colors(colors, moves), k)))
         adj.append(edges)
 
     def report(all_converge, worst_moves, div, worst_wit):

@@ -11,11 +11,10 @@ from unicolor import (
     NonTerminatingCommandError,
     build_graph,
     conflict_creation_bound,
-    det_command,
     expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
-    prob_command,
+    recolor,
     ring,
 )
 
@@ -28,6 +27,14 @@ def star_into(n_preds, pred_colors, own_color, k):
     graph = build_graph(n_preds + 1, arcs)
     config = Configuration(colors=(own_color, *pred_colors), k=k)
     return graph, config
+
+
+def det_new(graph, config, i):
+    return recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], config.colors, config.k, None)
+
+
+def prob_new(graph, config, i, rng):
+    return recolor(AlgorithmKind.PROBABILISTIC, i, graph.preds[i], config.colors, config.k, rng)
 
 
 class TestSpec:
@@ -43,24 +50,24 @@ class TestSpec:
 class TestDetCommand:
     def test_single_increment(self):
         graph, config = star_into(1, [3], 3, k=5)
-        assert det_command(graph, config, 0).new_color == 4
+        assert det_new(graph, config, 0) == 4
 
     def test_skips_occupied_colors(self):
         # Do-loop by hand: 1 -> 2 (taken) -> 3 (taken) -> 0 (free).
         graph, config = star_into(3, [1, 2, 3], 1, k=4)
-        move = det_command(graph, config, 0)
-        assert move.new_color == 0
-        assert move.new_color == oracle_det_do_loop({1, 2, 3}, 1, 4)
+        new = det_new(graph, config, 0)
+        assert new == 0
+        assert new == oracle_det_do_loop({1, 2, 3}, 1, 4)
 
     def test_palette_exhausted(self):
         graph, config = star_into(3, [0, 1, 2], 0, k=3)
         with pytest.raises(NonTerminatingCommandError):
-            det_command(graph, config, 0)
+            det_new(graph, config, 0)
 
     def test_requires_enabled(self):
         graph, config = star_into(1, [2], 0, k=3)
         with pytest.raises(ValueError, match="not enabled"):
-            det_command(graph, config, 0)
+            det_new(graph, config, 0)
 
     def test_matches_do_loop_oracle_randomly(self):
         rng = random.Random(7)
@@ -71,9 +78,9 @@ class TestDetCommand:
                 taken = {config.colors[p] for p in graph.preds[i]}
                 if config.colors[i] not in taken or len(taken) >= config.k:
                     continue
-                move = det_command(graph, config, i)
-                assert move.new_color == oracle_det_do_loop(taken, config.colors[i], config.k)
-                assert move.new_color != move.old_color
+                new = det_new(graph, config, i)
+                assert new == oracle_det_do_loop(taken, config.colors[i], config.k)
+                assert new != config.colors[i]
                 checked += 1
 
     def test_never_jumps_a_free_color(self):
@@ -86,16 +93,16 @@ class TestDetCommand:
                 taken = {config.colors[p] for p in graph.preds[i]}
                 if config.colors[i] not in taken or len(taken) >= config.k:
                     continue
-                move = det_command(graph, config, i)
-                c = (move.old_color + 1) % config.k
-                while c != move.new_color:
+                new = det_new(graph, config, i)
+                c = (config.colors[i] + 1) % config.k
+                while c != new:
                     assert c in taken
                     c = (c + 1) % config.k
                 checked += 1
 
     def test_pure_function(self):
         graph, config = star_into(2, [1, 2], 1, k=4)
-        assert det_command(graph, config, 0) == det_command(graph, config, 0)
+        assert det_new(graph, config, 0) == det_new(graph, config, 0)
 
     def test_single_predecessor_reduces_to_plain_increment(self):
         # With one predecessor the guard forces its color to equal the
@@ -110,16 +117,14 @@ class TestDetCommand:
                 pred = g.preds[i][0]
                 if config.colors[i] != config.colors[pred]:
                     continue
-                move = det_command(g, config, i)
-                assert move.new_color == (move.old_color + 1) % k
+                assert det_new(g, config, i) == (config.colors[i] + 1) % k
 
 
 class TestProbCommand:
     def test_singleton_candidate_deterministic(self):
         graph, config = star_into(1, [0], 0, k=2)
         for seed in range(20):
-            move = prob_command(graph, config, 0, random.Random(seed))
-            assert move.new_color == 1
+            assert prob_new(graph, config, 0, random.Random(seed)) == 1
 
     def test_never_predecessor_color_never_stays(self):
         rng = random.Random(31)
@@ -130,9 +135,9 @@ class TestProbCommand:
                 taken = {config.colors[p] for p in graph.preds[i]}
                 if config.colors[i] not in taken or len(taken) >= config.k:
                     continue
-                move = prob_command(graph, config, i, rng)
-                assert move.new_color not in taken
-                assert move.new_color != move.old_color
+                new = prob_new(graph, config, i, rng)
+                assert new not in taken
+                assert new != config.colors[i]
                 checked += 1
 
     def test_uniform_over_candidates(self):
@@ -142,7 +147,7 @@ class TestProbCommand:
         counts = {0: 0, 1: 0, 3: 0}
         trials = 30_000
         for _ in range(trials):
-            counts[prob_command(graph, config, 0, rng).new_color] += 1
+            counts[prob_new(graph, config, 0, rng)] += 1
         expected = trials / 3
         sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
         for color, count in counts.items():
@@ -155,13 +160,12 @@ class TestProbCommand:
         graph, config = star_into(delta, pred_colors, 1, k=delta + 1)
         # make the process conflicted: own color 1 collides with a predecessor
         for seed in range(10):
-            move = prob_command(graph, config, 0, random.Random(seed))
-            assert move.new_color == 0
+            assert prob_new(graph, config, 0, random.Random(seed)) == 0
 
     def test_empty_candidate_set_rejected(self):
         graph, config = star_into(3, [0, 1, 2], 0, k=3)
         with pytest.raises(ValueError, match="empty candidate set"):
-            prob_command(graph, config, 0, random.Random(0))
+            prob_new(graph, config, 0, random.Random(0))
 
 
 class TestBounds:

@@ -17,6 +17,15 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def run_cli_process(argv):
+    """``unicolor`` in a child process, so that a traceback shows in its output."""
+    src = os.path.dirname(os.path.dirname(unicolor.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "unicolor.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestRun:
     def test_basic_ring_run(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
@@ -61,12 +70,8 @@ class TestRun:
 
     def test_model_error_is_an_error_line(self):
         # clique:4 needs k >= 4; with k = 3 a command finds no free color.
-        src = os.path.dirname(os.path.dirname(unicolor.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "unicolor.cli", "run", "--graph", "clique:4",
-             "--algo", "det", "--k", "3", "--sched", "lc1", "--seed", "1"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_cli_process(["run", "--graph", "clique:4", "--algo", "det", "--k", "3",
+                                "--sched", "lc1", "--seed", "1"])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: step ")
         assert "Traceback" not in proc.stdout + proc.stderr
@@ -167,11 +172,7 @@ class TestVerifyCommand:
 
     def test_palette_below_in_degree_is_a_usage_error(self):
         # clique:4 has in-degree 3: with k = 3 some command has no free color.
-        src = os.path.dirname(os.path.dirname(unicolor.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "unicolor.cli", "verify", "--graph", "clique:4", "--k", "3"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_cli_process(["verify", "--graph", "clique:4", "--k", "3"])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: process ")
         assert "Traceback" not in proc.stdout + proc.stderr
@@ -202,6 +203,20 @@ class TestReproCommand:
     def test_clique_bound(self, capsys):
         code, out, _ = run_cli(["repro", "clique-bound", "--delta", "2"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ring-chase", "--n", "2"], "chase initial needs n >= 3"),
+            (["clique-bound", "--delta", "0"], "need delta >= 1"),
+            (["sync-ring", "--n", "3", "--k", "1"], "palette size must be >= 2"),
+        ],
+    )
+    def test_argument_error_is_a_usage_error(self, argv, message):
+        proc = run_cli_process(["repro", *argv])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestExperimentCommand:
@@ -243,6 +258,25 @@ class TestExperimentCommand:
         lines = tsv_path.read_text().strip().splitlines()
         assert lines[0] == "trial\tmoves\tsteps\tconverged"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"k": 5}', "needs both 'graph' and 'k'"),
+            ('{"graph": "ring:4", "k": 5', "Expecting"),
+            ('{"graph": "ring:4", "k": "x"}', "'k' must be int, got 'x'"),
+            ('{"graph": "ring:4", "k": 5, "k_sweep": [5, "x"]}', "'k_sweep' must be a list of int"),
+            ('[1, 2]', "want a JSON object"),
+        ],
+    )
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, text, message):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(text)
+        proc = run_cli_process(["experiment", "--config", str(cfg_path)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config file ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_needs_graph_or_config(self, capsys):
         code, _, err = run_cli(["experiment", "--trials", "5"], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,8 +11,6 @@ from unicolor import (
     bidirectional_clique,
     build_graph,
     chain,
-    conflicts,
-    enabled,
     enabled_set,
     is_legitimate,
     parse_graph_text,
@@ -152,23 +151,7 @@ class TestPredicates:
     def test_uniform_chain_all_but_source_conflicted(self):
         n = 6
         g = chain(n)
-        found = conflicts(g, Configuration.uniform(n, 2, 3))
-        assert len(found) == n - 1
-        assert {c.process for c in found} == set(range(n - 1))
-
-    def test_legitimate_no_conflicts(self):
-        g = ring(3)
-        assert conflicts(g, Configuration(colors=(0, 1, 2), k=3)) == []
-
-    def test_uniform_ring_three_conflicts(self):
-        g = ring(3)
-        assert len(conflicts(g, Configuration.uniform(3, 0, 3))) == 3
-
-    def test_two_same_colored_predecessors_two_entries(self):
-        g = build_graph(3, [(0, 2), (1, 2)])
-        found = conflicts(g, Configuration(colors=(1, 1, 1), k=2))
-        assert len(found) == 2
-        assert all(c.process == 2 for c in found)
+        assert enabled_set(g, Configuration.uniform(n, 2, 3)) == tuple(range(n - 1))
 
     def test_legitimate_three_ring(self):
         g = ring(3)
@@ -188,6 +171,8 @@ class TestPredicates:
     def test_config_length_checked(self):
         with pytest.raises(ValueError):
             is_legitimate(ring(3), Configuration(colors=(0, 1), k=2))
+        with pytest.raises(ValueError, match="2 colors for a 3-process graph"):
+            enabled_set(ring(3), Configuration(colors=(0, 1), k=2))
 
 
 class TestInvariants:
@@ -195,23 +180,15 @@ class TestInvariants:
         rng = random.Random(20240817)
         for _ in range(500):
             graph, cfg = random_instance(rng)
-            assert is_legitimate(graph, cfg) == (not conflicts(graph, cfg))
+            assert is_legitimate(graph, cfg) == (not oracle_conflict_pairs(list(graph.arcs), cfg.colors))
 
     def test_enabled_iff_conflicted_random_sweep(self):
         rng = random.Random(99)
         for _ in range(500):
             graph, cfg = random_instance(rng)
-            conflicted = {c.process for c in conflicts(graph, cfg)}
-            assert set(enabled_set(graph, cfg)) == conflicted
-            for i in range(graph.n):
-                assert enabled(graph, cfg, i) == (i in conflicted)
-
-    def test_conflicts_match_oracle_pairs(self):
-        rng = random.Random(4242)
-        for _ in range(300):
-            graph, cfg = random_instance(rng)
-            got = {(c.process, c.offending_predecessor) for c in conflicts(graph, cfg)}
-            assert got == oracle_conflict_pairs(list(graph.arcs), cfg.colors)
+            conflicted = {i for i, _ in oracle_conflict_pairs(list(graph.arcs), cfg.colors)}
+            assert enabled_set(graph, cfg) == tuple(sorted(conflicted))
+            assert set(enabled_set(graph, cfg)) == oracle_enabled_set(list(graph.arcs), cfg.colors)
 
     @given(st.integers(2, 7), st.integers(1, 6), st.data())
     def test_legitimate_iff_nothing_enabled(self, n, k, data):
@@ -249,9 +226,9 @@ class TestEnabledTracker:
             for i in movers:
                 colors[i] = rng.randrange(cfg.k)
             tracker.refresh(movers)
-            expected = enabled_set(graph, Configuration(colors=tuple(colors), k=cfg.k))
-            assert tuple(tracker.members) == expected
-            assert [i for i in range(graph.n) if tracker.flags[i]] == list(expected)
+            expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
+            assert tracker.members == expected
+            assert [i for i in range(graph.n) if tracker.flags[i]] == expected
 
     def test_length_checked(self):
         with pytest.raises(ValueError, match="2 colors for a 3-process graph"):
@@ -264,10 +241,14 @@ class TestConfiguration:
             Configuration(colors=(0, 3), k=3)
 
     def test_uniform_and_replace(self):
+        # dataclasses.replace rebuilds through __post_init__: colors become
+        # a tuple and are checked against the palette again.
         cfg = Configuration.uniform(4, 1, 3)
         assert cfg.colors == (1, 1, 1, 1)
-        assert cfg.replace({2: 0}).colors == (1, 1, 0, 1)
+        assert dataclasses.replace(cfg, colors=[1, 1, 0, 1]).colors == (1, 1, 0, 1)
         assert cfg.colors == (1, 1, 1, 1)
+        with pytest.raises(ValueError, match="outside palette"):
+            dataclasses.replace(cfg, colors=(1, 1, 3, 1))
 
     def test_random_respects_palette(self):
         cfg = Configuration.random(50, 4, random.Random(1))

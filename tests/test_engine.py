@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unicolor import (
+    AlgorithmKind,
     AlgorithmSpec,
     Configuration,
     EngineStepError,
@@ -16,19 +17,23 @@ from unicolor import (
     build_graph,
     chain,
     chain_schedule,
-    det_command,
     enabled_set,
     is_legitimate,
     random_digraph,
+    recolor,
     ring,
     run,
-    run_uniform,
 )
 from unicolor import engine
 
-from helpers import apply_moves, random_instance, reference_run
+from helpers import apply_moves, random_instance, reference_run, with_colors
 
 LC1 = SchedulerPolicy.locally_central_single()
+
+
+def start(graph, algo):
+    """The all-0 configuration, the adversarial start."""
+    return Configuration.uniform(graph.n, 0, algo.k)
 
 
 def explore_all_lc1(graph, k, config, moves_so_far, results):
@@ -40,8 +45,8 @@ def explore_all_lc1(graph, k, config, moves_so_far, results):
         return
     assert moves_so_far < 100, "runaway execution"
     for i in enabled_now:
-        move = det_command(graph, config, i)
-        explore_all_lc1(graph, k, config.replace({i: move.new_color}), moves_so_far + 1, results)
+        new = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], config.colors, k, None)
+        explore_all_lc1(graph, k, Configuration(with_colors(config.colors, [(i, new)]), k), moves_so_far + 1, results)
 
 
 class TestRun:
@@ -57,7 +62,7 @@ class TestRun:
         g = ring(3)
         algo = AlgorithmSpec.deterministic(3)
         for seed in range(8):
-            trace = run_uniform(g, algo, LC1, 0, seed=seed)
+            trace = run(g, algo, LC1, start(g, algo), seed=seed)
             assert trace.terminated
             assert trace.total_moves <= 3
             assert is_legitimate(g, Configuration(colors=trace.final, k=3))
@@ -66,7 +71,7 @@ class TestRun:
     def test_synchronous_uniform_ring_never_terminates(self, n, k):
         g = ring(n)
         algo = AlgorithmSpec.deterministic(k)
-        trace = run_uniform(g, algo, SchedulerPolicy.synchronous(), 0, max_steps=50, record="full")
+        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=50, record="full")
         assert not trace.terminated
         assert trace.total_steps == 50
         for t, rec in enumerate(trace.steps, start=1):
@@ -76,7 +81,7 @@ class TestRun:
         g = chain(4)
         algo = AlgorithmSpec.deterministic(4)
         policy = SchedulerPolicy.scripted(chain_schedule(4))
-        trace = run_uniform(g, algo, policy, 0)
+        trace = run(g, algo, policy, start(g, algo))
         assert trace.total_moves == 6
         assert trace.terminated
 
@@ -85,7 +90,7 @@ class TestRun:
         # processes step to color 1, then the sink must move again to 2.
         g = chain(3)
         algo = AlgorithmSpec.deterministic(3)
-        trace = run_uniform(g, algo, SchedulerPolicy.scripted(chain_schedule(3)), 0)
+        trace = run(g, algo, SchedulerPolicy.scripted(chain_schedule(3)), start(g, algo))
         assert [tuple(m for m in rec.moves) for rec in trace.steps] == [
             (Move(0, 0, 1),),
             (Move(1, 0, 1),),
@@ -104,7 +109,7 @@ class TestRun:
         # Frozen output of the seeded simulation; guards reproducibility.
         g = ring(5)
         algo = AlgorithmSpec.probabilistic(3)
-        trace = run_uniform(g, algo, LC1, 0, seed=11)
+        trace = run(g, algo, LC1, start(g, algo), seed=11)
         assert trace.terminated
         assert trace.total_moves == 3
         assert trace.final == (2, 1, 0, 2, 0)
@@ -113,8 +118,8 @@ class TestRun:
         g = ring(6)
         algo = AlgorithmSpec.probabilistic(4)
         kwargs = dict(max_steps=500, seed=123, record="full")
-        a = run_uniform(g, algo, LC1, 0, **kwargs)
-        b = run_uniform(g, algo, LC1, 0, **kwargs)
+        a = run(g, algo, LC1, start(g, algo), **kwargs)
+        b = run(g, algo, LC1, start(g, algo), **kwargs)
         assert a.to_json() == b.to_json()
         assert a.to_tsv() == b.to_tsv()
 
@@ -150,13 +155,15 @@ class TestRun:
 
     def test_counters_consistent(self):
         g = ring(5)
-        trace = run_uniform(g, AlgorithmSpec.deterministic(5), SchedulerPolicy.synchronous(), 0, max_steps=10)
+        algo = AlgorithmSpec.deterministic(5)
+        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=10)
         assert trace.total_steps == len(trace.steps) == 10
         assert trace.total_moves == sum(len(rec.moves) for rec in trace.steps)
 
     def test_step_cap_reported_not_raised(self):
         g = ring(4)
-        trace = run_uniform(g, AlgorithmSpec.deterministic(4), SchedulerPolicy.synchronous(), 0, max_steps=7)
+        algo = AlgorithmSpec.deterministic(4)
+        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=7)
         assert not trace.terminated
         assert trace.total_steps == 7
 
@@ -166,22 +173,21 @@ class TestRun:
         # After (1,) fires, process 1 is disabled; the second entry violates.
         policy = SchedulerPolicy.scripted(Script(steps=((1,), (1,))))
         with pytest.raises(EngineStepError) as err:
-            run_uniform(g, algo, policy, 0)
+            run(g, algo, policy, start(g, algo))
         assert err.value.step_index == 1
         assert isinstance(err.value.cause, ScriptViolationError)
 
     def test_exhausted_script_stops_without_termination(self):
         g = ring(3)
-        trace = run_uniform(
-            g, AlgorithmSpec.deterministic(3), SchedulerPolicy.scripted(Script(steps=((1,),))), 0
-        )
+        algo = AlgorithmSpec.deterministic(3)
+        trace = run(g, algo, SchedulerPolicy.scripted(Script(steps=((1,),))), start(g, algo))
         assert not trace.terminated
         assert trace.total_steps == 1
 
     def test_probabilistic_needs_palette_headroom(self):
         g = ring(4)  # max_degree 2
         with pytest.raises(ValueError, match="max_degree"):
-            run_uniform(g, AlgorithmSpec.probabilistic(2), LC1, 0)
+            run(g, AlgorithmSpec.probabilistic(2), LC1, Configuration.uniform(4, 0, 2))
 
     def test_palette_mismatch_rejected(self):
         g = ring(3)
@@ -191,9 +197,9 @@ class TestRun:
     def test_record_modes(self):
         g = ring(4)
         algo = AlgorithmSpec.deterministic(4)
-        none = run_uniform(g, algo, LC1, 0, seed=1, record="none")
-        moves = run_uniform(g, algo, LC1, 0, seed=1, record="moves")
-        full = run_uniform(g, algo, LC1, 0, seed=1, record="full")
+        none = run(g, algo, LC1, start(g, algo), seed=1, record="none")
+        moves = run(g, algo, LC1, start(g, algo), seed=1, record="moves")
+        full = run(g, algo, LC1, start(g, algo), seed=1, record="full")
         assert none.steps == ()
         assert none.total_moves == moves.total_moves == full.total_moves
         assert all(rec.config_after is None for rec in moves.steps)
@@ -202,7 +208,8 @@ class TestRun:
 
     def test_default_cap_scales(self):
         g = ring(3)
-        trace = run_uniform(g, AlgorithmSpec.deterministic(3), LC1, 0, seed=2)
+        algo = AlgorithmSpec.deterministic(3)
+        trace = run(g, algo, LC1, start(g, algo), seed=2)
         assert trace.max_steps == 10 * 9
 
     def test_default_cap_is_exact_bound(self):
@@ -211,7 +218,7 @@ class TestRun:
         assert engine.default_max_steps(ring(20), AlgorithmSpec.probabilistic(3)) == 4000
 
     def test_probabilistic_run_on_graph_without_arcs(self):
-        trace = run_uniform(build_graph(3, []), AlgorithmSpec.probabilistic(2), LC1, 0)
+        trace = run(build_graph(3, []), AlgorithmSpec.probabilistic(2), LC1, Configuration.uniform(3, 0, 2))
         assert trace.terminated
         assert trace.total_moves == 0
 
@@ -296,13 +303,22 @@ class TestIncrementalEngine:
 
         monkeypatch.setattr(engine, "recolor", broken)
         with pytest.raises(TypeError, match="bug in a command"):
-            run_uniform(ring(3), AlgorithmSpec.deterministic(3), LC1, 0)
+            run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3))
+
+    def test_value_error_is_not_wrapped(self, monkeypatch):
+        # ValueError is not a model error: a step that raises one has a bug.
+        def broken(*args):
+            raise ValueError("bug in a command")
+
+        monkeypatch.setattr(engine, "recolor", broken)
+        with pytest.raises(ValueError, match="bug in a command"):
+            run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3))
 
     def test_nonterminating_command_is_a_step_error(self):
         # On clique:4 with k = 3, after processes 0 and 1 move from the
         # uniform start, process 2's predecessors hold all three colors.
         policy = SchedulerPolicy.scripted(Script(steps=((0,), (1,), (2,), (3,))))
         with pytest.raises(EngineStepError) as err:
-            run_uniform(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, 0)
+            run(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, Configuration.uniform(4, 0, 3))
         assert err.value.step_index == 2
         assert isinstance(err.value.cause, NonTerminatingCommandError)

@@ -114,6 +114,15 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
+    def test_value_error_propagates(self, monkeypatch):
+        # A ValueError inside a step is a bug, not an errored trial.
+        def broken(*args):
+            raise ValueError("bug in a command")
+
+        monkeypatch.setattr(engine, "recolor", broken)
+        with pytest.raises(ValueError, match="bug in a command"):
+            run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
+
     def test_default_cap_resolved_once_per_batch(self, monkeypatch):
         calls = []
 

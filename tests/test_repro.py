@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from unicolor import repro
 from unicolor import (
     PolicyClass,
     chain,
@@ -68,3 +69,21 @@ class TestCliqueBound:
     def test_delta_floor(self):
         with pytest.raises(ValueError):
             repro_clique_state_bound(0)
+
+
+class TestBugsAreNotFailures:
+    def test_chain_run_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in run")
+
+        monkeypatch.setattr(repro, "run", broken)
+        with pytest.raises(TypeError, match="bug in run"):
+            repro_chain_worst_case(4)
+
+    def test_chase_schedule_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the chase")
+
+        monkeypatch.setattr(repro, "ring_chase_schedule", broken)
+        with pytest.raises(TypeError, match="bug in the chase"):
+            repro_ring_chase(4, laps=1)

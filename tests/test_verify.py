@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from itertools import permutations, product
 
 import pytest
@@ -102,7 +103,7 @@ class TestDeterministic:
     def test_reports_deterministic(self):
         a = verify_deterministic(ring(3), 3, SUBSETS)
         b = verify_deterministic(ring(3), 3, SUBSETS)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
 
 class TestProbabilisticSupport:
@@ -199,7 +200,7 @@ def small_graphs(draw):
 
 def outcome(verify, *args, **kwargs):
     try:
-        return verify(*args, **kwargs).to_dict()
+        return asdict(verify(*args, **kwargs))
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
@@ -294,7 +295,7 @@ def relabeled(kind, n, perm):
 
 
 def report_bytes(report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    return json.dumps(asdict(report), sort_keys=True, indent=2)
 
 
 class TestOrbitReportsByteIdentical:
