@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 
 from .core import (
@@ -115,10 +116,11 @@ def parse_initial(spec: str, graph: DirectedGraph, k: int, seed: int) -> Configu
         raise UsageError(f"bad initial spec {spec!r}: {exc}") from exc
 
 
-def _write_out(args, text: str) -> None:
+def _write_out(args, chunks: Iterable[str]) -> None:
+    """Write the artifact's pieces to --out, if given, one after another."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_text(payload: dict) -> str:
@@ -152,7 +154,7 @@ def cmd_run(args) -> int:
         f"terminated={trace.terminated} steps={trace.total_steps} moves={trace.total_moves}"
     )
     print(f"final={','.join(str(c) for c in trace.final)}")
-    _write_out(args, trace.to_tsv() if args.format == "tsv" else trace.to_json())
+    _write_out(args, [trace.to_tsv()] if args.format == "tsv" else trace.json_chunks())
     return 0
 
 
@@ -187,13 +189,22 @@ def _experiment_settings(args) -> dict:
             raise UsageError(f"{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{where}: want a JSON object")
+    unknown = sorted(set(raw) - set(EXPERIMENT_SETTINGS))
+    if unknown:
+        raise UsageError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))} "
+                         f"(want {', '.join(EXPERIMENT_SETTINGS)})")
     settings = {key: raw.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
     for key, (kind, _) in EXPERIMENT_SETTINGS.items():
-        if settings[key] is not None and not isinstance(settings[key], kind):
+        if settings[key] is not None and not _has_json_type(settings[key], kind):
             raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {settings[key]!r}")
-    if not all(isinstance(k, int) for k in settings["k_sweep"] or ()):
+    if not all(_has_json_type(k, int) for k in settings["k_sweep"] or ()):
         raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
     return settings
+
+
+def _has_json_type(value, kind: type) -> bool:
+    """``isinstance``, except that a JSON ``true``/``false`` is no int."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def cmd_experiment(args) -> int:
@@ -241,7 +252,7 @@ def cmd_experiment(args) -> int:
     if len(reports) > 1:
         print(sweep_table(reports), end="")
     payload = [rep.to_dict() for rep in reports]
-    _write_out(args, _json_text(payload[0] if len(payload) == 1 else {"reports": payload}))
+    _write_out(args, [_json_text(payload[0] if len(payload) == 1 else {"reports": payload})])
     if args.trials_tsv:
         with open(args.trials_tsv, "w", encoding="utf-8") as fh:
             fh.write("".join(rep.per_trial_tsv() for rep in reports))
@@ -275,7 +286,7 @@ def cmd_verify(args) -> int:
     )
     if report.witness_divergence:
         print(f"divergence: {report.witness_divergence.note}")
-    _write_out(args, _json_text(asdict(report)))
+    _write_out(args, [_json_text(asdict(report))])
     if args.expect_diverge:
         return 0 if not report.all_converge else 1
     return 0 if report.all_converge else 1
@@ -297,7 +308,7 @@ def cmd_repro(args) -> int:
     print("OK" if report.ok else "FAIL")
     for failure in report.failures:
         print(f"  {failure}", file=sys.stderr)
-    _write_out(args, _json_text(asdict(report)))
+    _write_out(args, [_json_text(asdict(report))])
     return 0 if report.ok else 1
 
 

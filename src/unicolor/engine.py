@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Configuration, DirectedGraph, EnabledTracker
@@ -51,6 +52,33 @@ class StepRecord:
     config_after: tuple[int, ...] | None = None
 
 
+# A newline and the indent of JSON nesting depth 0..5 under ``indent=2``.
+_INDENT = tuple("\n" + "  " * depth for depth in range(6))
+
+
+def _dumps(value) -> str:
+    """``value`` as a member of the top-level object (depth 1)."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", _INDENT[1])
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array at ``depth`` whose items are already rendered."""
+    if not items:
+        return "[]"
+    inner = _INDENT[depth + 1]
+    return "[" + inner + ("," + inner).join(items) + _INDENT[depth] + "]"
+
+
+def _step_json(rec: StepRecord) -> str:
+    """One step record: an object at depth 2."""
+    d4, d5 = _INDENT[4], _INDENT[5]
+    text = '{\n      "activated": ' + _array([*map(str, rec.activated)], 3)
+    if rec.config_after is not None:
+        text += ',\n      "config": ' + _array([*map(str, rec.config_after)], 3)
+    moves = [f"[{d5}{m.process},{d5}{m.old_color},{d5}{m.new_color}{d4}]" for m in rec.moves]
+    return text + ',\n      "moves": ' + _array(moves, 3) + _INDENT[2] + "}"
+
+
 @dataclass(frozen=True)
 class ExecutionTrace:
     """Step-by-step record of one execution.
@@ -73,34 +101,42 @@ class ExecutionTrace:
     total_steps: int
     total_moves: int
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "algorithm": self.algorithm,
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "initial": list(self.initial),
-            "final": list(self.final),
-            "terminated": self.terminated,
-            "total_steps": self.total_steps,
-            "total_moves": self.total_moves,
-            "steps": [
-                {
-                    "activated": list(rec.activated),
-                    "moves": [[m.process, m.old_color, m.new_color] for m in rec.moves],
-                    **(
-                        {"config": list(rec.config_after)}
-                        if rec.config_after is not None
-                        else {}
-                    ),
-                }
-                for rec in self.steps
-            ],
-        }
+    def json_chunks(self) -> Iterator[str]:
+        """The ``run --out`` JSON in pieces: the members before ``"steps"``,
+        one piece per step, then the rest.  Joined, they are exactly
+        ``json.dumps`` of the trace's dict (``reference_trace_dict`` in
+        ``tests/helpers.py``) with ``sort_keys=True, indent=2``, plus a
+        newline.  Header values go through ``json.dumps``, so string
+        escaping stays the stdlib's; the integer lists are laid out here,
+        which keeps the cost O(moves).
+        """
+        yield (
+            '{\n  "algorithm": ' + _dumps(self.algorithm)
+            + ',\n  "final": ' + _array([*map(str, self.final)], 1)
+            + ',\n  "graph": ' + _dumps(self.graph)
+            + ',\n  "initial": ' + _array([*map(str, self.initial)], 1)
+            + ',\n  "max_steps": ' + _dumps(self.max_steps)
+            + ',\n  "scheduler": ' + _dumps(self.scheduler)
+            + ',\n  "seed": ' + _dumps(self.seed)
+            + ',\n  "steps": '
+        )
+        if not self.steps:
+            yield "[]"
+        else:
+            sep = "[" + _INDENT[2]
+            for rec in self.steps:
+                yield sep + _step_json(rec)
+                sep = "," + _INDENT[2]
+            yield _INDENT[1] + "]"
+        yield (
+            ',\n  "terminated": ' + _dumps(self.terminated)
+            + ',\n  "total_moves": ' + _dumps(self.total_moves)
+            + ',\n  "total_steps": ' + _dumps(self.total_steps)
+            + "\n}\n"
+        )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return "".join(self.json_chunks())
 
     def to_tsv(self) -> str:
         lines = ["step\tprocess\told\tnew"]
@@ -145,6 +181,8 @@ def run(
         raise ValueError(f"unknown record mode {record!r}")
     if max_steps is None:
         max_steps = default_max_steps(graph, algo)
+    elif max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
 
     rng = random.Random(seed)
     preds = graph.preds

@@ -54,6 +54,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.algorithm.kind is AlgorithmKind.PROBABILISTIC:
             _check_prob_headroom(self.graph, self.algorithm.k)
 
@@ -108,7 +110,7 @@ class ExperimentReport:
             "bound_z_score": self.bound_z_score,
             "bound_check": "one-sided 3-sigma, mean <= bound + 3*stderr",
             "per_trial_moves": [t.moves for t in self.per_trial],
-            "errors": {t.index: t.error for t in self.per_trial if t.error},
+            "errors": [{"index": t.index, "error": t.error} for t in self.per_trial if t.error],
         }
 
     def per_trial_tsv(self) -> str:

@@ -170,6 +170,36 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
     )
 
 
+def reference_trace_dict(trace: ExecutionTrace) -> dict:
+    """The trace as the dict whose ``json.dumps(..., sort_keys=True,
+    indent=2) + "\\n"`` is the ``run --out`` artifact (the former
+    ``ExecutionTrace.to_dict``); the reference for ``to_json``."""
+    return {
+        "graph": trace.graph,
+        "algorithm": trace.algorithm,
+        "scheduler": trace.scheduler,
+        "seed": trace.seed,
+        "max_steps": trace.max_steps,
+        "initial": list(trace.initial),
+        "final": list(trace.final),
+        "terminated": trace.terminated,
+        "total_steps": trace.total_steps,
+        "total_moves": trace.total_moves,
+        "steps": [
+            {
+                "activated": list(rec.activated),
+                "moves": [[m.process, m.old_color, m.new_color] for m in rec.moves],
+                **(
+                    {"config": list(rec.config_after)}
+                    if rec.config_after is not None
+                    else {}
+                ),
+            }
+            for rec in trace.steps
+        ],
+    }
+
+
 # The exhaustive verifier as it was before the shared code-space builder:
 # each check enumerates the k^n configurations itself, through
 # ``Configuration``, ``enabled_set``, ``is_legitimate`` and ``recolor``.

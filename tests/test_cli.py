@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import unicolor
-from unicolor import experiments
+from unicolor import AlgorithmSpec, Configuration, SchedulerPolicy, experiments, ring, run
 from unicolor.cli import main, parse_graph_spec
 
 
@@ -75,6 +76,12 @@ class TestRun:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: step ")
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_negative_step_cap_is_a_usage_error(self):
+        proc = run_cli_process(["run", "--graph", "ring:4", "--k", "4", "--max-steps", "-5"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: max_steps must be >= 0, got -5\n"
 
     def test_usage_error_bad_graph(self, capsys):
         code, _, err = run_cli(["run", "--graph", "torus:5", "--k", "3"], capsys)
@@ -267,6 +274,9 @@ class TestExperimentCommand:
             ('{"graph": "ring:4", "k": "x"}', "'k' must be int, got 'x'"),
             ('{"graph": "ring:4", "k": 5, "k_sweep": [5, "x"]}', "'k_sweep' must be a list of int"),
             ('[1, 2]', "want a JSON object"),
+            ('{"graph": "ring:4", "k": 5, "sweep": [3, 5]}', "unknown key(s) 'sweep'"),
+            ('{"graph": "ring:4", "k": 5, "trials": true}', "'trials' must be int, got True"),
+            ('{"graph": "ring:4", "k": 5, "k_sweep": [5, false]}', "'k_sweep' must be a list of int"),
         ],
     )
     def test_bad_config_file_is_a_usage_error(self, tmp_path, text, message):
@@ -298,6 +308,12 @@ class TestExperimentCommand:
 
 
 class TestExperimentExitCode:
+    def test_negative_step_cap_is_a_usage_error(self):
+        proc = run_cli_process(["experiment", "--graph", "ring:4", "--k", "4", "--max-steps", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: max_steps must be >= 0, got -1\n"
+
     def test_capped_trials_exit_one(self, capsys):
         argv = ["experiment", "--graph", "ring:5", "--algo", "det", "--k", "5", "--sched", "sync",
                 "--initial", "uniform0", "--trials", "3", "--max-steps", "50"]
@@ -341,3 +357,46 @@ class TestDeterminism:
             run_cli(argv + ["--out", str(a_path)], capsys)
             run_cli(argv + ["--out", str(b_path)], capsys)
             assert a_path.read_bytes() == b_path.read_bytes(), argv
+
+
+# sha256 of the ``run --out`` artifacts as the stdlib encoder wrote them
+# (``json.dumps(..., sort_keys=True, indent=2)``), before the trace JSON was
+# laid out by hand; the encoder must keep every byte.
+GOLDEN_RUNS = {
+    "readme": (["--graph", "ring:5", "--algo", "det", "--k", "5", "--sched", "lc1", "--seed", "7"],
+               "28c37da7e5ba0c49a2c06b979b4c64c0b106dee232306e5704fa753cb95b7f04",
+               "0e0e67d5e7217a9372970a4f2c76723018188bc5e99da448a27284b76a082dfc"),
+    "trace-full": (["--graph", "random:12:3:5", "--algo", "prob", "--k", "4", "--sched", "dist",
+                    "--seed", "3", "--initial", "random", "--trace", "full"],
+                   "e37bea06a4fbc228c6d483a39b1e83fced0e22bb51b9324d0867b38363a01bda",
+                   "77af2aedaa26fbf51f906d4f3b4f31b70ffabdaf1a19e263b86f580a686bf0b0"),
+    "sync-ring": (["--graph", "ring:6", "--k", "3", "--sched", "sync", "--max-steps", "20"],
+                  "e4f3330dc9a98910a2478904a8b41e020a11d4060517f11d2e314ebe517236bc",
+                  "0d05d9b234b0f1c82ec1a85ffb3849f3442cd5a28835cf37e242cbe71db7b53a"),
+    "k12-full": (["--graph", "clique:11", "--k", "12", "--sched", "lcmax", "--seed", "2", "--trace", "full"],
+                 "43d0fa4993b61a58cdc8b373f371cf9726bb83481844efd2af4ccac3a11a6382",
+                 "4e13380bf00e475fe7d7e094239de5da9a57fae75bf8457766412952e23d6f7e"),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_run_artifacts_unchanged(self, name, capsys, tmp_path):
+        argv, json_sha, tsv_sha = GOLDEN_RUNS[name]
+        for fmt, want in (("json", json_sha), ("tsv", tsv_sha)):
+            out_path = tmp_path / f"trace.{fmt}"
+            code, _, _ = run_cli(["run", *argv, "--format", fmt, "--out", str(out_path)], capsys)
+            assert code == 0
+            assert sha256(out_path) == want, fmt
+
+    def test_record_none_artifact_unchanged(self):
+        # ``run --trace`` takes moves or full only; record="none" is the
+        # experiment batches' mode, reachable from the library.
+        trace = run(ring(5), AlgorithmSpec.deterministic(5), SchedulerPolicy.locally_central_single(),
+                    Configuration.uniform(5, 0, 5), seed=7, record="none")
+        digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
+        assert digest == "365736d6ba3b450fe77fcc0fda31643f0d47606ba0018f58a97e703aaaa44000"

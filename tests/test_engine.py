@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,13 +21,14 @@ from unicolor import (
     enabled_set,
     is_legitimate,
     random_digraph,
+    read_graph_file,
     recolor,
     ring,
     run,
 )
 from unicolor import engine
 
-from helpers import apply_moves, random_instance, reference_run, with_colors
+from helpers import apply_moves, random_instance, reference_run, reference_trace_dict, with_colors
 
 LC1 = SchedulerPolicy.locally_central_single()
 
@@ -189,6 +191,10 @@ class TestRun:
         with pytest.raises(ValueError, match="max_degree"):
             run(g, AlgorithmSpec.probabilistic(2), LC1, Configuration.uniform(4, 0, 2))
 
+    def test_negative_step_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+            run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3), max_steps=-1)
+
     def test_palette_mismatch_rejected(self):
         g = ring(3)
         with pytest.raises(ValueError, match="palette"):
@@ -322,3 +328,51 @@ class TestIncrementalEngine:
             run(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, Configuration.uniform(4, 0, 3))
         assert err.value.step_index == 2
         assert isinstance(err.value.cause, NonTerminatingCommandError)
+
+
+def stdlib_json(trace) -> str:
+    return json.dumps(reference_trace_dict(trace), sort_keys=True, indent=2) + "\n"
+
+
+class TestTraceJson:
+    """``to_json`` lays the artifact out by hand; ``json.dumps`` of the
+    reference dict is what it must equal, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(executions())
+    def test_matches_stdlib_encoder(self, case):
+        *args, kwargs = case
+        trace = outcome(run, args, kwargs)
+        if isinstance(trace, EngineStepError):
+            return  # no trace to encode
+        assert trace.to_json() == stdlib_json(trace)
+
+    def test_zero_steps(self):
+        trace = run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration((0, 1, 2), 3), record="full")
+        assert trace.steps == ()
+        assert '\n  "steps": [],\n' in trace.to_json()
+        assert trace.to_json() == stdlib_json(trace)
+
+    def test_multi_digit_colors(self):
+        g = bidirectional_clique(11)
+        trace = run(g, AlgorithmSpec.deterministic(12), SchedulerPolicy.locally_central_maximal(),
+                    Configuration.uniform(11, 0, 12), seed=2, record="full")
+        assert max(trace.final) >= 10
+        assert trace.to_json() == stdlib_json(trace)
+
+    def test_file_label_is_escaped_by_the_stdlib(self, tmp_path):
+        path = tmp_path / 'a "quoted" graph \u00df.txt'
+        path.write_text("3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+        trace = run(read_graph_file(str(path)), AlgorithmSpec.deterministic(3), LC1,
+                    Configuration.uniform(3, 0, 3), seed=4)
+        text = trace.to_json()
+        assert '\\"quoted\\" graph \\u00df.txt"' in text
+        assert text == stdlib_json(trace)
+
+    def test_one_chunk_per_step(self):
+        g = ring(6)
+        trace = run(g, AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(),
+                    Configuration.uniform(6, 0, 3), max_steps=5)
+        chunks = list(trace.json_chunks())
+        assert len(chunks) == 1 + len(trace.steps) + 2
+        assert "".join(chunks) == stdlib_json(trace)

@@ -93,6 +93,7 @@ class TestRunExperiment:
         assert report.failed == 3
         assert report.converged == 0
         assert all(t.error for t in report.per_trial)
+        assert report.to_dict()["errors"] == [{"index": t.index, "error": t.error} for t in report.per_trial]
 
     def test_nonterminating_commands_recorded_as_errors(self):
         # clique:4 needs k >= 4; with k = 3 a command finds no free color.
@@ -143,6 +144,11 @@ class TestRunExperiment:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             prob_config(ring(4), 3, trials=0)
+
+    def test_negative_step_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            prob_config(ring(4), 3, max_steps=-1)
+        assert prob_config(ring(4), 3, max_steps=0).max_steps == 0
 
     def test_palette_headroom_checked_at_config(self):
         with pytest.raises(ValueError, match="max_degree"):
