@@ -194,17 +194,14 @@ def _experiment_settings(args) -> dict:
         raise UsageError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))} "
                          f"(want {', '.join(EXPERIMENT_SETTINGS)})")
     settings = {key: raw.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
+    # json.load builds exact types, so ``type(...) is int`` also turns away
+    # true and false, which ``isinstance`` would take for 1 and 0.
     for key, (kind, _) in EXPERIMENT_SETTINGS.items():
-        if settings[key] is not None and not _has_json_type(settings[key], kind):
+        if settings[key] is not None and type(settings[key]) is not kind:
             raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {settings[key]!r}")
-    if not all(_has_json_type(k, int) for k in settings["k_sweep"] or ()):
+    if not all(type(k) is int for k in settings["k_sweep"] or ()):
         raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
     return settings
-
-
-def _has_json_type(value, kind: type) -> bool:
-    """``isinstance``, except that a JSON ``true``/``false`` is no int."""
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def cmd_experiment(args) -> int:
