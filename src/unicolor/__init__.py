@@ -32,14 +32,10 @@ from .algorithms import (
     recolor,
 )
 from .schedulers import (
-    AmbiguousChaseError,
     SchedulerKind,
     SchedulerPolicy,
     Script,
     ScriptViolationError,
-    chain_schedule,
-    ring_chase_initial,
-    ring_chase_schedule,
     select_from,
 )
 from .engine import EngineStepError, ExecutionTrace, StepRecord, run
@@ -63,9 +59,13 @@ from .experiments import (
     sweep,
 )
 from .repro import (
+    AmbiguousChaseError,
     ReproReport,
+    chain_schedule,
     repro_chain_worst_case,
     repro_clique_state_bound,
     repro_ring_chase,
     repro_sync_ring,
+    ring_chase_initial,
+    ring_chase_schedule,
 )

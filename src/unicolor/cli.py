@@ -29,8 +29,8 @@ from .engine import EngineStepError, run
 from .experiments import (
     ExperimentConfig,
     InitialDistribution,
+    random_initial,
     run_experiment,
-    split_seed,
     sweep,
     sweep_table,
 )
@@ -107,9 +107,7 @@ def parse_initial(spec: str, graph: DirectedGraph, k: int, seed: int) -> Configu
         if spec.startswith("uniform:"):
             return Configuration.uniform(graph.n, int(spec.split(":", 1)[1]), k)
         if spec == "random":
-            import random as _random
-
-            return Configuration.random(graph.n, k, _random.Random(split_seed(seed, 0, "init")))
+            return random_initial(graph.n, k, seed, 0)
         colors = tuple(int(tok) for tok in spec.split(","))
         return Configuration(colors=colors, k=k)
     except ValueError as exc:
@@ -238,13 +236,12 @@ def cmd_experiment(args) -> int:
         )
         if rep.failed:
             print(f"  WARNING: {rep.failed} trial(s) errored", file=sys.stderr)
-        capped = rep.trials - rep.failed - rep.converged
-        if capped:
+        if rep.censored:
             print(
-                f"  WARNING: {capped} trial(s) hit the step cap without converging",
+                f"  WARNING: {rep.censored} trial(s) hit the step cap without converging",
                 file=sys.stderr,
             )
-        if rep.failed or (capped and not args.allow_capped) or rep.bound_satisfied is False:
+        if rep.failed or (rep.censored and not args.allow_capped) or rep.bound_satisfied is False:
             ok = False
     if len(reports) > 1:
         print(sweep_table(reports), end="")

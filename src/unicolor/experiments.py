@@ -80,6 +80,7 @@ class ExperimentReport:
     max_steps: int | None
     per_trial: tuple[TrialResult, ...]
     converged: int
+    censored: int
     failed: int
     mean_moves: float
     stddev_moves: float
@@ -99,6 +100,7 @@ class ExperimentReport:
             "initial": self.initial,
             "max_steps": self.max_steps,
             "converged": self.converged,
+            "censored": self.censored,
             "failed": self.failed,
             "mean_moves": self.mean_moves,
             "stddev_moves": self.stddev_moves,
@@ -120,24 +122,27 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def random_initial(n: int, k: int, seed_base: int, index: int) -> Configuration:
+    """The random start of trial ``index`` of a batch seeded ``seed_base``."""
+    return Configuration.random(n, k, random.Random(split_seed(seed_base, index, "init")))
+
+
 def _initial_for_trial(config: ExperimentConfig, index: int) -> Configuration:
     n = config.graph.n
     k = config.algorithm.k
     if config.initial is InitialDistribution.RANDOM_EACH_TRIAL:
-        rng = random.Random(split_seed(config.seed_base, index, "init"))
-        return Configuration.random(n, k, rng)
+        return random_initial(n, k, config.seed_base, index)
     return Configuration.uniform(n, 0, k)
 
 
-def run_trial(config: ExperimentConfig, index: int, max_steps: int | None = None) -> TrialResult:
-    """Run trial ``index``; ``max_steps`` overrides ``config.max_steps``."""
+def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
     try:
         trace = run(
             config.graph,
             config.algorithm,
             config.scheduler,
             _initial_for_trial(config, index),
-            max_steps=config.max_steps if max_steps is None else max_steps,
+            max_steps=config.max_steps,
             seed=split_seed(config.seed_base, index, "engine"),
             record="none",
         )
@@ -155,25 +160,28 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the batch and aggregate; trial errors are recorded, not raised.
 
     The default step cap is resolved once here, not once per trial; the
-    report keeps ``config.max_steps`` as given.
+    report keeps ``config.max_steps`` as given.  Trials come back in index
+    order.  A trial that hits the cap is censored: its move count is only a
+    lower bound, so any censored trial leaves the bound verdict null.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    capped = config
+    if config.max_steps is None:
+        capped = replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
     indices = range(config.trials)
-    max_steps = config.max_steps
-    if max_steps is None:
-        max_steps = default_max_steps(config.graph, config.algorithm)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                run_trial, [config] * config.trials, indices, [max_steps] * config.trials, chunksize=64
-            ))
+            results = list(pool.map(run_trial, [capped] * config.trials, indices, chunksize=64))
     else:
-        results = [run_trial(config, i, max_steps) for i in indices]
-    results.sort(key=lambda t: t.index)
+        results = [run_trial(capped, i) for i in indices]
 
     ok = [t for t in results if t.error is None]
     moves = [t.moves for t in ok]
     mean = statistics.fmean(moves) if moves else 0.0
     stddev = statistics.stdev(moves) if len(moves) > 1 else 0.0
+    converged = sum(1 for t in ok if t.converged)
+    censored = len(ok) - converged
 
     bound: Fraction | None = None
     bound_satisfied: bool | None = None
@@ -182,6 +190,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         bound = expected_total_steps_bound(
             config.graph.n, config.graph.max_degree, config.algorithm.k
         )
+    if bound is not None and not censored:
         stderr = stddev / math.sqrt(len(moves))
         if stderr > 0:
             z = (mean - float(bound)) / stderr
@@ -198,7 +207,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         initial=config.initial.value,
         max_steps=config.max_steps,
         per_trial=tuple(results),
-        converged=sum(1 for t in ok if t.converged),
+        converged=converged,
+        censored=censored,
         failed=len(results) - len(ok),
         mean_moves=mean,
         stddev_moves=stddev,

@@ -1,9 +1,9 @@
 """Named, self-asserting scenario runs for the boundary constructions.
 
 Each scenario is a thin composition over the engine, schedulers, and
-verifier; it runs a bounded execution and checks the expected outcome,
-returning a report rather than raising, so the CLI can turn the result
-into an exit code.
+verifier, next to the start and schedules of its construction; it runs a
+bounded execution and checks the expected outcome, returning a report
+rather than raising, so the CLI can turn the result into an exit code.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ from itertools import product
 from .core import Configuration, bidirectional_clique, chain, is_legitimate, ring
 from .algorithms import AlgorithmSpec
 from .engine import EngineStepError, run
-from .schedulers import (
-    AmbiguousChaseError,
-    SchedulerPolicy,
-    ScriptViolationError,
-    chain_schedule,
-    ring_chase_initial,
-    ring_chase_schedule,
-)
+from .schedulers import SchedulerPolicy, Script, ScriptViolationError
 from .verify import verify_probabilistic_support
+
+
+class AmbiguousChaseError(RuntimeError):
+    """Chase schedule found several enabled processes where one was required."""
 
 
 @dataclass(frozen=True)
@@ -32,6 +29,64 @@ class ReproReport:
     ok: bool
     details: dict
     failures: tuple[str, ...] = ()
+
+
+def chain_schedule(n: int) -> Script:
+    """Worst-case singleton schedule for the n-process chain.
+
+    With the sink as process 0 and the source as process n-1, activates
+    processes 0..j-1 in ascending order for j = n-1 down to 1: exactly
+    n(n-1)/2 activations, each moving the uniform prefix one color forward.
+    """
+    if n < 2:
+        raise ValueError(f"chain schedule needs n >= 2, got {n}")
+    steps = [(i,) for j in range(n - 1, 0, -1) for i in range(j)]
+    return Script(steps=tuple(steps))
+
+
+def ring_chase_initial(n: int, k: int | None = None) -> Configuration:
+    """Ring configuration with one duplicated adjacent pair.
+
+    Colors (0, 0, 1, 2, ..., n-2): the unique near-coloring (up to
+    rotation) on an n-ring with a k = n-1 palette that has exactly one
+    conflicting adjacent pair.
+    """
+    if n < 3:
+        raise ValueError(f"chase initial needs n >= 3, got {n}")
+    if k is None:
+        k = n - 1
+    if k < n - 1:
+        raise ValueError(f"palette k={k} cannot hold colors 0..{n - 2}")
+    return Configuration(colors=(0,) + tuple(range(n - 1)), k=k)
+
+
+def ring_chase_schedule(
+    n: int,
+    max_steps: int,
+    k: int | None = None,
+    initial: Configuration | None = None,
+) -> Script:
+    """Schedule that always activates the single conflicted ring process.
+
+    Generated by running the deterministic rule on the n-ring from
+    ``initial`` (default: :func:`ring_chase_initial`) under the synchronous
+    policy, which fires every enabled process: while exactly one is
+    enabled, that is the chase.  Stops at ``max_steps`` or when no process
+    is enabled, so a legitimate start yields an empty script.  With the
+    default k = n-1 palette the conflict is chased around the ring forever;
+    with k = n it dies out.  Raises :class:`AmbiguousChaseError` at the
+    first step that fires several processes, which would mean the single
+    conflict split and the construction is wrong.
+    """
+    config = ring_chase_initial(n, k) if initial is None else initial
+    algo = AlgorithmSpec.deterministic(config.k)
+    trace = run(ring(n), algo, SchedulerPolicy.synchronous(), config, max_steps=max_steps)
+    for t, rec in enumerate(trace.steps):
+        if len(rec.activated) > 1:
+            raise AmbiguousChaseError(
+                f"expected one enabled process, found {rec.activated} after {t} steps"
+            )
+    return Script(steps=tuple(rec.activated for rec in trace.steps))
 
 
 def repro_sync_ring(n: int, steps: int, k: int | None = None) -> ReproReport:
@@ -123,6 +178,8 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
     terminates within n-1 moves, showing the missing color is what keeps
     the chase alive.
     """
+    if laps < 1:
+        raise ValueError(f"need laps >= 1, got {laps}")
     k = n - 1
     graph = ring(n)
     initial = ring_chase_initial(n, k)

@@ -17,8 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Configuration, DirectedGraph, EnabledTracker, ring
-from .algorithms import AlgorithmKind, recolor
+from .core import DirectedGraph
 
 
 class SchedulerKind(Enum):
@@ -35,10 +34,6 @@ class ScriptViolationError(RuntimeError):
     def __init__(self, step_index: int, message: str):
         super().__init__(f"script step {step_index}: {message}")
         self.step_index = step_index
-
-
-class AmbiguousChaseError(RuntimeError):
-    """Chase schedule found several enabled processes where one was required."""
 
 
 @dataclass(frozen=True)
@@ -172,70 +167,3 @@ def select_from(
                 blocked.update(graph.neighbors[i])
         return tuple(sorted(picked))
     return _validate_scripted(policy, graph, enabled_now, step_index)
-
-
-def chain_schedule(n: int) -> Script:
-    """Worst-case singleton schedule for the n-process chain.
-
-    With the sink as process 0 and the source as process n-1, activates
-    processes 0..j-1 in ascending order for j = n-1 down to 1: exactly
-    n(n-1)/2 activations, each moving the uniform prefix one color forward.
-    """
-    if n < 2:
-        raise ValueError(f"chain schedule needs n >= 2, got {n}")
-    steps = [(i,) for j in range(n - 1, 0, -1) for i in range(j)]
-    return Script(steps=tuple(steps))
-
-
-def ring_chase_initial(n: int, k: int | None = None) -> Configuration:
-    """Ring configuration with one duplicated adjacent pair.
-
-    Colors (0, 0, 1, 2, ..., n-2): the unique near-coloring (up to
-    rotation) on an n-ring with a k = n-1 palette that has exactly one
-    conflicting adjacent pair.
-    """
-    if n < 3:
-        raise ValueError(f"chase initial needs n >= 3, got {n}")
-    if k is None:
-        k = n - 1
-    if k < n - 1:
-        raise ValueError(f"palette k={k} cannot hold colors 0..{n - 2}")
-    return Configuration(colors=(0,) + tuple(range(n - 1)), k=k)
-
-
-def ring_chase_schedule(
-    n: int,
-    max_steps: int,
-    k: int | None = None,
-    initial: Configuration | None = None,
-) -> Script:
-    """Schedule that always activates the single conflicted ring process.
-
-    Generated against the evolving configuration of the deterministic rule
-    on the n-ring started from ``initial`` (default:
-    :func:`ring_chase_initial`): each step activates the unique process
-    whose color equals its predecessor's.  Stops at ``max_steps`` or when
-    no process is enabled, so a legitimate start yields an empty script.
-    With the default k = n-1 palette the conflict is chased around the ring
-    forever; with k = n it dies out.  Raises :class:`AmbiguousChaseError`
-    if the single conflict ever splits, which would mean the construction
-    is wrong.
-    """
-    graph = ring(n)
-    config = ring_chase_initial(n, k) if initial is None else initial
-    colors = list(config.colors)
-    tracker = EnabledTracker(graph, colors)
-    steps: list[tuple[int, ...]] = []
-    for _ in range(max_steps):
-        enabled_now = tracker.members
-        if not enabled_now:
-            break
-        if len(enabled_now) > 1:
-            raise AmbiguousChaseError(
-                f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
-            )
-        i = enabled_now[0]
-        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
-        tracker.refresh((i,))
-        steps.append((i,))
-    return Script(steps=tuple(steps))

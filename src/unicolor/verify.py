@@ -222,6 +222,8 @@ def verify_deterministic(
     short-circuits to a divergence witness whose replay revisits a
     configuration.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     offsets, targets, masks, shifts, report = _transitions(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
     orbits, n = len(offsets) - 1, graph.n
 
@@ -330,6 +332,8 @@ def verify_probabilistic_support(
     terminal configuration.  Distances are the same for every member of an
     orbit, so the search runs over the representatives.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     _check_prob_headroom(graph, k)
     lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
     offsets, targets, _, _, report = _transitions(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)

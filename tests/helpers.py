@@ -14,15 +14,18 @@ from itertools import combinations
 from unicolor import (
     AlgorithmKind,
     AlgorithmSpec,
+    AmbiguousChaseError,
     Configuration,
     DirectedGraph,
     DivergenceWitness,
+    EnabledTracker,
     EngineStepError,
     EnumerationCapError,
     ExecutionTrace,
     Move,
     NonTerminatingCommandError,
     PolicyClass,
+    Script,
     ScriptViolationError,
     StepRecord,
     VerificationReport,
@@ -31,6 +34,8 @@ from unicolor import (
     enabled_set,
     is_legitimate,
     recolor,
+    ring,
+    ring_chase_initial,
     select_from,
 )
 from unicolor.engine import default_max_steps
@@ -168,6 +173,35 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
         total_steps=total_steps,
         total_moves=total_moves,
     )
+
+
+def reference_ring_chase_schedule(
+    n: int,
+    max_steps: int,
+    k: int | None = None,
+    initial: Configuration | None = None,
+) -> Script:
+    """``repro.ring_chase_schedule`` as its own loop over an
+    ``EnabledTracker``: each step raises ``AmbiguousChaseError`` unless
+    exactly one process is enabled, then recolors that one process."""
+    graph = ring(n)
+    config = ring_chase_initial(n, k) if initial is None else initial
+    colors = list(config.colors)
+    tracker = EnabledTracker(graph, colors)
+    steps: list[tuple[int, ...]] = []
+    for _ in range(max_steps):
+        enabled_now = tracker.members
+        if not enabled_now:
+            break
+        if len(enabled_now) > 1:
+            raise AmbiguousChaseError(
+                f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
+            )
+        i = enabled_now[0]
+        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
+        tracker.refresh((i,))
+        steps.append((i,))
+    return Script(steps=tuple(steps))
 
 
 def reference_trace_dict(trace: ExecutionTrace) -> dict:

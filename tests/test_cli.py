@@ -177,6 +177,14 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("algo", ["det", "prob"])
+    def test_negative_max_depth_is_a_usage_error(self, algo):
+        proc = run_cli_process(["verify", "--graph", "ring:4", "--k", "4", "--algo", algo,
+                                "--max-depth", "-1"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: max_depth must be >= 0, got -1\n"
+
     def test_palette_below_in_degree_is_a_usage_error(self):
         # clique:4 has in-degree 3: with k = 3 some command has no free color.
         proc = run_cli_process(["verify", "--graph", "clique:4", "--k", "3"])
@@ -214,16 +222,18 @@ class TestReproCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["ring-chase", "--n", "2"], "chase initial needs n >= 3"),
-            (["clique-bound", "--delta", "0"], "need delta >= 1"),
-            (["sync-ring", "--n", "3", "--k", "1"], "palette size must be >= 2"),
+            (["ring-chase", "--n", "2"], "chase initial needs n >= 3, got 2"),
+            (["ring-chase", "--n", "5", "--laps", "0"], "need laps >= 1, got 0"),
+            (["ring-chase", "--n", "5", "--laps", "-1"], "need laps >= 1, got -1"),
+            (["clique-bound", "--delta", "0"], "need delta >= 1, got 0"),
+            (["sync-ring", "--n", "3", "--k", "1"], "palette size must be >= 2, got k=1"),
         ],
     )
     def test_argument_error_is_a_usage_error(self, argv, message):
         proc = run_cli_process(["repro", *argv])
         assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: {message}")
-        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestExperimentCommand:
@@ -313,6 +323,28 @@ class TestExperimentExitCode:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: max_steps must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_a_usage_error(self, jobs):
+        proc = run_cli_process(["experiment", "--graph", "ring:5", "--k", "3", "--trials", "5",
+                                "--jobs", jobs])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: jobs must be >= 1, got {jobs}\n"
+
+    def test_censored_trials_leave_the_verdict_null(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        argv = ["experiment", "--graph", "ring:8", "--algo", "prob", "--k", "3", "--max-steps", "1",
+                "--trials", "40", "--out", str(out_path)]
+        code, out, err = run_cli(argv + ["--allow-capped"], capsys)
+        assert code == 0
+        assert "within_bound=None" in out
+        report = json.loads(out_path.read_text())
+        assert report["censored"] == 40 - report["converged"] > 0
+        assert report["bound_satisfied"] is None and report["bound_z_score"] is None
+        assert f"{report['censored']} trial(s) hit the step cap" in err
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 1
 
     def test_capped_trials_exit_one(self, capsys):
         argv = ["experiment", "--graph", "ring:5", "--algo", "det", "--k", "5", "--sched", "sync",

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from unicolor import (
     AlgorithmKind,
@@ -280,6 +280,17 @@ def executions(draw):
     return graph, algo, policy, initial, dict(max_steps=max_steps, seed=seed, record=record)
 
 
+# Shrinking a failing ``executions()`` example (graph, rule, policy,
+# script and start together) took minutes, so these tests report the
+# first failing example as drawn.
+EXECUTIONS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=tuple(phase for phase in Phase if phase is not Phase.shrink),
+)
+
+
 def outcome(runner, args, kwargs):
     try:
         return runner(*args, **kwargs)
@@ -288,7 +299,7 @@ def outcome(runner, args, kwargs):
 
 
 class TestIncrementalEngine:
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @EXECUTIONS
     @given(executions())
     def test_matches_full_rescan_reference(self, case):
         *args, kwargs = case
@@ -338,7 +349,7 @@ class TestTraceJson:
     """``to_json`` lays the artifact out by hand; ``json.dumps`` of the
     reference dict is what it must equal, byte for byte."""
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @EXECUTIONS
     @given(executions())
     def test_matches_stdlib_encoder(self, case):
         *args, kwargs = case

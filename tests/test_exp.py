@@ -13,6 +13,7 @@ from unicolor import (
     split_seed,
 )
 from unicolor import engine, experiments
+from unicolor.cli import parse_initial
 from unicolor.engine import default_max_steps
 from unicolor.experiments import (
     ExperimentConfig,
@@ -137,6 +138,18 @@ class TestRunExperiment:
         assert calls == ["ring:6"]
         assert report.to_dict()["max_steps"] is None
 
+    def test_censored_trials_leave_the_verdict_null(self):
+        report = run_experiment(prob_config(ring(8), 3, trials=40, max_steps=1))
+        assert report.censored == report.trials - report.converged > 0
+        assert report.bound is not None
+        assert report.bound_satisfied is None and report.bound_z_score is None
+        assert report.to_dict()["censored"] == report.censored
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_floor(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment(prob_config(ring(4), 3, trials=2), jobs=jobs)
+
     def test_parallel_matches_sequential(self):
         config = prob_config(ring(8), 3, trials=40)
         assert run_experiment(config, jobs=2).to_dict() == run_experiment(config, jobs=1).to_dict()
@@ -165,6 +178,12 @@ class TestSeedSplitting:
     def test_base_plus_index(self):
         # derivation is from seed_base + trial index
         assert split_seed(5, 2, "engine") == split_seed(7, 0, "engine")
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_run_random_start_is_trial_zero_start(self, seed):
+        graph = ring(9)
+        config = prob_config(graph, 4, trials=1, seed_base=seed)
+        assert parse_initial("random", graph, 4, seed) == experiments._initial_for_trial(config, 0)
 
 
 class TestSweep:

@@ -1,17 +1,25 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unicolor import repro
 from unicolor import (
+    AmbiguousChaseError,
+    Configuration,
     PolicyClass,
     chain,
+    chain_schedule,
     repro_chain_worst_case,
     repro_clique_state_bound,
     repro_ring_chase,
     repro_sync_ring,
+    ring_chase_initial,
+    ring_chase_schedule,
     verify_deterministic,
 )
+
+from helpers import reference_ring_chase_schedule
 
 
 class TestSyncRing:
@@ -55,6 +63,98 @@ class TestRingChase:
         assert report.ok, report.failures
         assert report.details["terminating_k"] == 5
         assert report.details["terminating_moves"] == 4
+
+    @pytest.mark.parametrize("laps", [0, -1])
+    def test_laps_floor(self, laps):
+        with pytest.raises(ValueError, match=f"need laps >= 1, got {laps}"):
+            repro_ring_chase(5, laps)
+
+
+class TestChainSchedule:
+    def test_n3_activation_order(self):
+        assert chain_schedule(3).steps == ((0,), (1,), (0,))
+
+    def test_n2_single_activation(self):
+        assert chain_schedule(2).steps == ((0,),)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_length_and_singletons(self, n):
+        script = chain_schedule(n)
+        assert len(script) == n * (n - 1) // 2
+        assert all(len(step) == 1 for step in script.steps)
+
+    def test_descending_prefix_structure(self):
+        script = chain_schedule(4)
+        assert script.steps == ((0,), (1,), (2,), (0,), (1,), (0,))
+
+
+class TestRingChaseSchedule:
+    def test_initial_colors(self):
+        assert ring_chase_initial(3).colors == (0, 0, 1)
+        assert ring_chase_initial(3).k == 2
+        assert ring_chase_initial(4).colors == (0, 0, 1, 2)
+        assert ring_chase_initial(6, k=6).colors == (0, 0, 1, 2, 3, 4)
+
+    def test_initial_needs_room(self):
+        with pytest.raises(ValueError):
+            ring_chase_initial(5, k=3)
+
+    def test_short_palette_chase_never_dies(self):
+        script = ring_chase_schedule(3, max_steps=50)
+        assert len(script) == 50
+
+    def test_chase_walks_around_the_ring(self):
+        # The conflicted process advances one position per activation.
+        for n in (3, 4, 6):
+            script = ring_chase_schedule(n, max_steps=3 * (n - 1))
+            assert script.steps == tuple(((t + 1) % n,) for t in range(3 * (n - 1)))
+
+    def test_full_palette_chase_dies(self):
+        for n in (3, 4, 6):
+            script = ring_chase_schedule(n, max_steps=100, k=n)
+            assert len(script) == n - 1
+
+    def test_legitimate_initial_empty_script(self):
+        initial = Configuration(colors=(0, 1, 0, 1), k=3)
+        assert ring_chase_schedule(4, max_steps=10, k=3, initial=initial).steps == ()
+
+    def test_ambiguous_chase_detected(self):
+        # Two separate duplicated pairs: two processes enabled at once.
+        initial = Configuration(colors=(0, 0, 1, 1), k=3)
+        with pytest.raises(AmbiguousChaseError) as exc:
+            ring_chase_schedule(4, max_steps=10, k=3, initial=initial)
+        assert str(exc.value) == "expected one enabled process, found (1, 3) after 0 steps"
+
+
+@st.composite
+def chases(draw):
+    """Arguments of ``ring_chase_schedule``: the chase start (which needs
+    k >= n-1) or a random one, with any step budget."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, 6))
+    max_steps = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        return n, max_steps, k, None
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return n, max_steps, k, Configuration(colors=tuple(colors), k=k)
+
+
+def chase_outcome(schedule, *args):
+    """The schedule's steps, or the type and message of what it raised."""
+    try:
+        return schedule(*args).steps
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestChaseOnTheEngine:
+    """The chase runs on ``engine.run``; ``reference_ring_chase_schedule``
+    keeps the former loop of its own."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(chases())
+    def test_matches_reference_loop(self, args):
+        assert chase_outcome(ring_chase_schedule, *args) == chase_outcome(reference_ring_chase_schedule, *args)
 
 
 class TestCliqueBound:

@@ -3,18 +3,14 @@ import random
 import pytest
 
 from unicolor import (
-    AmbiguousChaseError,
     Configuration,
     SchedulerKind,
     SchedulerPolicy,
     Script,
     ScriptViolationError,
     chain,
-    chain_schedule,
     enabled_set,
     ring,
-    ring_chase_initial,
-    ring_chase_schedule,
     select_from,
 )
 
@@ -159,57 +155,3 @@ class TestScripted:
         with pytest.raises(ValueError):
             SchedulerPolicy(SchedulerKind.SCRIPTED)
 
-
-class TestChainSchedule:
-    def test_n3_activation_order(self):
-        assert chain_schedule(3).steps == ((0,), (1,), (0,))
-
-    def test_n2_single_activation(self):
-        assert chain_schedule(2).steps == ((0,),)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 10])
-    def test_length_and_singletons(self, n):
-        script = chain_schedule(n)
-        assert len(script) == n * (n - 1) // 2
-        assert all(len(step) == 1 for step in script.steps)
-
-    def test_descending_prefix_structure(self):
-        script = chain_schedule(4)
-        assert script.steps == ((0,), (1,), (2,), (0,), (1,), (0,))
-
-
-class TestRingChase:
-    def test_initial_colors(self):
-        assert ring_chase_initial(3).colors == (0, 0, 1)
-        assert ring_chase_initial(3).k == 2
-        assert ring_chase_initial(4).colors == (0, 0, 1, 2)
-        assert ring_chase_initial(6, k=6).colors == (0, 0, 1, 2, 3, 4)
-
-    def test_initial_needs_room(self):
-        with pytest.raises(ValueError):
-            ring_chase_initial(5, k=3)
-
-    def test_short_palette_chase_never_dies(self):
-        script = ring_chase_schedule(3, max_steps=50)
-        assert len(script) == 50
-
-    def test_chase_walks_around_the_ring(self):
-        # The conflicted process advances one position per activation.
-        for n in (3, 4, 6):
-            script = ring_chase_schedule(n, max_steps=3 * (n - 1))
-            assert script.steps == tuple(((t + 1) % n,) for t in range(3 * (n - 1)))
-
-    def test_full_palette_chase_dies(self):
-        for n in (3, 4, 6):
-            script = ring_chase_schedule(n, max_steps=100, k=n)
-            assert len(script) == n - 1
-
-    def test_legitimate_initial_empty_script(self):
-        initial = Configuration(colors=(0, 1, 0, 1), k=3)
-        assert ring_chase_schedule(4, max_steps=10, k=3, initial=initial).steps == ()
-
-    def test_ambiguous_chase_detected(self):
-        # Two separate duplicated pairs: two processes enabled at once.
-        initial = Configuration(colors=(0, 0, 1, 1), k=3)
-        with pytest.raises(AmbiguousChaseError):
-            ring_chase_schedule(4, max_steps=10, k=3, initial=initial)
