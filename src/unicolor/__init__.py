@@ -66,6 +66,6 @@ from .repro import (
     repro_clique_state_bound,
     repro_ring_chase,
     repro_sync_ring,
+    ring_chase,
     ring_chase_initial,
-    ring_chase_schedule,
 )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .core import Configuration, bidirectional_clique, chain, is_legitimate, ring
 from .algorithms import AlgorithmSpec
-from .engine import EngineStepError, run
+from .engine import EngineStepError, ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script, ScriptViolationError
 from .verify import verify_probabilistic_support
 
@@ -60,33 +59,33 @@ def ring_chase_initial(n: int, k: int | None = None) -> Configuration:
     return Configuration(colors=(0,) + tuple(range(n - 1)), k=k)
 
 
-def ring_chase_schedule(
+def ring_chase(
     n: int,
     max_steps: int,
     k: int | None = None,
     initial: Configuration | None = None,
-) -> Script:
-    """Schedule that always activates the single conflicted ring process.
+) -> ExecutionTrace:
+    """Run the chase: always activate the single conflicted ring process.
 
-    Generated by running the deterministic rule on the n-ring from
-    ``initial`` (default: :func:`ring_chase_initial`) under the synchronous
-    policy, which fires every enabled process: while exactly one is
-    enabled, that is the chase.  Stops at ``max_steps`` or when no process
-    is enabled, so a legitimate start yields an empty script.  With the
-    default k = n-1 palette the conflict is chased around the ring forever;
-    with k = n it dies out.  Raises :class:`AmbiguousChaseError` at the
-    first step that fires several processes, which would mean the single
-    conflict split and the construction is wrong.
+    Runs the deterministic rule on the n-ring from ``initial`` (default:
+    :func:`ring_chase_initial`) under the synchronous policy, which fires
+    every enabled process: while exactly one is enabled, that is the chase.
+    Stops at ``max_steps`` or when no process is enabled, so a legitimate
+    start yields no steps.  With the default k = n-1 palette the conflict
+    is chased around the ring forever; with k = n it dies out.  The trace
+    records every configuration.  Raises :class:`AmbiguousChaseError` at
+    the first step that fires several processes, which would mean the
+    single conflict split and the construction is wrong.
     """
     config = ring_chase_initial(n, k) if initial is None else initial
     algo = AlgorithmSpec.deterministic(config.k)
-    trace = run(ring(n), algo, SchedulerPolicy.synchronous(), config, max_steps=max_steps)
+    trace = run(ring(n), algo, SchedulerPolicy.synchronous(), config, max_steps=max_steps, record="full")
     for t, rec in enumerate(trace.steps):
         if len(rec.activated) > 1:
             raise AmbiguousChaseError(
                 f"expected one enabled process, found {rec.activated} after {t} steps"
             )
-    return Script(steps=tuple(rec.activated for rec in trace.steps))
+    return trace
 
 
 def repro_sync_ring(n: int, steps: int, k: int | None = None) -> ReproReport:
@@ -181,27 +180,18 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
     if laps < 1:
         raise ValueError(f"need laps >= 1, got {laps}")
     k = n - 1
-    graph = ring(n)
     initial = ring_chase_initial(n, k)
     failures = []
     details: dict = {"n": n, "k": k, "laps": laps, "initial": list(initial.colors)}
     try:
-        script = ring_chase_schedule(n, max_steps=laps * (n - 1), k=k)
+        trace = ring_chase(n, max_steps=laps * (n - 1), k=k)
     except AmbiguousChaseError as exc:
         failures.append(f"chase schedule generation failed: {exc}")
         return ReproReport("ring-chase", False, details, tuple(failures))
-    if len(script) != laps * (n - 1):
-        failures.append(f"chase died after {len(script)} activations; the run must not terminate")
+    if trace.total_steps != laps * (n - 1):
+        failures.append(f"chase died after {trace.total_steps} activations; the run must not terminate")
         return ReproReport("ring-chase", False, details, tuple(failures))
 
-    trace = run(
-        graph,
-        AlgorithmSpec.deterministic(k),
-        SchedulerPolicy.scripted(script),
-        initial,
-        max_steps=len(script),
-        record="full",
-    )
     rotations = _rotations(initial.colors)
     seen = []
     for lap in range(1, laps + 1):
@@ -217,14 +207,7 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
     details["lap_configurations"] = seen
 
     # Contrast: one more color and the same chase dies out.
-    contrast_script = ring_chase_schedule(n, max_steps=laps * (n - 1), k=n)
-    contrast = run(
-        graph,
-        AlgorithmSpec.deterministic(n),
-        SchedulerPolicy.scripted(contrast_script),
-        ring_chase_initial(n, n),
-        max_steps=laps * (n - 1),
-    )
+    contrast = ring_chase(n, max_steps=laps * (n - 1), k=n)
     details["terminating_k"] = n
     details["terminating_moves"] = contrast.total_moves
     if not contrast.terminated:
@@ -237,41 +220,31 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
 def repro_clique_state_bound(delta: int) -> ReproReport:
     """Pigeonhole: a (delta+1)-clique admits no proper coloring with only
     delta colors, and delta+1 colors restore both colorings and
-    probabilistic convergence."""
+    probabilistic convergence.
+
+    A proper coloring of a clique gives its n processes distinct colors, so
+    with k colors there are ``perm(k, n)`` of them: 0 for k = delta, n! for
+    k = delta+1.  The latter count is read off the verifier's report, whose
+    terminal configurations are exactly the proper colorings.
+    """
     if delta < 1:
         raise ValueError(f"need delta >= 1, got {delta}")
     n = delta + 1
-    graph = bidirectional_clique(n)
-    failures = []
-
-    def count_legitimate(k: int) -> int:
-        return sum(
-            1
-            for colors in product(range(k), repeat=n)
-            if is_legitimate(graph, Configuration(colors=colors, k=k))
-        )
-
-    short = count_legitimate(delta)
-    enough = count_legitimate(delta + 1)
+    support = verify_probabilistic_support(bidirectional_clique(n), k=delta + 1)
+    enough = support.terminal_count
     details = {
         "delta": delta,
         "n": n,
-        "legitimate_with_k_delta": short,
+        "legitimate_with_k_delta": math.perm(delta, n),
         "legitimate_with_k_delta_plus_1": enough,
         "expected_with_k_delta_plus_1": math.factorial(n),
+        "probabilistic_support": support.all_converge,
     }
-    if short != 0:
-        failures.append(f"{short} proper colorings with k={delta}; pigeonhole forbids any")
+    failures = []
     if enough != math.factorial(n):
         failures.append(
             f"{enough} proper colorings with k={delta + 1}, expected {math.factorial(n)}"
         )
-    support = verify_probabilistic_support(graph, k=delta + 1)
-    details["probabilistic_support"] = support.all_converge
     if not support.all_converge:
         failures.append("probabilistic support check failed with k=delta+1")
-    if support.terminal_count != enough:
-        failures.append(
-            f"terminal configurations ({support.terminal_count}) differ from proper colorings ({enough})"
-        )
     return ReproReport("clique-bound", not failures, details, tuple(failures))

@@ -128,6 +128,8 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     ``report(worst_moves, divergence, worst_witness=None)``, which fills a
     :class:`VerificationReport` with the counts taken here.
     """
+    # The spec rejects a palette below 2 before any state is built.
+    algorithm = AlgorithmSpec(kind, k).summary()
     n = graph.n
     total = k**n
     if total > cap:
@@ -191,7 +193,7 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     def report(worst_moves, divergence, worst_witness=None) -> VerificationReport:
         return VerificationReport(
             graph=graph.summary(),
-            algorithm=AlgorithmSpec(kind, k).summary(),
+            algorithm=algorithm,
             policy_class=policy_class.value,
             configurations_checked=total,
             all_converge=divergence is None,

@@ -181,8 +181,8 @@ def reference_ring_chase_schedule(
     k: int | None = None,
     initial: Configuration | None = None,
 ) -> Script:
-    """``repro.ring_chase_schedule`` as its own loop over an
-    ``EnabledTracker``: each step raises ``AmbiguousChaseError`` unless
+    """The activation sets of ``repro.ring_chase`` as its own loop over
+    an ``EnabledTracker``: each step raises ``AmbiguousChaseError`` unless
     exactly one process is enabled, then recolors that one process."""
     graph = ring(n)
     config = ring_chase_initial(n, k) if initial is None else initial

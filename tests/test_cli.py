@@ -192,6 +192,19 @@ class TestVerifyCommand:
         assert proc.stderr.startswith("error: process ")
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("graph", ["ring:3", "file"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_palette_below_two_is_a_usage_error(self, graph, k, tmp_path):
+        # A graph with no arcs has no in-degree to reject k = 1 first.
+        if graph == "file":
+            path = tmp_path / "noarcs.txt"
+            path.write_text("3\n")
+            graph = f"file:{path}"
+        proc = run_cli_process(["verify", "--graph", graph, "--k", str(k)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: palette size must be >= 2, got k={k}\n"
+
 
 class TestReproCommand:
     def test_chain_summary_line(self, capsys):
@@ -391,6 +404,25 @@ class TestDeterminism:
             assert a_path.read_bytes() == b_path.read_bytes(), argv
 
 
+class TestStandardLibraryOnly:
+    def test_runtime_imports_only_the_standard_library(self):
+        # ``-S`` skips site-packages and their ``.pth`` hooks, which import
+        # third-party modules of their own.
+        src = os.path.dirname(os.path.dirname(unicolor.__file__))
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import unicolor, unicolor.cli\n"
+            "print(' '.join(sorted({name.partition('.')[0] for name in sys.modules})))\n"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "unicolor" in loaded
+        allowed = set(sys.stdlib_module_names) | {"unicolor", "__main__", "__mp_main__"}
+        assert sorted(loaded - allowed) == []
+
+
 # sha256 of the ``run --out`` artifacts as the stdlib encoder wrote them
 # (``json.dumps(..., sort_keys=True, indent=2)``), before the trace JSON was
 # laid out by hand; the encoder must keep every byte.
@@ -408,6 +440,22 @@ GOLDEN_RUNS = {
     "k12-full": (["--graph", "clique:11", "--k", "12", "--sched", "lcmax", "--seed", "2", "--trace", "full"],
                  "43d0fa4993b61a58cdc8b373f371cf9726bb83481844efd2af4ccac3a11a6382",
                  "4e13380bf00e475fe7d7e094239de5da9a57fae75bf8457766412952e23d6f7e"),
+}
+
+
+# sha256 of the ``repro --out`` reports, recorded while each scenario still
+# replayed its chase under a script and counted colorings by enumeration.
+GOLDEN_REPROS = {
+    "ring-chase-6-3": (["ring-chase", "--n", "6", "--laps", "3"],
+                       "83be59fe762873b5e75a644d5e083f9b87d903bd037932f0cb292834474f52f2"),
+    "ring-chase-3-1": (["ring-chase", "--n", "3", "--laps", "1"],
+                       "f0b47be764ad0999ae56830cf60c932f6b279ea44ee6331ec397ed443b4916a5"),
+    "clique-bound-4": (["clique-bound", "--delta", "4"],
+                       "9bcae317abffbde922b503783c40dce6d6f738a55662e52b1e02d69a1b45a9a1"),
+    "chain-10": (["chain", "--n", "10"],
+                 "fc201de48beba80440bbbae455ca38955b98c9da2dd61c86f92d3b4fdf09a78c"),
+    "sync-ring-4-50": (["sync-ring", "--n", "4", "--steps", "50"],
+                       "faee74605db3a4798eedbdabab6a9dd3d0d0fb17bd169a7b53c99d50d8decfab"),
 }
 
 
@@ -432,3 +480,11 @@ class TestGoldenArtifacts:
                     Configuration.uniform(5, 0, 5), seed=7, record="none")
         digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
         assert digest == "365736d6ba3b450fe77fcc0fda31643f0d47606ba0018f58a97e703aaaa44000"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPROS))
+    def test_repro_reports_unchanged(self, name, capsys, tmp_path):
+        argv, want = GOLDEN_REPROS[name]
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(["repro", *argv, "--out", str(out_path)], capsys)
+        assert code == 0
+        assert sha256(out_path) == want

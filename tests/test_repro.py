@@ -14,8 +14,9 @@ from unicolor import (
     repro_clique_state_bound,
     repro_ring_chase,
     repro_sync_ring,
+    ring_chase,
     ring_chase_initial,
-    ring_chase_schedule,
+    run,
     verify_deterministic,
 )
 
@@ -64,6 +65,19 @@ class TestRingChase:
         assert report.details["terminating_k"] == 5
         assert report.details["terminating_moves"] == 4
 
+    def test_one_run_per_palette(self, monkeypatch):
+        # One chase run for k = n-1 and one for the k = n contrast; the
+        # report is read off their traces.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].k)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(repro, "run", counting)
+        assert repro_ring_chase(5, laps=2).ok
+        assert calls == [4, 5]
+
     @pytest.mark.parametrize("laps", [0, -1])
     def test_laps_floor(self, laps):
         with pytest.raises(ValueError, match=f"need laps >= 1, got {laps}"):
@@ -88,6 +102,11 @@ class TestChainSchedule:
         assert script.steps == ((0,), (1,), (2,), (0,), (1,), (0,))
 
 
+def chase_steps(*args, **kwargs):
+    """The activation sets of the chase run."""
+    return tuple(rec.activated for rec in ring_chase(*args, **kwargs).steps)
+
+
 class TestRingChaseSchedule:
     def test_initial_colors(self):
         assert ring_chase_initial(3).colors == (0, 0, 1)
@@ -100,35 +119,33 @@ class TestRingChaseSchedule:
             ring_chase_initial(5, k=3)
 
     def test_short_palette_chase_never_dies(self):
-        script = ring_chase_schedule(3, max_steps=50)
-        assert len(script) == 50
+        assert len(chase_steps(3, max_steps=50)) == 50
 
     def test_chase_walks_around_the_ring(self):
         # The conflicted process advances one position per activation.
         for n in (3, 4, 6):
-            script = ring_chase_schedule(n, max_steps=3 * (n - 1))
-            assert script.steps == tuple(((t + 1) % n,) for t in range(3 * (n - 1)))
+            steps = chase_steps(n, max_steps=3 * (n - 1))
+            assert steps == tuple(((t + 1) % n,) for t in range(3 * (n - 1)))
 
     def test_full_palette_chase_dies(self):
         for n in (3, 4, 6):
-            script = ring_chase_schedule(n, max_steps=100, k=n)
-            assert len(script) == n - 1
+            assert len(chase_steps(n, max_steps=100, k=n)) == n - 1
 
     def test_legitimate_initial_empty_script(self):
         initial = Configuration(colors=(0, 1, 0, 1), k=3)
-        assert ring_chase_schedule(4, max_steps=10, k=3, initial=initial).steps == ()
+        assert chase_steps(4, max_steps=10, k=3, initial=initial) == ()
 
     def test_ambiguous_chase_detected(self):
         # Two separate duplicated pairs: two processes enabled at once.
         initial = Configuration(colors=(0, 0, 1, 1), k=3)
         with pytest.raises(AmbiguousChaseError) as exc:
-            ring_chase_schedule(4, max_steps=10, k=3, initial=initial)
+            ring_chase(4, max_steps=10, k=3, initial=initial)
         assert str(exc.value) == "expected one enabled process, found (1, 3) after 0 steps"
 
 
 @st.composite
 def chases(draw):
-    """Arguments of ``ring_chase_schedule``: the chase start (which needs
+    """Arguments of ``ring_chase``: the chase start (which needs
     k >= n-1) or a random one, with any step budget."""
     n = draw(st.integers(2, 8))
     k = draw(st.integers(2, 6))
@@ -139,10 +156,10 @@ def chases(draw):
     return n, max_steps, k, Configuration(colors=tuple(colors), k=k)
 
 
-def chase_outcome(schedule, *args):
-    """The schedule's steps, or the type and message of what it raised."""
+def chase_outcome(steps, *args):
+    """The activation sets, or the type and message of what was raised."""
     try:
-        return schedule(*args).steps
+        return steps(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -154,7 +171,8 @@ class TestChaseOnTheEngine:
     @settings(max_examples=400, deadline=None)
     @given(chases())
     def test_matches_reference_loop(self, args):
-        assert chase_outcome(ring_chase_schedule, *args) == chase_outcome(reference_ring_chase_schedule, *args)
+        reference = chase_outcome(lambda *a: reference_ring_chase_schedule(*a).steps, *args)
+        assert chase_outcome(chase_steps, *args) == reference
 
 
 class TestCliqueBound:
@@ -184,6 +202,6 @@ class TestBugsAreNotFailures:
         def broken(*args, **kwargs):
             raise TypeError("bug in the chase")
 
-        monkeypatch.setattr(repro, "ring_chase_schedule", broken)
+        monkeypatch.setattr(repro, "ring_chase", broken)
         with pytest.raises(TypeError, match="bug in the chase"):
             repro_ring_chase(4, laps=1)
