@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import filterfalse
 
 from .core import DirectedGraph
 
@@ -72,40 +73,51 @@ def _check_prob_headroom(graph: DirectedGraph, k: int) -> None:
         )
 
 
-def recolor(kind: AlgorithmKind, i: int, preds_i, colors, k: int, rng: random.Random | None) -> int:
-    """The new color of process ``i`` under rule ``kind``.
+def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.Random | None) -> tuple[int, ...]:
+    """The new colors of ``processes`` under rule ``kind``, in their order.
 
-    ``preds_i`` are the predecessors of ``i`` and ``colors`` the pre-step
-    colors.  The deterministic rule runs the inner increment loop to
-    quiescence as one atomic move: the first of ``old+1, old+2, ...``
-    (mod k) absent from the predecessors' colors.  The probabilistic rule
-    draws uniformly from the sorted list of those absent colors, one
-    ``rng.randrange`` per move, so runs are bit-reproducible for a fixed
-    seed.  Raises :class:`NonTerminatingCommandError` when the predecessors
-    hold every color, which the deterministic increment loop would never
-    escape, and ``ValueError`` when ``i`` is not enabled or no color is free
-    for the probabilistic rule: a caller's bug, since neither can happen in
-    a run that passed set-up.
+    ``preds[i]`` are the predecessors of ``i`` and ``colors`` the pre-step
+    colors; every process reads them, none sees another's new color.  The
+    deterministic rule runs the inner increment loop to quiescence as one
+    atomic move: the first of ``old+1, old+2, ...`` (mod k) absent from the
+    predecessors' colors.  The probabilistic rule draws uniformly from the
+    sorted list of those absent colors, one ``rng.randrange`` per move in
+    the order of ``processes``, so runs are bit-reproducible for a fixed
+    seed.  The first process that fails raises: :class:`NonTerminatingCommandError`
+    when its predecessors hold every color, which the deterministic
+    increment loop would never escape, and ``ValueError`` when it is not
+    enabled (its color is not among its predecessors', the guard
+    ``core.process_enabled``) or no color is free for the probabilistic
+    rule: a caller's bug, since neither can happen in a run that passed
+    set-up.
     """
-    taken = {colors[p] for p in preds_i}
-    old = colors[i]
-    if old not in taken:
-        raise ValueError(f"process {i} is not enabled")
-    if kind is AlgorithmKind.DETERMINISTIC:
-        if len(taken) >= k:
-            raise NonTerminatingCommandError(
-                f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+    color_of = colors.__getitem__
+    new_colors = []
+    append = new_colors.append
+    deterministic = kind is AlgorithmKind.DETERMINISTIC
+    for i in processes:
+        preds_i = preds[i]
+        taken = set(map(color_of, preds_i))
+        old = colors[i]
+        if old not in taken:
+            raise ValueError(f"process {i} is not enabled")
+        if deterministic:
+            if len(taken) >= k:
+                raise NonTerminatingCommandError(
+                    f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+                )
+            new = (old + 1) % k
+            while new in taken:
+                new = (new + 1) % k
+            append(new)
+            continue
+        candidates = [*filterfalse(taken.__contains__, range(k))]
+        if not candidates:
+            raise ValueError(
+                f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
             )
-        new = (old + 1) % k
-        while new in taken:
-            new = (new + 1) % k
-        return new
-    candidates = [c for c in range(k) if c not in taken]
-    if not candidates:
-        raise ValueError(
-            f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
-        )
-    return candidates[rng.randrange(len(candidates))]
+        append(candidates[rng.randrange(len(candidates))])
+    return tuple(new_colors)
 
 
 def expected_new_conflicts(graph: DirectedGraph, i: int, k: int) -> Fraction:

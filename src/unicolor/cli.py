@@ -297,7 +297,7 @@ def cmd_repro(args) -> int:
             report = repro_ring_chase(args.n, args.laps)
         else:
             report = repro_clique_state_bound(args.delta)
-    except ValueError as exc:
+    except (ValueError, EnumerationCapError) as exc:
         raise UsageError(str(exc)) from exc
     print("OK" if report.ok else "FAIL")
     for failure in report.failures:

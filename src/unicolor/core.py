@@ -14,6 +14,7 @@ import random
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import islice
 
 
 class GraphConstructionError(ValueError):
@@ -138,25 +139,37 @@ def random_digraph(n: int, max_degree: int, seed: int) -> DirectedGraph:
     if n < 2 or max_degree < 1:
         raise GraphConstructionError(f"random digraph needs n >= 2, max_degree >= 1, got n={n}, max_degree={max_degree}")
     rng = random.Random(seed)
-    # Arc (i, j) is packed as the code i*n + j, in ascending (i, j) order;
-    # the codes divisible by n+1 are the self-loops.  ``shuffle`` draws
-    # depend only on the length, so this is the same candidate order as a
-    # shuffled list of the n(n-1) pairs, at 8 bytes per candidate.
-    candidates = array("q", (c for c in range(n * n) if c % (n + 1)))
+    # Arc (i, j) is packed as the code i*n + j, in ascending (i, j) order
+    # without the self-loops.  ``shuffle`` draws depend only on the length,
+    # so this is the same candidate order as a shuffled list of the n(n-1)
+    # pairs, at 8 bytes per candidate.
+    candidates = array("q")
+    for i in range(n):
+        candidates.extend(range(i * n, i * n + i))
+        candidates.extend(range(i * n + i + 1, (i + 1) * n))
     rng.shuffle(candidates)
     neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    arcs: list[tuple[int, int]] = []
-    for code in candidates:
+    kept: list[int] = []
+    unsaturated = n
+    for pos, code in enumerate(candidates):
         i, j = divmod(code, n)
-        grows_i = j not in neighbor_sets[i]
-        grows_j = i not in neighbor_sets[j]
-        if grows_i and len(neighbor_sets[i]) >= max_degree:
+        neighbors_i, neighbors_j = neighbor_sets[i], neighbor_sets[j]
+        if j in neighbors_i:
+            kept.append(code)
             continue
-        if grows_j and len(neighbor_sets[j]) >= max_degree:
+        if len(neighbors_i) >= max_degree or len(neighbors_j) >= max_degree:
             continue
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-        arcs.append((i, j))
+        neighbors_i.add(j)
+        neighbors_j.add(i)
+        kept.append(code)
+        unsaturated -= (len(neighbors_i) == max_degree) + (len(neighbors_j) == max_degree)
+        if unsaturated <= 1:
+            # No new neighbor pair can form any more: of the candidates left,
+            # exactly the reverses of arcs already kept are kept.
+            reverses = {c % n * n + c // n for c in kept}
+            kept += reverses.intersection(islice(candidates, pos + 1, None))
+            break
+    arcs = [divmod(code, n) for code in kept]
     graph = build_graph(n, arcs, label=f"random:{n}:{max_degree}:{seed}")
     if max_degree < n and graph.max_degree != max_degree:
         raise GraphConstructionError(

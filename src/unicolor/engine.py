@@ -47,9 +47,19 @@ class EngineStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step, column by column: ``activated[m]`` left ``old_colors[m]``
+    for ``new_colors[m]``.  ``config_after`` is the configuration after the
+    step, kept only by ``record="full"``."""
+
     activated: tuple[int, ...]
-    moves: tuple[Move, ...]
+    old_colors: tuple[int, ...]
+    new_colors: tuple[int, ...]
     config_after: tuple[int, ...] | None = None
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        """The step's moves, built from the columns on each access."""
+        return tuple(map(Move, self.activated, self.old_colors, self.new_colors))
 
 
 # A newline and the indent of JSON nesting depth 0..5 under ``indent=2``.
@@ -75,7 +85,8 @@ def _step_json(rec: StepRecord) -> str:
     text = '{\n      "activated": ' + _array([*map(str, rec.activated)], 3)
     if rec.config_after is not None:
         text += ',\n      "config": ' + _array([*map(str, rec.config_after)], 3)
-    moves = [f"[{d5}{m.process},{d5}{m.old_color},{d5}{m.new_color}{d4}]" for m in rec.moves]
+    columns = zip(rec.activated, rec.old_colors, rec.new_colors)
+    moves = [f"[{d5}{i},{d5}{old},{d5}{new}{d4}]" for i, old, new in columns]
     return text + ',\n      "moves": ' + _array(moves, 3) + _INDENT[2] + "}"
 
 
@@ -141,8 +152,8 @@ class ExecutionTrace:
     def to_tsv(self) -> str:
         lines = ["step\tprocess\told\tnew"]
         for t, rec in enumerate(self.steps):
-            for m in rec.moves:
-                lines.append(f"{t}\t{m.process}\t{m.old_color}\t{m.new_color}")
+            for i, old, new in zip(rec.activated, rec.old_colors, rec.new_colors):
+                lines.append(f"{t}\t{i}\t{old}\t{new}")
         return "\n".join(lines) + "\n"
 
 
@@ -192,6 +203,7 @@ def run(
     tracker = EnabledTracker(graph, colors)
     enabled_now = tracker.members
     steps: list[StepRecord] = []
+    recording = record != "none"
     total_moves = 0
     total_steps = 0
     terminated = False
@@ -206,17 +218,19 @@ def run(
             if chosen is None:
                 break  # script exhausted before termination
             # Every command reads the pre-step colors.
-            moves = tuple(Move(i, colors[i], recolor(kind, i, preds[i], colors, k, rng)) for i in chosen)
+            new_colors = recolor(kind, chosen, preds, colors, k, rng)
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
-        for m in moves:
-            colors[m.process] = m.new_color
+        if recording:
+            old_colors = tuple(map(colors.__getitem__, chosen))
+        for i, c in zip(chosen, new_colors):
+            colors[i] = c
         tracker.refresh(chosen)
-        total_moves += len(moves)
+        total_moves += len(chosen)
         total_steps += 1
-        if record != "none":
+        if recording:
             config_after = tuple(colors) if record == "full" else None
-            steps.append(StepRecord(activated=chosen, moves=moves, config_after=config_after))
+            steps.append(StepRecord(chosen, old_colors, new_colors, config_after))
 
     return ExecutionTrace(
         graph=graph.summary(),

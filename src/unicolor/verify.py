@@ -149,14 +149,17 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     for code, digits in enumerate(product((0,), *[range(k)] * top)):
         colors = digits[::-1]
         moves = []
+        enabled = []
         for i in range(n):
             if not process_enabled(preds[i], colors, i):
                 continue
             if deterministic:
-                moves.append((i, recolor(kind, i, preds[i], colors, k, None)))
+                enabled.append(i)
             else:
                 taken = {colors[p] for p in preds[i]}
                 moves += [(i, c) for c in range(k) if c not in taken]
+        if enabled:
+            moves = [*zip(enabled, recolor(kind, enabled, preds, colors, k, None))]
         terminal_orbits += not moves
         if not subsets:
             for i, c in moves:

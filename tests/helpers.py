@@ -150,7 +150,7 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
                 break
             colors = config.colors
             moves = tuple(
-                Move(i, colors[i], recolor(algo.kind, i, graph.preds[i], colors, algo.k, rng)) for i in chosen
+                Move(i, colors[i], recolor(algo.kind, (i,), graph.preds, colors, algo.k, rng)[0]) for i in chosen
             )
         except (NonTerminatingCommandError, ScriptViolationError) as exc:
             raise EngineStepError(total_steps, exc) from exc
@@ -159,7 +159,14 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
         total_steps += 1
         if record != "none":
             config_after = config.colors if record == "full" else None
-            steps.append(StepRecord(activated=chosen, moves=moves, config_after=config_after))
+            rec = StepRecord(
+                activated=chosen,
+                old_colors=tuple(m.old_color for m in moves),
+                new_colors=tuple(m.new_color for m in moves),
+                config_after=config_after,
+            )
+            assert rec.moves == moves
+            steps.append(rec)
     return ExecutionTrace(
         graph=graph.summary(),
         algorithm=algo.summary(),
@@ -198,7 +205,7 @@ def reference_ring_chase_schedule(
                 f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
             )
         i = enabled_now[0]
-        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, config.k, None)
+        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, colors, config.k, None)[0]
         tracker.refresh((i,))
         steps.append((i,))
     return Script(steps=tuple(steps))
@@ -232,6 +239,15 @@ def reference_trace_dict(trace: ExecutionTrace) -> dict:
             for rec in trace.steps
         ],
     }
+
+
+def reference_tsv(trace: ExecutionTrace) -> str:
+    """The trace TSV rendered from each step's ``Move`` objects; the
+    reference for ``to_tsv``, which reads the columns."""
+    lines = ["step\tprocess\told\tnew"]
+    for t, rec in enumerate(trace.steps):
+        lines += [f"{t}\t{m.process}\t{m.old_color}\t{m.new_color}" for m in rec.moves]
+    return "\n".join(lines) + "\n"
 
 
 # The exhaustive verifier as it was before the shared code-space builder:
@@ -315,7 +331,7 @@ def reference_verify_deterministic(
         edges = []
         colors = config.colors
         for choice in _subset_choices(enabled_now, policy_class):
-            moves = [(i, recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], colors, k, None)) for i in choice]
+            moves = [(i, recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, colors, k, None)[0]) for i in choice]
             edges.append((choice, _encode(with_colors(colors, moves), k)))
         adj.append(edges)
 

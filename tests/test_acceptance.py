@@ -190,7 +190,7 @@ def test_criterion_8_prob_command_distribution():
         rng = random.Random(9000 + k)
         counts = {c: 0 for c in candidates}
         for _ in range(draws):
-            new = recolor(AlgorithmKind.PROBABILISTIC, 0, graph.preds[0], config.colors, k, rng)
+            new = recolor(AlgorithmKind.PROBABILISTIC, (0,), graph.preds, config.colors, k, rng)[0]
             ok = ok and new not in pred_colors
             counts[new] += 1
         p = 1 / len(candidates)

@@ -30,11 +30,11 @@ def star_into(n_preds, pred_colors, own_color, k):
 
 
 def det_new(graph, config, i):
-    return recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], config.colors, config.k, None)
+    return recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, config.colors, config.k, None)[0]
 
 
 def prob_new(graph, config, i, rng):
-    return recolor(AlgorithmKind.PROBABILISTIC, i, graph.preds[i], config.colors, config.k, rng)
+    return recolor(AlgorithmKind.PROBABILISTIC, (i,), graph.preds, config.colors, config.k, rng)[0]
 
 
 class TestSpec:

@@ -239,6 +239,8 @@ class TestReproCommand:
             (["ring-chase", "--n", "5", "--laps", "0"], "need laps >= 1, got 0"),
             (["ring-chase", "--n", "5", "--laps", "-1"], "need laps >= 1, got -1"),
             (["clique-bound", "--delta", "0"], "need delta >= 1, got 0"),
+            # 8^8 configurations: over the verifier's default cap.
+            (["clique-bound", "--delta", "7"], "state space needs 16777216 configurations, cap is 1000000"),
             (["sync-ring", "--n", "3", "--k", "1"], "palette size must be >= 2, got k=1"),
         ],
     )

@@ -128,6 +128,23 @@ class TestGenerators:
     def test_random_digraph_matches_pair_list_construction(self, n, max_degree, seed):
         assert list(random_digraph(n, max_degree, seed).arcs) == reference_random_digraph_arcs(n, max_degree, seed)
 
+    def test_random_digraph_sweep_matches_pair_list_construction(self):
+        # The build stops visiting candidates once at most one process is
+        # unsaturated; the sweep covers graphs that end with none, one or
+        # several unsaturated processes, and caps of n - 1 and above, where
+        # every pair is kept.
+        rng = random.Random(2024)
+        cases = [(n, max_degree, rng.randrange(10**6)) for n in range(2, 42) for max_degree in (1, 2, 3, 4, n - 1, n + 2)]
+        cases = [c for c in cases if c[1] >= 1] + [(100, 4, 7)]
+        unsaturated_counts = set()
+        for n, max_degree, seed in cases:
+            graph = random_digraph(n, max_degree, seed)
+            assert list(graph.arcs) == reference_random_digraph_arcs(n, max_degree, seed), (n, max_degree, seed)
+            if max_degree < n - 1:
+                unsaturated_counts.add(min(2, sum(d < max_degree for d in graph.degrees)))
+        assert len(cases) > 200
+        assert unsaturated_counts == {0, 1, 2}
+
 
 class TestPredicates:
     def test_enabled_three_ring_oracle(self):

@@ -28,7 +28,7 @@ from unicolor import (
 )
 from unicolor import engine
 
-from helpers import apply_moves, random_instance, reference_run, reference_trace_dict, with_colors
+from helpers import apply_moves, random_instance, reference_run, reference_trace_dict, reference_tsv, with_colors
 
 LC1 = SchedulerPolicy.locally_central_single()
 
@@ -47,7 +47,7 @@ def explore_all_lc1(graph, k, config, moves_so_far, results):
         return
     assert moves_so_far < 100, "runaway execution"
     for i in enabled_now:
-        new = recolor(AlgorithmKind.DETERMINISTIC, i, graph.preds[i], config.colors, k, None)
+        new = recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, config.colors, k, None)[0]
         explore_all_lc1(graph, k, Configuration(with_colors(config.colors, [(i, new)]), k), moves_so_far + 1, results)
 
 
@@ -387,3 +387,25 @@ class TestTraceJson:
         chunks = list(trace.json_chunks())
         assert len(chunks) == 1 + len(trace.steps) + 2
         assert "".join(chunks) == stdlib_json(trace)
+
+
+class TestTraceTsv:
+    """``to_tsv`` reads the step columns; the same rows rendered from each
+    step's ``Move`` objects are what it must equal."""
+
+    @EXECUTIONS
+    @given(executions())
+    def test_matches_moves_rendering(self, case):
+        *args, kwargs = case
+        trace = outcome(run, args, kwargs)
+        if isinstance(trace, EngineStepError):
+            return  # no trace to render
+        assert trace.to_tsv() == reference_tsv(trace)
+
+    def test_moves_are_derived_from_the_columns(self):
+        trace = run(ring(4), AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(),
+                    Configuration((0, 0, 1, 1), 3), max_steps=2)
+        rec = trace.steps[0]
+        assert (rec.activated, rec.old_colors, rec.new_colors) == ((1, 3), (0, 1), (1, 2))
+        assert rec.moves == (Move(1, 0, 1), Move(3, 1, 2))
+        assert trace.to_tsv().splitlines()[1:3] == ["0\t1\t0\t1", "0\t3\t1\t2"]

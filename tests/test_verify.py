@@ -269,7 +269,7 @@ class TestPaletteRotation:
 
         def outcomes(kind, i, colors):
             try:
-                return {recolor(kind, i, graph.preds[i], colors, k, _Pick(j)) for j in range(k)}
+                return {recolor(kind, (i,), graph.preds, colors, k, _Pick(j))[0] for j in range(k)}
             except (ValueError, NonTerminatingCommandError) as exc:
                 return type(exc)
 
