@@ -73,6 +73,12 @@ def _check_prob_headroom(graph: DirectedGraph, k: int) -> None:
         )
 
 
+def free_colors(taken, k: int) -> list[int]:
+    """The probabilistic rule's candidates: the colors of ``0..k-1`` outside
+    ``taken``, the set of colors a process's predecessors hold, ascending."""
+    return [*filterfalse(taken.__contains__, range(k))]
+
+
 def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.Random | None) -> tuple[int, ...]:
     """The new colors of ``processes`` under rule ``kind``, in their order.
 
@@ -81,9 +87,9 @@ def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.R
     deterministic rule runs the inner increment loop to quiescence as one
     atomic move: the first of ``old+1, old+2, ...`` (mod k) absent from the
     predecessors' colors.  The probabilistic rule draws uniformly from the
-    sorted list of those absent colors, one ``rng.randrange`` per move in
-    the order of ``processes``, so runs are bit-reproducible for a fixed
-    seed.  The first process that fails raises: :class:`NonTerminatingCommandError`
+    sorted list of those absent colors, one ``rng.choice`` per move in the
+    order of ``processes``, so runs are bit-reproducible for a fixed seed.
+    The first process that fails raises: :class:`NonTerminatingCommandError`
     when its predecessors hold every color, which the deterministic
     increment loop would never escape, and ``ValueError`` when it is not
     enabled (its color is not among its predecessors', the guard
@@ -111,12 +117,12 @@ def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.R
                 new = (new + 1) % k
             append(new)
             continue
-        candidates = [*filterfalse(taken.__contains__, range(k))]
+        candidates = free_colors(taken, k)
         if not candidates:
             raise ValueError(
                 f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
             )
-        append(candidates[rng.randrange(len(candidates))])
+        append(rng.choice(candidates))
     return tuple(new_colors)
 
 

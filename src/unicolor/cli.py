@@ -129,6 +129,14 @@ def cmd_run(args) -> int:
     graph = parse_graph_spec(args.graph)
     algo = parse_algo(args.algo, args.k)
     policy = parse_policy(args.sched)
+    if policy.script is not None:
+        # The library reports such a process as not enabled at its step;
+        # from a file it is a usage error, caught before the run.
+        for t, step in enumerate(policy.script.steps):
+            for i in step:
+                if not 0 <= i < graph.n:
+                    raise UsageError(f"script step {t}: process {i} outside 0..{graph.n - 1} "
+                                     f"of a {graph.n}-process graph")
     initial = parse_initial(args.initial, graph, args.k, args.seed)
     try:
         trace = run(

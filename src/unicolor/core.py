@@ -259,8 +259,9 @@ class EnabledTracker:
     ``colors`` is shared with the caller, who writes the new colors of a
     step into it and then calls :meth:`refresh` with the processes that
     moved.  A move by ``i`` can change enabledness only at ``i`` and at its
-    successors, so only those are rechecked: O(in-degree) per recheck plus
-    a bisected list update when a flag flips.  ``members`` holds the enabled
+    successors, so only those are rechecked, each once per step however
+    many movers touch it: O(in-degree) per recheck plus a bisected list
+    update when a flag flips.  ``members`` holds the enabled
     processes in ascending order, the sequence :func:`enabled_set` returns;
     ``flags[i]`` is 1 iff ``i`` is enabled.
     """
@@ -278,17 +279,27 @@ class EnabledTracker:
             self.flags[i] = 1
 
     def refresh(self, movers) -> None:
-        """Recheck ``movers`` and their successors after their colors changed."""
+        """Recheck ``movers`` and their successors after their colors changed.
+
+        Several movers go through one set, built in C, so a process that is
+        a mover and a successor, or the successor of several movers, is
+        rechecked once.
+        """
         preds, succs, colors, flags, members = self.preds, self.succs, self.colors, self.flags, self.members
-        for i in movers:
-            for j in (i, *succs[i]):
-                now = process_enabled(preds[j], colors, j)
-                if now != flags[j]:
-                    flags[j] = now
-                    if now:
-                        insort(members, j)
-                    else:
-                        del members[bisect_left(members, j)]
+        if len(movers) == 1:
+            i = movers[0]
+            touched = (i, *succs[i])
+        else:
+            touched = set(movers)
+            touched.update(*map(succs.__getitem__, movers))
+        for j in touched:
+            now = process_enabled(preds[j], colors, j)
+            if now != flags[j]:
+                flags[j] = now
+                if now:
+                    insort(members, j)
+                else:
+                    del members[bisect_left(members, j)]
 
 
 def is_legitimate(graph: DirectedGraph, config: Configuration) -> bool:

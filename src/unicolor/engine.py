@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from operator import add
 
 from .core import Configuration, DirectedGraph, EnabledTracker
 from .algorithms import (
@@ -71,23 +72,36 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", _INDENT[1])
 
 
-def _array(items: list[str], depth: int) -> str:
+def _array(items: Iterable[str], depth: int) -> str:
     """A JSON array at ``depth`` whose items are already rendered."""
-    if not items:
-        return "[]"
     inner = _INDENT[depth + 1]
-    return "[" + inner + ("," + inner).join(items) + _INDENT[depth] + "]"
+    body = ("," + inner).join(items)
+    return "[" + inner + body + _INDENT[depth] + "]" if body else "[]"
 
 
-def _step_json(rec: StepRecord) -> str:
-    """One step record: an object at depth 2."""
+def _step_renderer(names: list[str]) -> Callable[[StepRecord], str]:
+    """The renderer of one step record as an object at depth 2, for a trace
+    whose process ids and colors all index ``names``.
+
+    A move ``[i, old, new]`` is laid out as ``prefix[i] + middle[old] +
+    tail[new]``, entries of three tables built once here, so a step costs
+    a few C-level ``map`` passes over its columns.
+    """
     d4, d5 = _INDENT[4], _INDENT[5]
-    text = '{\n      "activated": ' + _array([*map(str, rec.activated)], 3)
-    if rec.config_after is not None:
-        text += ',\n      "config": ' + _array([*map(str, rec.config_after)], 3)
-    columns = zip(rec.activated, rec.old_colors, rec.new_colors)
-    moves = [f"[{d5}{i},{d5}{old},{d5}{new}{d4}]" for i, old, new in columns]
-    return text + ',\n      "moves": ' + _array(moves, 3) + _INDENT[2] + "}"
+    name = names.__getitem__
+    prefix = ["[" + d5 + s + "," + d5 for s in names].__getitem__
+    middle = [s + "," + d5 for s in names].__getitem__
+    tail = [s + d4 + "]" for s in names].__getitem__
+
+    def step_json(rec: StepRecord) -> str:
+        text = '{\n      "activated": ' + _array(map(name, rec.activated), 3)
+        if rec.config_after is not None:
+            text += ',\n      "config": ' + _array(map(name, rec.config_after), 3)
+        moves = map(add, map(add, map(prefix, rec.activated), map(middle, rec.old_colors)),
+                    map(tail, rec.new_colors))
+        return text + ',\n      "moves": ' + _array(moves, 3) + _INDENT[2] + "}"
+
+    return step_json
 
 
 @dataclass(frozen=True)
@@ -118,14 +132,16 @@ class ExecutionTrace:
         ``json.dumps`` of the trace's dict (``reference_trace_dict`` in
         ``tests/helpers.py``) with ``sort_keys=True, indent=2``, plus a
         newline.  Header values go through ``json.dumps``, so string
-        escaping stays the stdlib's; the integer lists are laid out here,
-        which keeps the cost O(moves).
+        escaping stays the stdlib's; the integer lists are laid out here
+        from the trace's :meth:`_names`, which keeps the cost O(moves).
         """
+        names = self._names()
+        name = names.__getitem__
         yield (
             '{\n  "algorithm": ' + _dumps(self.algorithm)
-            + ',\n  "final": ' + _array([*map(str, self.final)], 1)
+            + ',\n  "final": ' + _array(map(name, self.final), 1)
             + ',\n  "graph": ' + _dumps(self.graph)
-            + ',\n  "initial": ' + _array([*map(str, self.initial)], 1)
+            + ',\n  "initial": ' + _array(map(name, self.initial), 1)
             + ',\n  "max_steps": ' + _dumps(self.max_steps)
             + ',\n  "scheduler": ' + _dumps(self.scheduler)
             + ',\n  "seed": ' + _dumps(self.seed)
@@ -134,9 +150,10 @@ class ExecutionTrace:
         if not self.steps:
             yield "[]"
         else:
+            step_json = _step_renderer(names)
             sep = "[" + _INDENT[2]
             for rec in self.steps:
-                yield sep + _step_json(rec)
+                yield sep + step_json(rec)
                 sep = "," + _INDENT[2]
             yield _INDENT[1] + "]"
         yield (
@@ -150,11 +167,24 @@ class ExecutionTrace:
         return "".join(self.json_chunks())
 
     def to_tsv(self) -> str:
-        lines = ["step\tprocess\told\tnew"]
+        """One ``step, process, old, new`` row per move, from the same
+        :meth:`_names` table as the JSON."""
+        names = self._names()
+        name = names.__getitem__
+        tab = [s + "\t" for s in names].__getitem__
+        rows = ["step\tprocess\told\tnew\n"]
         for t, rec in enumerate(self.steps):
-            for i, old, new in zip(rec.activated, rec.old_colors, rec.new_colors):
-                lines.append(f"{t}\t{i}\t{old}\t{new}")
-        return "\n".join(lines) + "\n"
+            if rec.activated:  # a script may activate nobody: no rows
+                head = f"{t}\t"
+                moves = map(add, map(add, map(tab, rec.activated), map(tab, rec.old_colors)),
+                            map(name, rec.new_colors))
+                rows.append(head + ("\n" + head).join(moves) + "\n")
+        return "".join(rows)
+
+    def _names(self) -> list[str]:
+        """The decimal names of ``0 .. max(n, k) - 1``, which cover every
+        process id and color in the trace."""
+        return [*map(str, range(max(len(self.initial), self.algorithm["k"])))]
 
 
 def default_max_steps(graph: DirectedGraph, algo: AlgorithmSpec) -> int:

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .core import DirectedGraph
 
@@ -125,12 +126,9 @@ def _validate_scripted(
         if at == len(enabled_now) or enabled_now[at] != i:
             raise ScriptViolationError(step_index, f"process {i} is not enabled")
     if script.locally_central:
-        for a in chosen:
-            for b in chosen:
-                if a < b and b in graph.neighbors[a]:
-                    raise ScriptViolationError(
-                        step_index, f"processes {a} and {b} are neighbors"
-                    )
+        for a, b in combinations(chosen, 2):
+            if b in graph.neighbors[a]:
+                raise ScriptViolationError(step_index, f"processes {a} and {b} are neighbors")
     return chosen
 
 
@@ -154,7 +152,7 @@ def select_from(
         mask = rng.randrange(1, 1 << len(enabled_now))
         return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
     if kind is SchedulerKind.LOCALLY_CENTRAL_SINGLE:
-        return (enabled_now[rng.randrange(len(enabled_now))],)
+        return (rng.choice(enabled_now),)
     if kind is SchedulerKind.LOCALLY_CENTRAL_MAXIMAL:
         order = list(enabled_now)
         rng.shuffle(order)

@@ -49,7 +49,7 @@ from enum import Enum
 from itertools import combinations, product
 
 from .core import Configuration, DirectedGraph, process_enabled
-from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, recolor
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, recolor
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
@@ -143,6 +143,9 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     offsets, targets, masks = array("q", [0]), array("q"), array("q")
     shifts = array("B" if k <= 256 else "q")
     terminal_orbits = 0
+    # The probabilistic rule's free colors depend only on the set of colors
+    # the predecessors hold, so they are computed once per such set.
+    free_of: dict[frozenset[int], list[int]] = {}
     # ``product`` varies its last digit fastest, so reversed tuples come in
     # ascending code order with process 0 as the lowest digit; its first
     # factor holds process n-1 at color 0.
@@ -156,8 +159,11 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
             if deterministic:
                 enabled.append(i)
             else:
-                taken = {colors[p] for p in preds[i]}
-                moves += [(i, c) for c in range(k) if c not in taken]
+                taken = frozenset(map(colors.__getitem__, preds[i]))
+                free = free_of.get(taken)
+                if free is None:
+                    free = free_of[taken] = free_colors(taken, k)
+                moves += [(i, c) for c in free]
         if enabled:
             moves = [*zip(enabled, recolor(kind, enabled, preds, colors, k, None))]
         terminal_orbits += not moves

@@ -1,4 +1,5 @@
-"""Check ``ExecutionTrace.to_json`` against ``json.dumps`` without pytest.
+"""Check ``ExecutionTrace.to_json`` against ``json.dumps``, and ``to_tsv``
+against rows rendered move by move, without pytest.
 
 The trace encoder reproduces the stdlib's ``indent=2`` layout by hand, so
 it is worth checking under every supported interpreter, including bare
@@ -7,8 +8,11 @@ ones with no test dependencies:
     PYTHONPATH=src:tests python tests/encoder_check.py [RUNS]
 
 Runs RUNS (default 2000) seeded random executions over every rule,
-policy, start and record mode, plus a zero-step run, two-digit colors and
-a graph label that needs escaping.  Exits 1 on the first mismatch.
+policy, start and record mode, plus fixed cases: a zero-step run, palettes
+larger than the graph, process ids of two and three digits under ``sync``,
+``dist`` and ``lcmax`` with full records, a scripted step that activates
+nobody, and a graph label that needs escaping.  Exits 1 on the first
+mismatch.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from unicolor import (
     Configuration,
     EngineStepError,
     SchedulerPolicy,
+    Script,
     bidirectional_clique,
     chain,
     parse_graph_text,
@@ -30,7 +35,7 @@ from unicolor import (
     run,
 )
 
-from helpers import reference_trace_dict
+from helpers import reference_trace_dict, reference_tsv
 
 POLICIES = [
     SchedulerPolicy.synchronous(),
@@ -57,9 +62,22 @@ def random_case(rng: random.Random):
 
 
 def fixed_cases():
-    lc1 = POLICIES[2]
+    sync, dist, lc1, lcmax = POLICIES
     yield ring(3), AlgorithmSpec.deterministic(3), lc1, Configuration((0, 1, 2), 3), None, "full"
-    yield bidirectional_clique(11), AlgorithmSpec.deterministic(12), POLICIES[3], Configuration.uniform(11, 0, 12), None, "full"
+    yield bidirectional_clique(11), AlgorithmSpec.deterministic(12), lcmax, Configuration.uniform(11, 0, 12), None, "full"
+    # A palette larger than the graph: colors outnumber process ids.
+    yield ring(4), AlgorithmSpec.deterministic(15), lc1, Configuration((14, 14, 3, 9), 15), None, "full"
+    yield chain(3), AlgorithmSpec.probabilistic(40), sync, Configuration.uniform(3, 37, 40), None, "moves"
+    # Multi-digit process ids, every one moving at once, and a full record.
+    yield ring(250), AlgorithmSpec.deterministic(3), sync, Configuration.uniform(250, 0, 3), 4, "moves"
+    yield ring(120), AlgorithmSpec.deterministic(3), sync, Configuration.uniform(120, 2, 3), 3, "full"
+    big = random_digraph(120, 4, 11)
+    start = random.Random(5)
+    yield big, AlgorithmSpec.probabilistic(5), dist, Configuration.random(120, 5, start), None, "full"
+    yield big, AlgorithmSpec.probabilistic(6), lcmax, Configuration.random(120, 6, start), None, "moves"
+    # A scripted step that activates nobody: empty arrays.
+    empty = SchedulerPolicy.scripted(Script(steps=((), (1,))))
+    yield ring(3), AlgorithmSpec.deterministic(3), empty, Configuration.uniform(3, 0, 3), None, "full"
     label = 'file:a "quoted" \\ graph ß☃.txt'
     yield parse_graph_text("3\n0 1\n1 2\n2 0\n", label=label), AlgorithmSpec.deterministic(3), lc1, Configuration.uniform(3, 0, 3), None, "moves"
 
@@ -78,8 +96,11 @@ def main(argv: list[str]) -> int:
         if trace.to_json() != want:
             print(f"case {index}: to_json differs from json.dumps ({graph.label}, {policy.name}, {record})")
             return 1
+        if trace.to_tsv() != reference_tsv(trace):
+            print(f"case {index}: to_tsv differs from the per-move rows ({graph.label}, {policy.name}, {record})")
+            return 1
         checked += 1
-    print(f"{checked} traces byte-identical to json.dumps on Python {sys.version.split()[0]}")
+    print(f"{checked} traces byte-identical to json.dumps and the reference TSV on Python {sys.version.split()[0]}")
     return 0
 
 

@@ -83,6 +83,16 @@ class TestRun:
         assert proc.stdout == ""
         assert proc.stderr == "error: max_steps must be >= 0, got -5\n"
 
+    @pytest.mark.parametrize("text, bad", [("7\n", "step 0: process 7"), ("-1\n", "step 0: process -1"),
+                                           ("1\n0 5\n", "step 1: process 5")])
+    def test_script_process_out_of_range_is_a_usage_error(self, text, bad, tmp_path):
+        script = tmp_path / "bad.script"
+        script.write_text(text)
+        proc = run_cli_process(["run", "--graph", "ring:5", "--k", "3", "--sched", f"script:{script}"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: script {bad} outside 0..4 of a 5-process graph\n"
+
     def test_usage_error_bad_graph(self, capsys):
         code, _, err = run_cli(["run", "--graph", "torus:5", "--k", "3"], capsys)
         assert code == 2
@@ -442,6 +452,11 @@ GOLDEN_RUNS = {
     "k12-full": (["--graph", "clique:11", "--k", "12", "--sched", "lcmax", "--seed", "2", "--trace", "full"],
                  "43d0fa4993b61a58cdc8b373f371cf9726bb83481844efd2af4ccac3a11a6382",
                  "4e13380bf00e475fe7d7e094239de5da9a57fae75bf8457766412952e23d6f7e"),
+    # The benchmark's sync artifact: 120,000 moves with ids up to 1999,
+    # recorded while each move was still rendered by its own f-string.
+    "sync-ring-2000": (["--graph", "ring:2000", "--k", "3", "--sched", "sync", "--max-steps", "60"],
+                       "1192a5556a5365af300588df60c5db90db8fbe45441aadee45b0479e94886b98",
+                       "787e655ce138780e3c1d50f3e9fcabd5d0357b769dddec2df7c40e227f9f2107"),
 }
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from unicolor import core
 from unicolor import (
     Configuration,
     EnabledTracker,
@@ -22,6 +23,7 @@ from helpers import (
     oracle_conflict_pairs,
     oracle_enabled_set,
     oracle_legitimate,
+    random_arcs,
     random_instance,
     reference_random_digraph_arcs,
 )
@@ -238,14 +240,67 @@ class TestEnabledTracker:
         graph, cfg = random_instance(rng)
         colors = list(cfg.colors)
         tracker = EnabledTracker(graph, colors)
+        members = tracker.members
         for batch in batches:
             movers = sorted({i % graph.n for i in batch})
             for i in movers:
                 colors[i] = rng.randrange(cfg.k)
             tracker.refresh(movers)
             expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
-            assert tracker.members == expected
+            assert tracker.members is members
+            assert members == expected
             assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ring", "clique", "random", "arcs"]),
+           st.integers(2, 64), st.integers(1, 12))
+    def test_refresh_after_sync_sized_batches(self, seed, shape, n, rounds):
+        # Every enabled process moves at once, as under ``sync``, to an
+        # arbitrary color.  On cliques and dense arc sets the movers share
+        # successors, so one process is touched by several movers.
+        rng = random.Random(seed)
+        if shape == "ring":
+            graph = ring(n)
+        elif shape == "clique":
+            graph = bidirectional_clique(min(n, 12))
+        elif shape == "random":
+            graph = random_digraph(n, rng.randint(1, 6), seed)
+        else:
+            graph = build_graph(n, random_arcs(rng, n))
+        k = rng.randint(2, 5)
+        colors = [rng.randrange(k) for _ in range(graph.n)]
+        tracker = EnabledTracker(graph, colors)
+        members = tracker.members
+        for _ in range(rounds):
+            movers = list(members) or sorted(rng.sample(range(graph.n), rng.randint(1, graph.n)))
+            for i in movers:
+                colors[i] = rng.randrange(k)
+            tracker.refresh(movers)
+            expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
+            assert tracker.members is members
+            assert members == expected
+            assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+
+    @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
+    def test_each_touched_process_rechecked_once(self, graph, monkeypatch):
+        # A sync step on a uniform start moves every process; each is a
+        # mover and, except a chain's sink, the successor of another mover.
+        calls = []
+        guard = core.process_enabled
+
+        def counting(preds_i, colors, i):
+            calls.append(i)
+            return guard(preds_i, colors, i)
+
+        colors = [0] * graph.n
+        tracker = EnabledTracker(graph, colors)
+        movers = tuple(tracker.members)
+        monkeypatch.setattr(core, "process_enabled", counting)
+        for i in movers:
+            colors[i] = 1
+        tracker.refresh(movers)
+        touched = set(movers).union(*(graph.succs[i] for i in movers))
+        assert sorted(calls) == sorted(touched)
+        assert tracker.members == sorted(oracle_enabled_set(list(graph.arcs), colors))
 
     def test_length_checked(self):
         with pytest.raises(ValueError, match="2 colors for a 3-process graph"):

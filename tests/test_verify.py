@@ -252,8 +252,8 @@ class _Pick:
     def __init__(self, index):
         self.index = index
 
-    def randrange(self, size):
-        return self.index % size
+    def choice(self, candidates):
+        return candidates[self.index % len(candidates)]
 
 
 class TestPaletteRotation:
