@@ -231,6 +231,15 @@ class TestInvariants:
         assert g.max_degree == max(g.degrees)
 
 
+def assert_tracks(tracker, members, graph, colors) -> None:
+    """``tracker`` holds the enabled set of ``colors`` in the list object
+    ``members`` it started with, and flags exactly those processes."""
+    expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
+    assert tracker.members is members
+    assert members == expected
+    assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+
+
 class TestEnabledTracker:
     @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
     def test_refresh_matches_full_scan(self, seed, batches):
@@ -246,10 +255,7 @@ class TestEnabledTracker:
             for i in movers:
                 colors[i] = rng.randrange(cfg.k)
             tracker.refresh(movers)
-            expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
-            assert tracker.members is members
-            assert members == expected
-            assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+            assert_tracks(tracker, members, graph, colors)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["ring", "clique", "random", "arcs"]),
            st.integers(2, 64), st.integers(1, 12))
@@ -275,15 +281,13 @@ class TestEnabledTracker:
             for i in movers:
                 colors[i] = rng.randrange(k)
             tracker.refresh(movers)
-            expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
-            assert tracker.members is members
-            assert members == expected
-            assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+            assert_tracks(tracker, members, graph, colors)
 
     @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
     def test_each_touched_process_rechecked_once(self, graph, monkeypatch):
-        # A sync step on a uniform start moves every process; each is a
-        # mover and, except a chain's sink, the successor of another mover.
+        # A sync step from a uniform start moves every enabled process; on
+        # the ring and the clique each mover is also another mover's
+        # successor, and on the clique the successor of every other mover.
         calls = []
         guard = core.process_enabled
 
