@@ -30,10 +30,11 @@ class SchedulerKind(Enum):
 
 
 class ScriptViolationError(RuntimeError):
-    """A scripted activation was disabled or clashed with a neighbor."""
+    """A scripted activation was disabled or clashed with a neighbor.  The
+    step is ``step_index``; the engine's ``EngineStepError`` names it."""
 
     def __init__(self, step_index: int, message: str):
-        super().__init__(f"script step {step_index}: {message}")
+        super().__init__(f"script: {message}")
         self.step_index = step_index
 
 

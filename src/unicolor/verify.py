@@ -25,19 +25,26 @@ adds ``(new - old) * k**i`` to the code, and a move of process ``n-1`` to
 ``s`` also rotates the new colors by ``-s``, so no ``Configuration`` is
 built per state.  Edges are stored as compressed rows: the edges of
 representative ``c`` are ``offsets[c]:offsets[c + 1]`` in ``targets``
-(the successor representatives), ``masks`` (the activated processes as a
-bitmask) and ``shifts`` (the rotation back to the concrete successor).
+(the successors' representatives) and ``masks`` (the activated processes
+as a bitmask).  An edge keeps no record of the rotation it applies.
 
-Reports are the ones the full k^n walk gives.  Counts of terminal
-configurations are k times the orbit counts; ``configurations_checked``
-and the cap stay on k^n.  Longest paths and escape distances are the same
-across an orbit, and the first code of any rotation-closed set is a
-representative, so every argmax is one.  Rotation keeps the order of a
-row, so schedules read off the representatives are the concrete ones.
-The deterministic search tracks concrete configurations on its stack and
-skips a successor whose orbit is finished: a finished orbit-mate proves
-the subtree acyclic, so the full walk would find no cycle there and
-reaches the same first cycle.
+Both searches run on this orbit graph, and their reports are the ones the
+full k^n walk gives.  Counts of terminal configurations are k times the
+orbit counts; ``configurations_checked`` and the cap stay on k^n.  Longest
+paths and escape distances are the same across an orbit, and the first
+code of any rotation-closed set is a representative, so every argmax is
+one.  Rotation keeps the order of a row, so schedules read off the
+representatives are the concrete ones.  The orbit graph has a cycle iff
+the concrete one has: a cycle of orbits whose schedule rotates its start
+by ``r`` closes a concrete cycle when followed ``k / gcd(k, r)`` times.
+The deterministic search is a plain DFS over orbits, and rotation matters
+only once it meets an orbit already on its stack: :func:`_cycle_witness`
+replays the path to that orbit from the root's representative, reads the
+cycle's start and ``r`` off the trace, and repeats the cycle's schedule.
+That is the cycle the full walk reports: when it re-enters an orbit on
+its stack in a rotated configuration, every edge before the one on its
+path leads to a finished orbit, so it follows the same edges round after
+round until the rotation cancels.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
+from math import gcd
 
 from .core import Configuration, DirectedGraph, process_enabled
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, recolor
@@ -95,11 +103,11 @@ class VerificationReport:
     terminal_equals_legitimate: bool
 
 
-def _decode(code: int, n: int, k: int, shift: int = 0) -> tuple[int, ...]:
-    """The colors of ``code``, each rotated by ``shift``."""
+def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
+    """The colors of ``code``."""
     colors = []
     for _ in range(n):
-        colors.append((code + shift) % k)
+        colors.append(code % k)
         code //= k
     return tuple(colors)
 
@@ -119,12 +127,11 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     ``combinations`` order by size.  Rows exist for the representatives
     only, codes ``0 .. k**(n-1) - 1``.  An edge that moves process ``n-1``
     to color ``s`` lands on a configuration whose top digit is ``s``: it
-    stores that configuration rotated by ``-s`` and the shift ``s``, so the
-    concrete successor is ``targets[e]`` rotated by ``shifts[e]``.  A row is
-    empty iff no process is enabled, which is also iff the configuration is
+    stores that configuration rotated by ``-s``, its representative.  A row
+    is empty iff no process is enabled, which is also iff the configuration is
     legitimate (an arc joining equal colors makes its head enabled); for
     the probabilistic rule that needs ``k > max_degree``, which its caller
-    checks.  Returns the rows ``offsets, targets, masks, shifts`` and
+    checks.  Returns the rows ``offsets, targets, masks`` and
     ``report(worst_moves, divergence, worst_witness=None)``, which fills a
     :class:`VerificationReport` with the counts taken here.
     """
@@ -141,7 +148,6 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
     deterministic = kind is AlgorithmKind.DETERMINISTIC
     subsets = policy_class is PolicyClass.ALL_DISTRIBUTED_SUBSETS
     offsets, targets, masks = array("q", [0]), array("q"), array("q")
-    shifts = array("B" if k <= 256 else "q")
     terminal_orbits = 0
     # The probabilistic rule's free colors depend only on the set of colors
     # the predecessors hold, so they are computed once per such set.
@@ -172,10 +178,8 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
                 masks.append(1 << i)
                 if i == top:
                     targets.append(sum(((colors[j] - c) % k) * weights[j] for j in range(top)))
-                    shifts.append(c)
                 else:
                     targets.append(code + (c - colors[i]) * weights[i])
-                    shifts.append(0)
         elif moves:
             # One deterministic move per process, so process n-1, if it
             # moves, comes last; a set holding it lands on ``rotated`` plus
@@ -191,12 +195,7 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
                     bits, deltas, rotated_deltas = zip(*choice)
                     mask = sum(bits)
                     masks.append(mask)
-                    if mask & top_bit:
-                        targets.append(rotated + sum(rotated_deltas))
-                        shifts.append(s)
-                    else:
-                        targets.append(code + sum(deltas))
-                        shifts.append(0)
+                    targets.append(rotated + sum(rotated_deltas) if mask & top_bit else code + sum(deltas))
         offsets.append(len(targets))
 
     def report(worst_moves, divergence, worst_witness=None) -> VerificationReport:
@@ -214,7 +213,25 @@ def _transitions(graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class
             terminal_equals_legitimate=True,
         )
 
-    return offsets, targets, masks, shifts, report
+    return offsets, targets, masks, report
+
+
+def _cycle_witness(
+    graph: DirectedGraph, k: int, root: int, schedule: tuple[tuple[int, ...], ...], start: int
+) -> DivergenceWitness:
+    """Lift a cycle of orbits to a cycle of configurations.
+
+    ``schedule`` leads from representative ``root`` along the search stack
+    and back into the orbit at stack position ``start``.  Replayed, it
+    reaches that orbit twice: first at the cycle's start, then at the start
+    rotated by some ``r``.  Both rules commute with the rotation, so the
+    cycle's schedule, repeated ``k / gcd(k, r)`` times, returns to the start.
+    """
+    probe = DivergenceWitness(initial=_decode(root, graph.n, k), schedule=schedule, note="")
+    trace = replay_witness(graph, AlgorithmSpec.deterministic(k), probe)
+    initial = trace.steps[start - 1].config_after if start else trace.initial
+    rounds = k // gcd(k, trace.final[0] - initial[0])
+    return DivergenceWitness(initial=initial, schedule=schedule[start:] * rounds, note="configuration cycle")
 
 
 def verify_deterministic(
@@ -235,15 +252,14 @@ def verify_deterministic(
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    offsets, targets, masks, shifts, report = _transitions(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
+    offsets, targets, masks, report = _transitions(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
     orbits, n = len(offsets) - 1, graph.n
 
-    # DFS with cycle detection; on the acyclic side, longest-path memo.
-    # The stack holds concrete configurations, each a representative and a
-    # shift, keyed ``rep * k + shift``; a successor already on it closes a
-    # cycle.  Memo tables and ``done`` are per orbit: a finished orbit-mate
-    # proves the subtree acyclic, so its walk would find no cycle.  Paths
-    # are kept as edge indices into the rows.
+    # DFS over the orbits with cycle detection; on the acyclic side,
+    # longest-path memo.  A frame is an orbit and its next edge, so the
+    # edge it explores is that pointer minus one; a successor already on
+    # the stack closes a cycle.  Paths are kept as edge indices into the
+    # rows.
     done = bytearray(orbits)
     longest_moves = array("q", [0]) * orbits
     longest_steps = array("q", [0]) * orbits
@@ -253,32 +269,21 @@ def verify_deterministic(
     for root in range(orbits):
         if done[root]:
             continue
-        stack = [[root, 0, offsets[root]]]  # frames: orbit, shift, next edge
-        incoming = [-1]
-        pos = {root * k: 0}
+        stack = [[root, offsets[root]]]
+        pos = {root: 0}
         while stack:
             frame = stack[-1]
-            rep, shift, edge = frame
+            rep, edge = frame
             if edge < offsets[rep + 1]:
-                frame[2] += 1
+                frame[1] += 1
                 succ = targets[edge]
                 if done[succ]:
                     continue
-                succ_shift = (shift + shifts[edge]) % k
-                key = succ * k + succ_shift
-                if key in pos:
-                    schedule = tuple(
-                        _processes(masks[e], n) for e in incoming[pos[key] + 1:] + [edge]
-                    )
-                    witness = DivergenceWitness(
-                        initial=_decode(succ, n, k, succ_shift),
-                        schedule=schedule,
-                        note="configuration cycle",
-                    )
-                    return report(None, witness)
-                pos[key] = len(stack)
-                stack.append([succ, succ_shift, offsets[succ]])
-                incoming.append(edge)
+                if succ in pos:
+                    schedule = tuple(_processes(masks[e - 1], n) for _, e in stack)
+                    return report(None, _cycle_witness(graph, k, root, schedule, pos[succ]))
+                pos[succ] = len(stack)
+                stack.append([succ, offsets[succ]])
             else:
                 best_m, best_s = 0, 0
                 for e in range(offsets[rep], offsets[rep + 1]):
@@ -293,9 +298,8 @@ def verify_deterministic(
                 longest_moves[rep] = best_m
                 longest_steps[rep] = best_s
                 done[rep] = 1
-                del pos[rep * k + shift]
+                del pos[rep]
                 stack.pop()
-                incoming.pop()
 
     def follow(rep: int, best_edge: array) -> tuple[tuple[int, ...], ...]:
         schedule = []
@@ -347,7 +351,8 @@ def verify_probabilistic_support(
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     _check_prob_headroom(graph, k)
     lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
-    offsets, targets, _, _, report = _transitions(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
+    offsets, targets, masks, report = _transitions(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
+    del masks  # unused here, and freed before the reverse rows are built
     orbits, n = len(offsets) - 1, graph.n
 
     # Reverse rows by counting sort: the predecessors of orbit c are

@@ -93,6 +93,14 @@ class TestRun:
         assert proc.stdout == ""
         assert proc.stderr == f"error: script {bad} outside 0..4 of a 5-process graph\n"
 
+    def test_script_violation_names_its_step_once(self, tmp_path):
+        script = tmp_path / "clash.script"
+        script.write_text("0 1\n")
+        proc = run_cli_process(["run", "--graph", "ring:5", "--k", "3", "--sched", f"script:{script}"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: step 0: script: processes 0 and 1 are neighbors\n"
+
     def test_usage_error_bad_graph(self, capsys):
         code, _, err = run_cli(["run", "--graph", "torus:5", "--k", "3"], capsys)
         assert code == 2

@@ -28,6 +28,7 @@ from unicolor import (
 )
 from unicolor import engine
 
+import encoder_check
 from helpers import apply_moves, random_instance, reference_run, reference_trace_dict, reference_tsv, with_colors
 
 LC1 = SchedulerPolicy.locally_central_single()
@@ -409,3 +410,18 @@ class TestTraceTsv:
         assert (rec.activated, rec.old_colors, rec.new_colors) == ((1, 3), (0, 1), (1, 2))
         assert rec.moves == (Move(1, 0, 1), Move(3, 1, 2))
         assert trace.to_tsv().splitlines()[1:3] == ["0\t1\t0\t1", "0\t3\t1\t2"]
+
+
+@pytest.mark.parametrize(
+    "index, case",
+    [pytest.param(i, case, id=f"{i}-{case[2].name}-{case[5]}") for i, case in enumerate(encoder_check.fixed_cases())],
+)
+def test_encoder_fixed_cases(index, case):
+    """The fixed cases of ``tests/encoder_check.py``, which the strategies
+    above do not reach: palettes larger than the graph, three-digit process
+    ids under ``sync``, ``dist`` and ``lcmax`` with full records, a scripted
+    step that activates nobody and a label that needs escaping."""
+    graph, algo, policy, initial, max_steps, record = case
+    trace = run(graph, algo, policy, initial, max_steps=max_steps, seed=index, record=record)
+    assert trace.to_json() == stdlib_json(trace)
+    assert trace.to_tsv() == reference_tsv(trace)

@@ -131,8 +131,9 @@ class TestScripted:
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)  # source (2) is never enabled
         policy = SchedulerPolicy.scripted(Script(steps=((2,),)))
-        with pytest.raises(ScriptViolationError, match="step 0"):
+        with pytest.raises(ScriptViolationError, match="^script: process 2 is not enabled$") as err:
             pick(policy, g, cfg, random.Random(0), step_index=0)
+        assert err.value.step_index == 0
 
     def test_neighbor_clash_flagged(self):
         g = chain(3)

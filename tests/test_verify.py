@@ -148,40 +148,44 @@ class TestProbabilisticSupport:
 class TestTransitions:
     @staticmethod
     def first_row(graph, kind, k, policy_class):
-        """Row 0 with each target lifted back to its concrete code."""
-        n = graph.n
-        offsets, targets, masks, shifts, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
-        assert len(offsets) == k ** (n - 1) + 1  # one row per representative
+        """Row 0: the target and the mask of each edge."""
+        offsets, targets, masks, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
+        assert len(offsets) == k ** (graph.n - 1) + 1  # one row per representative
         row = range(offsets[0], offsets[1])
-        assert all(targets[e] < k ** (n - 1) for e in row)
-        lifted = [
-            sum((targets[e] // k**i + shifts[e]) % k * k**i for i in range(n)) for e in row
-        ]
-        return lifted, [masks[e] for e in row]
+        return [targets[e] for e in row], [masks[e] for e in row]
+
+    @staticmethod
+    def representatives(codes, n, k):
+        """Each concrete code rotated until process n-1 holds color 0."""
+        return [sum((code // k**i - code // k ** (n - 1)) % k * k**i for i in range(n)) for code in codes]
 
     def test_rows_of_uniform_ring(self):
         # Code 0 is the all-0 ring: every process moves to color 1, which
-        # adds k**i to the code.  Process 2's move is stored as its
-        # rotation by -1, (2, 2, 0), with shift 1.
-        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1) == ([1, 3, 9], [1, 2, 4])
+        # adds k**i to the code.
+        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1) == (
+            self.representatives([1, 3, 9], 3, 3),
+            [1, 2, 4],
+        )
 
     def test_move_of_the_top_process_is_stored_rotated(self):
-        offsets, targets, _, shifts, _ = _transitions(
-            ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1, cap=10**6
-        )
-        assert list(targets[offsets[0]:offsets[1]]) == [1, 3, 8]
-        assert list(shifts[offsets[0]:offsets[1]]) == [0, 0, 1]
+        # Process 2's move to color 1 lands on (0, 0, 1), stored as its
+        # rotation by -1, (2, 2, 0).
+        targets, _ = self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1)
+        assert targets == [1, 3, 8]
 
     def test_subset_rows_in_combinations_order(self):
         assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, SUBSETS) == (
-            [1, 3, 9, 4, 10, 12, 13],
+            self.representatives([1, 3, 9, 4, 10, 12, 13], 3, 3),
             [1, 2, 4, 3, 5, 6, 7],
         )
 
     def test_probabilistic_rows_hold_every_free_color(self):
         # Code 0 of chain:2: process 0 reads process 1, both hold 0, so
         # process 0 may take color 1 or 2.
-        assert self.first_row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1) == ([1, 2], [1, 1])
+        assert self.first_row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1) == (
+            self.representatives([1, 2], 2, 3),
+            [1, 1],
+        )
 
 
 @st.composite
@@ -302,13 +306,32 @@ class TestOrbitReportsByteIdentical:
     """Instances past the hypothesis sizes, with process n-1 placed away
     from the ring and chain order."""
 
-    @pytest.mark.parametrize("kind", ["ring", "chain"])
-    @pytest.mark.parametrize("policy_class", [LC1, SUBSETS])
-    def test_deterministic(self, kind, policy_class):
-        graph = relabeled(kind, 5, (3, 0, 4, 1, 2))
-        assert report_bytes(verify_deterministic(graph, 5, policy_class)) == report_bytes(
-            reference_verify_deterministic(graph, 5, policy_class)
-        )
+    @pytest.mark.parametrize(
+        "graph, k, policy_class",
+        [
+            pytest.param(
+                relabeled(kind, 5, (3, 0, 4, 1, 2)), 5, policy_class, id=f"{kind}5-relabeled-{policy_class.value}"
+            )
+            for kind in ("ring", "chain")
+            for policy_class in (LC1, SUBSETS)
+        ]
+        + [
+            # Divergence witnesses that follow their cycle of orbits for
+            # several rounds before the rotation cancels: 4 and 5 rounds
+            # under lc1, and a rotation of 0 (one round) on the clique.
+            pytest.param(ring(5), 4, LC1, id="ring5-k4-lc1"),
+            pytest.param(ring(6), 5, LC1, id="ring6-k5-lc1"),
+            pytest.param(ring(5), 4, SUBSETS, id="ring5-k4-subsets"),
+            pytest.param(bidirectional_clique(4), 4, SUBSETS, id="clique4-k4-subsets"),
+        ],
+    )
+    def test_deterministic(self, graph, k, policy_class):
+        report = verify_deterministic(graph, k, policy_class)
+        assert report_bytes(report) == report_bytes(reference_verify_deterministic(graph, k, policy_class))
+        witness = report.witness_divergence
+        if witness is not None:
+            trace = replay_witness(graph, AlgorithmSpec.deterministic(k), witness)
+            assert trace.final == witness.initial
 
     @pytest.mark.parametrize("graph, k", [(relabeled("ring", 5, (3, 0, 4, 1, 2)), 5), (ring(7), 3)])
     def test_probabilistic(self, graph, k):
@@ -316,8 +339,8 @@ class TestOrbitReportsByteIdentical:
             reference_verify_probabilistic_support(graph, k)
         )
 
-    def test_wide_palette_shifts(self):
-        # k > 256 needs shifts wider than a byte.
+    def test_wide_palette(self):
+        # Colors past 255, so no row or table may hold them in a byte.
         report = verify_deterministic(ring(2), 300, LC1)
         assert report.all_converge
         assert report.terminal_count == report.legitimate_count == 300 * 299
