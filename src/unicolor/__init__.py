@@ -13,7 +13,6 @@ from .core import (
     bidirectional_clique,
     build_graph,
     chain,
-    enabled_set,
     is_legitimate,
     parse_graph_text,
     random_digraph,

@@ -396,10 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, GraphConstructionError) as exc:
+    except (UsageError, OSError, GraphConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

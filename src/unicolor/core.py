@@ -247,12 +247,6 @@ def process_enabled(preds_i, colors, i: int) -> bool:
     return False
 
 
-def enabled_set(graph: DirectedGraph, config: Configuration) -> tuple[int, ...]:
-    """All enabled processes, ascending: the :class:`EnabledTracker`'s full
-    O(n) scan, for callers outside a loop that keeps a tracker."""
-    return tuple(EnabledTracker(graph, list(config.colors)).members)
-
-
 class EnabledTracker:
     """The enabled set of a color list that changes a few processes at a time.
 
@@ -262,8 +256,7 @@ class EnabledTracker:
     successors, so only those are rechecked, each once per step however
     many movers touch it: O(in-degree) per recheck plus a bisected list
     update when a flag flips.  ``members`` holds the enabled
-    processes in ascending order, the sequence :func:`enabled_set` returns;
-    ``flags[i]`` is 1 iff ``i`` is enabled.
+    processes in ascending order; ``flags[i]`` is 1 iff ``i`` is enabled.
     """
 
     __slots__ = ("preds", "succs", "colors", "flags", "members")

@@ -73,9 +73,6 @@ class Script:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def to_text(self) -> str:
-        return "".join(" ".join(str(i) for i in step) + "\n" for step in self.steps)
-
 
 @dataclass(frozen=True)
 class SchedulerPolicy:

@@ -8,7 +8,11 @@ memoized longest path; the probabilistic check certifies the structural
 precondition for probability-1 convergence (some scheduler-and-random
 outcome path reaches a terminal configuration from everywhere; the
 terminal configurations are exactly the legitimate ones, since an arc
-joining equal colors is what enables its head).
+joining equal colors is what enables its head) and measures the worst
+shortest escape.  With ``k > max_degree``, which that check requires, the
+verdict always holds: an enabled process can move to a color no neighbour
+holds, which disables it and enables nobody, so every escape is at most n
+moves.  Its information is the escape length.
 
 Both checks run on one builder, :func:`_transitions`.  A configuration is
 its base-k code ``sum(colors[i] * k**i)``, process 0 being the lowest
@@ -28,29 +32,38 @@ representative ``c`` are ``offsets[c]:offsets[c + 1]`` in ``targets``
 (the successors' representatives) and ``masks`` (the activated processes
 as a bitmask).  An edge keeps no record of the rotation it applies.
 
-Both searches run on this orbit graph, and their reports are the ones the
-full k^n walk gives.  Counts of terminal configurations are k times the
-orbit counts; ``configurations_checked`` and the cap stay on k^n.  Longest
-paths and escape distances are the same across an orbit, and the first
-code of any rotation-closed set is a representative, so every argmax is
-one.  Rotation keeps the order of a row, so schedules read off the
-representatives are the concrete ones.  The orbit graph has a cycle iff
-the concrete one has: a cycle of orbits whose schedule rotates its start
-by ``r`` closes a concrete cycle when followed ``k / gcd(k, r)`` times.
-The deterministic search is a plain DFS over orbits, and rotation matters
-only once it meets an orbit already on its stack: :func:`_cycle_witness`
-replays the path to that orbit from the root's representative, reads the
-cycle's start and ``r`` off the trace, and repeats the cycle's schedule.
-That is the cycle the full walk reports: when it re-enters an orbit on
-its stack in a rotated configuration, every edge before the one on its
-path leads to a finished orbit, so it follows the same edges round after
-round until the rotation cancels.
+Both searches run on these forward rows and keep one value per orbit;
+their reports are the ones the full k^n walk gives.  Counts of terminal
+configurations are k times the orbit counts; ``configurations_checked``
+and the cap stay on k^n.  Longest paths and escape distances are the same
+across an orbit, and the first code of any rotation-closed set is a
+representative, so every argmax is one.  Rotation keeps the order of a
+row, so schedules read off the representatives are the concrete ones.
+
+The probabilistic search computes escape distances one layer at a time:
+layer 0 is the empty rows, and an unresolved orbit is at distance d once
+one of its targets is at d - 1.  Since every escape is at most n, the
+sweep takes at most n rounds after layer 0.
+
+The deterministic search is a DFS over orbits that keeps the longest move
+and step counts of each finished orbit.  A witness is re-read from those
+values: at each orbit it takes the first edge whose cost (the moves of
+the edge, or 1 step) plus its target's value is the orbit's own value.
+The orbit graph has a cycle iff the concrete one has: a cycle of orbits
+whose schedule rotates its start by ``r`` closes a concrete cycle when
+followed ``k / gcd(k, r)`` times.  Rotation matters only once the search
+meets an orbit already on its stack: :func:`_cycle_witness` replays the
+path to that orbit from the root's representative, reads the cycle's
+start and ``r`` off the trace, and repeats the cycle's schedule.  That is
+the cycle the full walk reports: when it re-enters an orbit on its stack
+in a rotated configuration, every edge before the one on its path leads to
+a finished orbit, so it follows the same edges round after round until the
+rotation cancels.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
@@ -248,7 +261,10 @@ def verify_deterministic(
     the acyclic side the exact worst-case move count is the longest move
     path, with a schedule witnessing it; on a cycle the report
     short-circuits to a divergence witness whose replay revisits a
-    configuration.
+    configuration.  The search stores only the longest move and step
+    counts per orbit; the worst-case and ``max_depth`` schedules are
+    re-read from them, one edge per orbit, so they are the paths whose
+    every edge is the first to reach its orbit's value.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -257,32 +273,31 @@ def verify_deterministic(
 
     # DFS over the orbits with cycle detection; on the acyclic side,
     # longest-path memo.  A frame is an orbit and its next edge, so the
-    # edge it explores is that pointer minus one; a successor already on
-    # the stack closes a cycle.  Paths are kept as edge indices into the
-    # rows.
-    done = bytearray(orbits)
+    # edge it explores is that pointer minus one.  ``marks`` is 1 while an
+    # orbit is on the stack and 2 once it is done; a successor marked 1
+    # closes a cycle.
+    marks = bytearray(orbits)
     longest_moves = array("q", [0]) * orbits
     longest_steps = array("q", [0]) * orbits
-    best_move_edge = array("q", [-1]) * orbits
-    best_step_edge = array("q", [-1]) * orbits
 
     for root in range(orbits):
-        if done[root]:
+        if marks[root]:
             continue
+        marks[root] = 1
         stack = [[root, offsets[root]]]
-        pos = {root: 0}
         while stack:
             frame = stack[-1]
             rep, edge = frame
             if edge < offsets[rep + 1]:
                 frame[1] += 1
                 succ = targets[edge]
-                if done[succ]:
+                if marks[succ] == 2:
                     continue
-                if succ in pos:
+                if marks[succ]:
                     schedule = tuple(_processes(masks[e - 1], n) for _, e in stack)
-                    return report(None, _cycle_witness(graph, k, root, schedule, pos[succ]))
-                pos[succ] = len(stack)
+                    start = [r for r, _ in stack].index(succ)
+                    return report(None, _cycle_witness(graph, k, root, schedule, start))
+                marks[succ] = 1
                 stack.append([succ, offsets[succ]])
             else:
                 best_m, best_s = 0, 0
@@ -291,20 +306,21 @@ def verify_deterministic(
                     s = 1 + longest_steps[targets[e]]
                     if m > best_m:
                         best_m = m
-                        best_move_edge[rep] = e
                     if s > best_s:
                         best_s = s
-                        best_step_edge[rep] = e
                 longest_moves[rep] = best_m
                 longest_steps[rep] = best_s
-                done[rep] = 1
-                del pos[rep]
+                marks[rep] = 2
                 stack.pop()
 
-    def follow(rep: int, best_edge: array) -> tuple[tuple[int, ...], ...]:
+    def follow(rep: int, longest: array, cost) -> tuple[tuple[int, ...], ...]:
+        """The path that realises ``longest[rep]``: at each orbit, the first
+        edge whose cost plus its target's value is the orbit's value."""
         schedule = []
-        while best_edge[rep] >= 0:
-            edge = best_edge[rep]
+        while longest[rep]:
+            for edge in range(offsets[rep], offsets[rep + 1]):
+                if cost(masks[edge]) + longest[targets[edge]] == longest[rep]:
+                    break
             schedule.append(_processes(masks[edge], n))
             rep = targets[edge]
         return tuple(schedule)
@@ -315,7 +331,7 @@ def verify_deterministic(
     argmax = longest_moves.index(worst)
     worst_witness = WorstCaseWitness(
         initial=_decode(argmax, n, k),
-        schedule=follow(argmax, best_move_edge),
+        schedule=follow(argmax, longest_moves, int.bit_count),
         moves=worst,
     )
 
@@ -325,7 +341,7 @@ def verify_deterministic(
         deep_code = longest_steps.index(deepest)
         witness = DivergenceWitness(
             initial=_decode(deep_code, n, k),
-            schedule=follow(deep_code, best_step_edge)[:max_depth],
+            schedule=follow(deep_code, longest_steps, lambda mask: 1)[:max_depth],
             note=f"path of {deepest} steps exceeds max_depth {max_depth}",
         )
     return report(worst, witness, worst_witness)
@@ -345,49 +361,48 @@ def verify_probabilistic_support(
     ``worst_case_moves`` here is the worst-case shortest escape: the
     largest, over configurations, of the fewest moves that can reach a
     terminal configuration.  Distances are the same for every member of an
-    orbit, so the search runs over the representatives.
+    orbit, so the search runs over the representatives, in layers over
+    their forward rows.  With ``k > max_degree`` an enabled process can
+    take a color no neighbour holds, leaving one process fewer enabled, so
+    every escape is at most n moves and the sweep takes at most n rounds
+    after layer 0; the "no path" witness is kept as the check's own
+    verdict.
     """
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     _check_prob_headroom(graph, k)
     lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
     offsets, targets, masks, report = _transitions(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
-    del masks  # unused here, and freed before the reverse rows are built
+    del masks  # unused here
     orbits, n = len(offsets) - 1, graph.n
 
-    # Reverse rows by counting sort: the predecessors of orbit c are
-    # sources[starts[c]:starts[c + 1]].
-    starts = array("q", [0]) * (orbits + 1)
-    for succ in targets:
-        starts[succ + 1] += 1
-    for rep in range(orbits):
-        starts[rep + 1] += starts[rep]
-    fill = starts[:-1]
-    sources = array("q", [0]) * len(targets)
-    for rep in range(orbits):
-        for succ in targets[offsets[rep]:offsets[rep + 1]]:
-            sources[fill[succ]] = rep
-            fill[succ] += 1
+    # Escape distances one layer at a time over the forward rows: layer 0
+    # is the empty rows, and an unresolved orbit joins layer d + 1 once one
+    # of its targets is in layer d.  A round that resolves nothing ends the
+    # sweep; what is left has no path to a terminal configuration.
+    pending = [rep for rep in range(orbits) if offsets[rep] < offsets[rep + 1]]
+    dist = array("q", [0]) * orbits
+    for rep in pending:
+        dist[rep] = -1
+    escape = 0
+    while pending:
+        left = []
+        for rep in pending:
+            for e in range(offsets[rep], offsets[rep + 1]):
+                if dist[targets[e]] == escape:
+                    dist[rep] = escape + 1
+                    break
+            else:
+                left.append(rep)
+        if len(left) == len(pending):
+            break
+        pending = left
+        escape += 1
 
-    # Backward BFS from the terminal orbits (the empty rows).
-    dist = array("q", [-1]) * orbits
-    queue = deque()
-    for rep in range(orbits):
-        if offsets[rep] == offsets[rep + 1]:
-            dist[rep] = 0
-            queue.append(rep)
-    while queue:
-        rep = queue.popleft()
-        for prev in sources[starts[rep]:starts[rep + 1]]:
-            if dist[prev] < 0:
-                dist[prev] = dist[rep] + 1
-                queue.append(prev)
-
-    escape = max(max(dist), 0)
     witness = None
-    if -1 in dist:
+    if pending:
         witness = DivergenceWitness(
-            initial=_decode(dist.index(-1), n, k),
+            initial=_decode(pending[0], n, k),
             schedule=(),
             note="no path to a terminal configuration",
         )

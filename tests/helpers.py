@@ -31,7 +31,6 @@ from unicolor import (
     VerificationReport,
     WorstCaseWitness,
     build_graph,
-    enabled_set,
     is_legitimate,
     recolor,
     ring,
@@ -47,6 +46,12 @@ def oracle_enabled(arcs, colors, i) -> bool:
 
 def oracle_enabled_set(arcs, colors) -> set[int]:
     return {i for i in range(len(colors)) if oracle_enabled(arcs, colors, i)}
+
+
+def tracker_members(graph, config) -> tuple[int, ...]:
+    """The enabled processes of ``config``, ascending, from a fresh
+    ``EnabledTracker``: a full O(n) scan, for loops that keep no tracker."""
+    return tuple(EnabledTracker(graph, list(config.colors)).members)
 
 
 def oracle_legitimate(arcs, colors) -> bool:
@@ -124,7 +129,7 @@ def reference_random_digraph_arcs(n: int, max_degree: int, seed: int) -> list[tu
 
 
 def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="moves") -> ExecutionTrace:
-    """``engine.run`` as a full rescan per step: ``enabled_set``, then
+    """``engine.run`` as a full rescan per step: ``tracker_members``, then
     ``select_from`` on it, then ``recolor`` against a frozen
     ``Configuration`` and a fresh one built from the moves.  Argument
     checks are left to the caller; the differential tests run both on
@@ -138,7 +143,7 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
     total_steps = 0
     terminated = False
     while True:
-        enabled_now = enabled_set(graph, config)
+        enabled_now = tracker_members(graph, config)
         if not enabled_now:
             terminated = True
             break
@@ -252,7 +257,7 @@ def reference_tsv(trace: ExecutionTrace) -> str:
 
 # The exhaustive verifier as it was before the shared code-space builder:
 # each check enumerates the k^n configurations itself, through
-# ``Configuration``, ``enabled_set``, ``is_legitimate`` and ``recolor``.
+# ``Configuration``, ``tracker_members``, ``is_legitimate`` and ``recolor``.
 # Kept as the reference for the differential tests.
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
@@ -316,7 +321,7 @@ def reference_verify_deterministic(
     mismatch = False
     for code in range(total):
         config = Configuration(colors=_decode(code, n, k), k=k)
-        enabled_now = enabled_set(graph, config)
+        enabled_now = tracker_members(graph, config)
         legit = is_legitimate(graph, config)
         if legit:
             legitimate_count += 1
@@ -463,7 +468,7 @@ def reference_verify_probabilistic_support(
     mismatch = False
     for code in range(total):
         config = Configuration(colors=_decode(code, n, k), k=k)
-        enabled_now = enabled_set(graph, config)
+        enabled_now = tracker_members(graph, config)
         legit = is_legitimate(graph, config)
         if legit:
             legitimate_count += 1

@@ -17,7 +17,6 @@ from unicolor import (
     PolicyClass,
     SchedulerPolicy,
     build_graph,
-    enabled_set,
     is_legitimate,
     random_digraph,
     recolor,
@@ -30,7 +29,7 @@ from unicolor import (
 from unicolor.experiments import ExperimentConfig, InitialDistribution, run_experiment
 from unicolor.cli import main
 
-from helpers import random_instance
+from helpers import random_instance, tracker_members
 
 
 def report(num: int, ok: bool, detail: str, elapsed: float, limit: float) -> None:
@@ -153,7 +152,7 @@ def test_criterion_7_terminal_iff_legitimate():
     ok = True
     for _ in range(10_000):
         graph, cfg = random_instance(rng, max_n=8)
-        ok = ok and (not enabled_set(graph, cfg)) == is_legitimate(graph, cfg)
+        ok = ok and (not tracker_members(graph, cfg)) == is_legitimate(graph, cfg)
     policies = [
         SchedulerPolicy.locally_central_single(),
         SchedulerPolicy.locally_central_maximal(),

@@ -123,7 +123,7 @@ def _chain_script(tmp_path):
     from unicolor import chain_schedule
 
     path = tmp_path / "chain4.script"
-    path.write_text(chain_schedule(4).to_text())
+    path.write_text("".join(" ".join(map(str, step)) + "\n" for step in chain_schedule(4).steps))
     return path
 
 

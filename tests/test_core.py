@@ -12,7 +12,6 @@ from unicolor import (
     bidirectional_clique,
     build_graph,
     chain,
-    enabled_set,
     is_legitimate,
     parse_graph_text,
     random_digraph,
@@ -26,6 +25,7 @@ from helpers import (
     random_arcs,
     random_instance,
     reference_random_digraph_arcs,
+    tracker_members,
 )
 
 
@@ -153,24 +153,24 @@ class TestPredicates:
         # Derived by evaluating the guard over all three processes.
         g = ring(3)
         cfg = Configuration(colors=(0, 0, 1), k=2)
-        assert enabled_set(g, cfg) == (1,)
+        assert tracker_members(g, cfg) == (1,)
         assert oracle_enabled_set(list(g.arcs), cfg.colors) == {1}
 
     def test_distinct_colors_nobody_enabled(self):
         g = ring(3)
         cfg = Configuration(colors=(0, 1, 2), k=3)
-        assert enabled_set(g, cfg) == ()
+        assert tracker_members(g, cfg) == ()
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_uniform_ring_everyone_enabled(self, n):
         g = ring(n)
         cfg = Configuration.uniform(n, 0, 3)
-        assert enabled_set(g, cfg) == tuple(range(n))
+        assert tracker_members(g, cfg) == tuple(range(n))
 
     def test_uniform_chain_all_but_source_conflicted(self):
         n = 6
         g = chain(n)
-        assert enabled_set(g, Configuration.uniform(n, 2, 3)) == tuple(range(n - 1))
+        assert tracker_members(g, Configuration.uniform(n, 2, 3)) == tuple(range(n - 1))
 
     def test_legitimate_three_ring(self):
         g = ring(3)
@@ -191,7 +191,7 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_legitimate(ring(3), Configuration(colors=(0, 1), k=2))
         with pytest.raises(ValueError, match="2 colors for a 3-process graph"):
-            enabled_set(ring(3), Configuration(colors=(0, 1), k=2))
+            tracker_members(ring(3), Configuration(colors=(0, 1), k=2))
 
 
 class TestInvariants:
@@ -206,8 +206,8 @@ class TestInvariants:
         for _ in range(500):
             graph, cfg = random_instance(rng)
             conflicted = {i for i, _ in oracle_conflict_pairs(list(graph.arcs), cfg.colors)}
-            assert enabled_set(graph, cfg) == tuple(sorted(conflicted))
-            assert set(enabled_set(graph, cfg)) == oracle_enabled_set(list(graph.arcs), cfg.colors)
+            assert tracker_members(graph, cfg) == tuple(sorted(conflicted))
+            assert set(tracker_members(graph, cfg)) == oracle_enabled_set(list(graph.arcs), cfg.colors)
 
     @given(st.integers(2, 7), st.integers(1, 6), st.data())
     def test_legitimate_iff_nothing_enabled(self, n, k, data):
@@ -217,7 +217,7 @@ class TestInvariants:
         graph = build_graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
         colors = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         cfg = Configuration(colors=tuple(colors), k=k)
-        assert is_legitimate(graph, cfg) == (not enabled_set(graph, cfg))
+        assert is_legitimate(graph, cfg) == (not tracker_members(graph, cfg))
 
     @given(st.integers(2, 7), st.data())
     def test_degree_fields_match_set_sizes(self, n, data):

@@ -18,7 +18,6 @@ from unicolor import (
     build_graph,
     chain,
     chain_schedule,
-    enabled_set,
     is_legitimate,
     random_digraph,
     read_graph_file,
@@ -29,7 +28,15 @@ from unicolor import (
 from unicolor import engine
 
 import encoder_check
-from helpers import apply_moves, random_instance, reference_run, reference_trace_dict, reference_tsv, with_colors
+from helpers import (
+    apply_moves,
+    random_instance,
+    reference_run,
+    reference_trace_dict,
+    reference_tsv,
+    tracker_members,
+    with_colors,
+)
 
 LC1 = SchedulerPolicy.locally_central_single()
 
@@ -41,7 +48,7 @@ def start(graph, algo):
 
 def explore_all_lc1(graph, k, config, moves_so_far, results):
     """Every single-activation execution of the deterministic rule."""
-    enabled_now = enabled_set(graph, config)
+    enabled_now = tracker_members(graph, config)
     if not enabled_now:
         results.append((moves_so_far, config.colors))
         assert is_legitimate(graph, config)

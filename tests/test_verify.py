@@ -31,6 +31,20 @@ LC1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
 SUBSETS = PolicyClass.ALL_DISTRIBUTED_SUBSETS
 
 
+@st.composite
+def small_graphs(draw):
+    kind = draw(st.sampled_from(["ring", "chain", "clique", "random"]))
+    if kind == "ring":
+        return ring(draw(st.integers(2, 5)))
+    if kind == "chain":
+        return chain(draw(st.integers(2, 5)))
+    if kind == "clique":
+        return bidirectional_clique(draw(st.integers(2, 4)))
+    n = draw(st.integers(2, 5))
+    pairs = list(permutations(range(n), 2))
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+
+
 class TestDeterministic:
     def test_ring3_lc1_converges_with_exact_worst_case(self):
         report = verify_deterministic(ring(3), 3, LC1)
@@ -144,6 +158,15 @@ class TestProbabilisticSupport:
         tight = verify_probabilistic_support(ring(4), 3, max_depth=full.worst_case_moves - 1)
         assert not tight.all_converge
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_graphs(), st.integers(1, 3))
+    def test_escape_within_n_moves(self, graph, headroom):
+        # With k > max_degree an enabled process can take a color no
+        # neighbour holds, which leaves one process fewer enabled.
+        report = verify_probabilistic_support(graph, graph.max_degree + headroom)
+        assert report.all_converge
+        assert report.worst_case_moves <= graph.n
+
 
 class TestTransitions:
     @staticmethod
@@ -186,20 +209,6 @@ class TestTransitions:
             self.representatives([1, 2], 2, 3),
             [1, 1],
         )
-
-
-@st.composite
-def small_graphs(draw):
-    kind = draw(st.sampled_from(["ring", "chain", "clique", "random"]))
-    if kind == "ring":
-        return ring(draw(st.integers(2, 5)))
-    if kind == "chain":
-        return chain(draw(st.integers(2, 5)))
-    if kind == "clique":
-        return bidirectional_clique(draw(st.integers(2, 4)))
-    n = draw(st.integers(2, 5))
-    pairs = list(permutations(range(n), 2))
-    return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
 
 
 def outcome(verify, *args, **kwargs):
@@ -307,10 +316,14 @@ class TestOrbitReportsByteIdentical:
     from the ring and chain order."""
 
     @pytest.mark.parametrize(
-        "graph, k, policy_class",
+        "graph, k, policy_class, max_depth",
         [
             pytest.param(
-                relabeled(kind, 5, (3, 0, 4, 1, 2)), 5, policy_class, id=f"{kind}5-relabeled-{policy_class.value}"
+                relabeled(kind, 5, (3, 0, 4, 1, 2)),
+                5,
+                policy_class,
+                None,
+                id=f"{kind}5-relabeled-{policy_class.value}",
             )
             for kind in ("ring", "chain")
             for policy_class in (LC1, SUBSETS)
@@ -319,24 +332,40 @@ class TestOrbitReportsByteIdentical:
             # Divergence witnesses that follow their cycle of orbits for
             # several rounds before the rotation cancels: 4 and 5 rounds
             # under lc1, and a rotation of 0 (one round) on the clique.
-            pytest.param(ring(5), 4, LC1, id="ring5-k4-lc1"),
-            pytest.param(ring(6), 5, LC1, id="ring6-k5-lc1"),
-            pytest.param(ring(5), 4, SUBSETS, id="ring5-k4-subsets"),
-            pytest.param(bidirectional_clique(4), 4, SUBSETS, id="clique4-k4-subsets"),
+            pytest.param(ring(5), 4, LC1, None, id="ring5-k4-lc1"),
+            pytest.param(ring(6), 5, LC1, None, id="ring6-k5-lc1"),
+            pytest.param(ring(5), 4, SUBSETS, None, id="ring5-k4-subsets"),
+            pytest.param(bidirectional_clique(4), 4, SUBSETS, None, id="clique4-k4-subsets"),
+            # Witnesses re-read from the longest-path values: the 25-step
+            # path cut at max_depth and the 31-move worst case leave (0,) * 6
+            # along different paths.
+            pytest.param(
+                build_graph(6, [(0, 1), (1, 0), (1, 4), (2, 1), (2, 3), (2, 5), (4, 3), (5, 1), (5, 4)]),
+                6,
+                SUBSETS,
+                24,
+                id="six-k6-subsets-depth24",
+            ),
         ],
     )
-    def test_deterministic(self, graph, k, policy_class):
-        report = verify_deterministic(graph, k, policy_class)
-        assert report_bytes(report) == report_bytes(reference_verify_deterministic(graph, k, policy_class))
+    def test_deterministic(self, graph, k, policy_class, max_depth):
+        report = verify_deterministic(graph, k, policy_class, max_depth=max_depth)
+        reference = reference_verify_deterministic(graph, k, policy_class, max_depth=max_depth)
+        assert report_bytes(report) == report_bytes(reference)
         witness = report.witness_divergence
-        if witness is not None:
+        if witness is not None and max_depth is None:
             trace = replay_witness(graph, AlgorithmSpec.deterministic(k), witness)
             assert trace.final == witness.initial
 
     @pytest.mark.parametrize("graph, k", [(relabeled("ring", 5, (3, 0, 4, 1, 2)), 5), (ring(7), 3)])
     def test_probabilistic(self, graph, k):
-        assert report_bytes(verify_probabilistic_support(graph, k)) == report_bytes(
-            reference_verify_probabilistic_support(graph, k)
+        # The escapes are 3 and 4; one move less makes max_depth bind.
+        report = verify_probabilistic_support(graph, k)
+        assert report_bytes(report) == report_bytes(reference_verify_probabilistic_support(graph, k))
+        tight = report.worst_case_moves - 1
+        assert tight == {5: 2, 3: 3}[k]
+        assert report_bytes(verify_probabilistic_support(graph, k, max_depth=tight)) == report_bytes(
+            reference_verify_probabilistic_support(graph, k, max_depth=tight)
         )
 
     def test_wide_palette(self):
