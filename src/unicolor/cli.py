@@ -24,7 +24,7 @@ from .core import (
     read_graph_file,
     ring,
 )
-from .algorithms import AlgorithmSpec, NonTerminatingCommandError
+from .algorithms import AlgorithmKind, AlgorithmSpec, NonTerminatingCommandError
 from .engine import EngineStepError, run
 from .experiments import (
     ExperimentConfig,
@@ -38,6 +38,7 @@ from .schedulers import SchedulerPolicy, Script
 from .verify import (
     EnumerationCapError,
     PolicyClass,
+    check_arguments,
     verify_deterministic,
     verify_probabilistic_support,
 )
@@ -263,8 +264,15 @@ def cmd_experiment(args) -> int:
 
 def cmd_verify(args) -> int:
     graph = parse_graph_spec(args.graph)
+    kind = AlgorithmKind(args.algo)
     try:
-        if args.algo == "det":
+        check_arguments(graph, kind, args.k, args.max_depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # Any other ValueError comes from inside the search: a bug, not a usage
+    # error, so it propagates.
+    try:
+        if kind is AlgorithmKind.DETERMINISTIC:
             report = verify_deterministic(
                 graph,
                 args.k,
@@ -276,7 +284,7 @@ def cmd_verify(args) -> int:
             report = verify_probabilistic_support(
                 graph, args.k, max_depth=args.max_depth, cap=args.cap
             )
-    except (ValueError, EnumerationCapError, NonTerminatingCommandError) as exc:
+    except (EnumerationCapError, NonTerminatingCommandError) as exc:
         raise UsageError(str(exc)) from exc
     print(
         f"graph={graph.label} algo={args.algo} k={args.k} policy_class={report.policy_class} "

@@ -224,6 +224,24 @@ class TestVerifyCommand:
         assert proc.stderr == f"error: palette size must be >= 2, got k={k}\n"
 
 
+    def test_probabilistic_palette_within_max_degree_is_a_usage_error(self):
+        proc = run_cli_process(["verify", "--graph", "ring:3", "--algo", "prob", "--k", "2"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: probabilistic rule needs k > max_degree, got k=2, max_degree=2\n"
+
+    def test_value_error_inside_the_search_is_not_a_usage_error(self, monkeypatch, capsys):
+        # A bug in the row function must crash, not exit 2 as if the
+        # arguments were wrong.
+        def broken(*args):
+            raise ValueError("process 0 is not enabled")
+
+        monkeypatch.setattr("unicolor.verify.recolor", broken)
+        with pytest.raises(ValueError, match="process 0 is not enabled"):
+            main(["verify", "--graph", "ring:3", "--k", "3"])
+        assert capsys.readouterr().err == ""
+
+
 class TestReproCommand:
     def test_chain_summary_line(self, capsys):
         code, out, _ = run_cli(["repro", "chain", "--n", "10"], capsys)

@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,7 +24,7 @@ from unicolor import (
     verify_probabilistic_support,
 )
 from unicolor.core import process_enabled
-from unicolor.verify import _transitions
+from unicolor.verify import DivergenceWitness, _decode, _orbits, _Space, automorphism_generators
 
 from helpers import reference_verify_deterministic, reference_verify_probabilistic_support
 
@@ -43,6 +44,44 @@ def small_graphs(draw):
     n = draw(st.integers(2, 5))
     pairs = list(permutations(range(n), 2))
     return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A random arc set joined with its images under a random relabeling
+    that cycles every process, so the automorphism group is nontrivial."""
+    n = draw(st.integers(2, 5))
+    cycle = draw(st.permutations(range(n)))
+    step = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    pairs = list(permutations(range(n), 2))
+    arcs = set(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True)))
+    for _ in range(n):
+        arcs |= {(step[i], step[j]) for i, j in arcs}
+    return build_graph(n, sorted(arcs))
+
+
+def closure(generators, n):
+    """Every permutation the generators make, by breadth-first search."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        frontier = [
+            image
+            for g in frontier
+            for h in generators
+            if (image := tuple(h[g[i]] for i in range(n))) not in group and not group.add(image)
+        ]
+    return group
+
+
+def automorphisms(graph):
+    """Every permutation of the processes that keeps the arc set."""
+    arcs = set(graph.arcs)
+    return {
+        g
+        for g in permutations(range(graph.n))
+        if {(g[i], g[j]) for i, j in arcs} == arcs
+    }
 
 
 class TestDeterministic:
@@ -169,46 +208,53 @@ class TestProbabilisticSupport:
 
 
 class TestTransitions:
-    @staticmethod
-    def first_row(graph, kind, k, policy_class):
-        """Row 0: the target and the mask of each edge."""
-        offsets, targets, masks, _ = _transitions(graph, kind, k, policy_class, cap=10**6)
-        assert len(offsets) == k ** (graph.n - 1) + 1  # one row per representative
-        row = range(offsets[0], offsets[1])
-        return [targets[e] for e in row], [masks[e] for e in row]
+    """Rows are built per palette code, the configuration with process n-1
+    at color 0: the targets are palette codes and the masks the activated
+    processes.  Each row also maps its targets to their orbits'
+    representatives, the smallest codes that an automorphism of the graph
+    and a rotation of the palette reach."""
 
     @staticmethod
-    def representatives(codes, n, k):
+    def row(graph, kind, k, policy_class, code=0):
+        return _Space(graph, kind, k, policy_class, cap=10**6).row(code)
+
+    @staticmethod
+    def palette_codes(codes, n, k):
         """Each concrete code rotated until process n-1 holds color 0."""
         return [sum((code // k**i - code // k ** (n - 1)) % k * k**i for i in range(n)) for code in codes]
 
     def test_rows_of_uniform_ring(self):
         # Code 0 is the all-0 ring: every process moves to color 1, which
         # adds k**i to the code.
-        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1) == (
-            self.representatives([1, 3, 9], 3, 3),
-            [1, 2, 4],
-        )
+        targets, masks, _ = self.row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1)
+        assert (targets, masks) == (self.palette_codes([1, 3, 9], 3, 3), [1, 2, 4])
 
     def test_move_of_the_top_process_is_stored_rotated(self):
         # Process 2's move to color 1 lands on (0, 0, 1), stored as its
-        # rotation by -1, (2, 2, 0).
-        targets, _ = self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1)
+        # rotation by -1, (2, 2, 0).  The ring's rotation of the processes
+        # puts all three targets in the orbit of (1, 0, 0), code 1.
+        targets, _, reps = self.row(ring(3), AlgorithmKind.DETERMINISTIC, 3, LC1)
         assert targets == [1, 3, 8]
+        assert reps == [1, 1, 1]
 
     def test_subset_rows_in_combinations_order(self):
-        assert self.first_row(ring(3), AlgorithmKind.DETERMINISTIC, 3, SUBSETS) == (
-            self.representatives([1, 3, 9, 4, 10, 12, 13], 3, 3),
+        targets, masks, reps = self.row(ring(3), AlgorithmKind.DETERMINISTIC, 3, SUBSETS)
+        assert (targets, masks) == (
+            self.palette_codes([1, 3, 9, 4, 10, 12, 13], 3, 3),
             [1, 2, 4, 3, 5, 6, 7],
         )
+        # One process, two or all three: three orbits, whose smallest codes
+        # are (1, 0, 0), (2, 0, 0) (the rotation of (0, 1, 1) by -1) and
+        # (0, 0, 0).
+        assert reps == [1] * 3 + [2] * 3 + [0]
 
     def test_probabilistic_rows_hold_every_free_color(self):
         # Code 0 of chain:2: process 0 reads process 1, both hold 0, so
-        # process 0 may take color 1 or 2.
-        assert self.first_row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1) == (
-            self.representatives([1, 2], 2, 3),
-            [1, 1],
-        )
+        # process 0 may take color 1 or 2.  The chain has no automorphism
+        # but the identity, so every target is its own representative.
+        targets, masks, reps = self.row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1)
+        assert (targets, masks) == (self.palette_codes([1, 2], 2, 3), [1, 1])
+        assert reps is targets
 
 
 def outcome(verify, *args, **kwargs):
@@ -224,7 +270,7 @@ class TestAgainstReference:
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        small_graphs(),
+        st.one_of(small_graphs(), symmetric_graphs()),
         st.integers(2, 5),
         st.sampled_from([LC1, SUBSETS]),
         st.one_of(st.none(), st.integers(0, 6)),
@@ -239,7 +285,7 @@ class TestAgainstReference:
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        small_graphs(),
+        st.one_of(small_graphs(), symmetric_graphs()),
         st.integers(2, 5),
         st.one_of(st.none(), st.integers(0, 6)),
         st.sampled_from([10**6, 100]),
@@ -374,3 +420,121 @@ class TestOrbitReportsByteIdentical:
         assert report.all_converge
         assert report.terminal_count == report.legitimate_count == 300 * 299
         assert report.worst_case_witness.initial == (0, 0)
+
+
+def bidirectional(n, edges):
+    return build_graph(n, [*edges, *((j, i) for i, j in edges)])
+
+
+def replays(graph, k, report, max_depth):
+    """Every witness of ``report`` replays through the engine."""
+    witness = report.witness_divergence
+    if witness is not None and witness.schedule:
+        trace = replay_witness(graph, AlgorithmSpec.deterministic(k), witness)
+        if max_depth is None:
+            assert trace.final == witness.initial
+    worst = report.worst_case_witness
+    if worst is not None:
+        schedule = DivergenceWitness(worst.initial, worst.schedule, "")
+        trace = replay_witness(graph, AlgorithmSpec.deterministic(k), schedule)
+        assert trace.terminated
+        assert trace.total_moves == worst.moves
+
+
+BIRING5 = bidirectional(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+class TestSymmetricReportsByteIdentical:
+    """Graphs with large automorphism groups, where the search reads one
+    value per orbit of the graph's automorphisms and the palette rotation."""
+
+    @pytest.mark.parametrize(
+        "graph, k, policy_class, max_depth",
+        [
+            pytest.param(relabeled("ring", 6, (3, 0, 4, 1, 5, 2)), 6, LC1, None, id="ring6-relabeled-lc1"),
+            pytest.param(relabeled("ring", 6, (3, 0, 4, 1, 5, 2)), 6, SUBSETS, None, id="ring6-relabeled-subsets"),
+            pytest.param(BIRING5, 4, LC1, None, id="biring5-k4-lc1"),
+            pytest.param(BIRING5, 4, SUBSETS, None, id="biring5-k4-subsets"),
+            pytest.param(bidirectional_clique(4), 4, LC1, None, id="clique4-k4-lc1"),
+            pytest.param(bidirectional_clique(4), 4, SUBSETS, None, id="clique4-k4-subsets"),
+            pytest.param(bidirectional(5, [(0, i) for i in range(1, 5)]), 5, LC1, None, id="star5-k5-lc1"),
+            pytest.param(bidirectional(5, [(0, i) for i in range(1, 5)]), 5, SUBSETS, None, id="star5-k5-subsets"),
+            pytest.param(ring(5), 4, LC1, 3, id="ring5-k4-lc1-depth3"),
+            pytest.param(ring(5), 5, LC1, 9, id="ring5-k5-lc1-depth9"),
+        ],
+    )
+    def test_deterministic(self, graph, k, policy_class, max_depth):
+        report = verify_deterministic(graph, k, policy_class, max_depth=max_depth)
+        reference = reference_verify_deterministic(graph, k, policy_class, max_depth=max_depth)
+        assert report_bytes(report) == report_bytes(reference)
+        replays(graph, k, report, max_depth)
+
+    @pytest.mark.parametrize(
+        "graph, k",
+        [
+            (BIRING5, 3),
+            (bidirectional_clique(4), 4),
+            (bidirectional(5, [(0, i) for i in range(1, 5)]), 5),
+        ],
+    )
+    def test_probabilistic(self, graph, k):
+        report = verify_probabilistic_support(graph, k)
+        assert report_bytes(report) == report_bytes(reference_verify_probabilistic_support(graph, k))
+        tight = report.worst_case_moves - 1
+        assert report_bytes(verify_probabilistic_support(graph, k, max_depth=tight)) == report_bytes(
+            reference_verify_probabilistic_support(graph, k, max_depth=tight)
+        )
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("n, k, count", [(5, 5, 129), (6, 6, 1316), (8, 4, 2070), (7, 7, 16813)])
+    def test_representatives_match_burnside(self, n, k, count):
+        # Necklaces of n beads in k colors up to rotation of the beads and
+        # of the colors: (1 / (n k)) * sum over (i, c) of the colorings that
+        # rotating the beads by i and the colors by c fixes.
+        _, reps, sizes = _orbits(automorphism_generators(ring(n)), n, k)
+        assert len(reps) == count
+        assert sum(sizes.values()) == k ** (n - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_graphs(), symmetric_graphs()), st.integers(2, 4), st.data())
+    def test_codes_map_to_the_smallest_of_their_orbit(self, graph, k, data):
+        n = graph.n
+        generators = automorphism_generators(graph)
+        orbit, reps, _ = _orbits(generators, n, k)
+        code = data.draw(st.integers(0, k ** (n - 1) - 1))
+        start = _decode(code, n, k)
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            images = []
+            for colors in frontier:
+                for g in generators:
+                    moved = [0] * n
+                    for i in range(n):
+                        moved[g[i]] = colors[i]
+                    images.append(tuple(moved))
+                images.append(tuple((c + 1) % k for c in colors))
+            frontier = [c for c in images if c not in seen and not seen.add(c)]
+        smallest = min(sum(c * k**i for i, c in enumerate(colors)) for colors in seen)
+        assert (code if orbit is None else orbit[code]) == smallest
+        assert smallest in reps
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chain_keeps_every_row(self, n):
+        assert automorphism_generators(chain(n)) == []
+        orbit, reps, _ = _orbits([], n, 3)
+        assert orbit is None
+        assert list(reps) == list(range(3 ** (n - 1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_clique_generators_are_few_and_make_the_symmetric_group(self, n):
+        generators = automorphism_generators(bidirectional_clique(n))
+        assert len(generators) <= n * (n - 1) // 2
+        assert len(closure(generators, n)) == factorial(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_graphs(), symmetric_graphs()))
+    def test_generators_make_the_automorphism_group(self, graph):
+        generators = automorphism_generators(graph)
+        assert closure(generators, graph.n) == automorphisms(graph)
