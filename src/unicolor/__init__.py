@@ -10,6 +10,7 @@ from .core import (
     DirectedGraph,
     EnabledTracker,
     GraphConstructionError,
+    UsageError,
     bidirectional_clique,
     build_graph,
     chain,

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import filterfalse
 
-from .core import DirectedGraph
+from .core import DirectedGraph, UsageError
 
 
 class AlgorithmKind(Enum):
@@ -38,7 +38,7 @@ class AlgorithmSpec:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise ValueError(f"palette size must be >= 2, got k={self.k}")
+            raise UsageError(f"palette size must be >= 2, got k={self.k}")
 
     @classmethod
     def deterministic(cls, k: int) -> AlgorithmSpec:
@@ -68,7 +68,7 @@ class NonTerminatingCommandError(RuntimeError):
 def _check_prob_headroom(graph: DirectedGraph, k: int) -> None:
     """The probabilistic rule's set-up check: ``k > max_degree``."""
     if k <= graph.max_degree:
-        raise ValueError(
+        raise UsageError(
             f"probabilistic rule needs k > max_degree, got k={k}, max_degree={graph.max_degree}"
         )
 

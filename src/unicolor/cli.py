@@ -17,7 +17,7 @@ from dataclasses import asdict
 from .core import (
     Configuration,
     DirectedGraph,
-    GraphConstructionError,
+    UsageError,
     bidirectional_clique,
     chain,
     random_digraph,
@@ -36,9 +36,7 @@ from .experiments import (
 )
 from .schedulers import SchedulerPolicy, Script
 from .verify import (
-    EnumerationCapError,
     PolicyClass,
-    check_arguments,
     verify_deterministic,
     verify_probabilistic_support,
 )
@@ -48,10 +46,6 @@ from .repro import (
     repro_ring_chase,
     repro_sync_ring,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_graph_spec(spec: str) -> DirectedGraph:
@@ -69,19 +63,16 @@ def parse_graph_spec(spec: str) -> DirectedGraph:
             return random_digraph(int(n), int(delta), int(seed))
         if kind == "file":
             return read_graph_file(rest)
-    except (ValueError, OSError, GraphConstructionError) as exc:
+    except (ValueError, OSError) as exc:
         raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
     raise UsageError(f"unknown graph spec {spec!r} (want ring:N, chain:N, clique:N, random:N:D:SEED, file:PATH)")
 
 
 def parse_algo(name: str, k: int) -> AlgorithmSpec:
-    try:
-        if name == "det":
-            return AlgorithmSpec.deterministic(k)
-        if name == "prob":
-            return AlgorithmSpec.probabilistic(k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if name == "det":
+        return AlgorithmSpec.deterministic(k)
+    if name == "prob":
+        return AlgorithmSpec.probabilistic(k)
     raise UsageError(f"unknown algorithm {name!r} (want det or prob)")
 
 
@@ -152,8 +143,6 @@ def cmd_run(args) -> int:
     except EngineStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     print(
         f"graph={graph.label} algo={args.algo} k={args.k} sched={policy.name} seed={args.seed}"
     )
@@ -208,6 +197,8 @@ def _experiment_settings(args) -> dict:
             raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {settings[key]!r}")
     if not all(type(k) is int for k in settings["k_sweep"] or ()):
         raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
+    if settings["initial"] not in {d.value for d in InitialDistribution}:
+        raise UsageError(f"{settings['initial']!r} is not a valid InitialDistribution")
     return settings
 
 
@@ -219,22 +210,19 @@ def cmd_experiment(args) -> int:
     graph = parse_graph_spec(settings["graph"])
     algo = parse_algo(settings["algo"], settings["k"])
     policy = parse_policy(settings["sched"])
-    try:
-        config = ExperimentConfig(
-            graph=graph,
-            algorithm=algo,
-            scheduler=policy,
-            trials=settings["trials"],
-            seed_base=settings["seed_base"],
-            initial=InitialDistribution(settings["initial"]),
-            max_steps=settings["max_steps"],
-        )
-        if settings["k_sweep"]:
-            reports = sweep(config, settings["k_sweep"], jobs=args.jobs)
-        else:
-            reports = [run_experiment(config, jobs=args.jobs)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = ExperimentConfig(
+        graph=graph,
+        algorithm=algo,
+        scheduler=policy,
+        trials=settings["trials"],
+        seed_base=settings["seed_base"],
+        initial=InitialDistribution(settings["initial"]),
+        max_steps=settings["max_steps"],
+    )
+    if settings["k_sweep"]:
+        reports = sweep(config, settings["k_sweep"], jobs=args.jobs)
+    else:
+        reports = [run_experiment(config, jobs=args.jobs)]
 
     ok = True
     for rep in reports:
@@ -265,12 +253,9 @@ def cmd_experiment(args) -> int:
 def cmd_verify(args) -> int:
     graph = parse_graph_spec(args.graph)
     kind = AlgorithmKind(args.algo)
-    try:
-        check_arguments(graph, kind, args.k, args.max_depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    # Any other ValueError comes from inside the search: a bug, not a usage
-    # error, so it propagates.
+    # The verifier searches every configuration, so this error means a
+    # palette no larger than some in-degree: an argument it cannot take.  In
+    # a run the same error is a failed step (exit 1).
     try:
         if kind is AlgorithmKind.DETERMINISTIC:
             report = verify_deterministic(
@@ -284,7 +269,7 @@ def cmd_verify(args) -> int:
             report = verify_probabilistic_support(
                 graph, args.k, max_depth=args.max_depth, cap=args.cap
             )
-    except (EnumerationCapError, NonTerminatingCommandError) as exc:
+    except NonTerminatingCommandError as exc:
         raise UsageError(str(exc)) from exc
     print(
         f"graph={graph.label} algo={args.algo} k={args.k} policy_class={report.policy_class} "
@@ -303,18 +288,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    try:
-        if args.scenario == "sync-ring":
-            report = repro_sync_ring(args.n, args.steps, k=args.k)
-        elif args.scenario == "chain":
-            report = repro_chain_worst_case(args.n)
-            print(f"moves={report.details.get('moves')} expected={report.details['expected_moves']}", end=" ")
-        elif args.scenario == "ring-chase":
-            report = repro_ring_chase(args.n, args.laps)
-        else:
-            report = repro_clique_state_bound(args.delta)
-    except (ValueError, EnumerationCapError) as exc:
-        raise UsageError(str(exc)) from exc
+    if args.scenario == "sync-ring":
+        report = repro_sync_ring(args.n, args.steps, k=args.k)
+    elif args.scenario == "chain":
+        report = repro_chain_worst_case(args.n)
+        print(f"moves={report.details.get('moves')} expected={report.details['expected_moves']}", end=" ")
+    elif args.scenario == "ring-chase":
+        report = repro_ring_chase(args.n, args.laps)
+    else:
+        report = repro_clique_state_bound(args.delta)
     print("OK" if report.ok else "FAIL")
     for failure in report.failures:
         print(f"  {failure}", file=sys.stderr)
@@ -404,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError, GraphConstructionError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

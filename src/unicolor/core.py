@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from itertools import islice
 
 
-class GraphConstructionError(ValueError):
+class UsageError(ValueError):
+    """An argument no run, batch, verification or scenario can take, such as
+    a palette below 2 or a negative step cap: the caller's error, which the
+    CLI reports with exit code 2.  Any other ``ValueError`` the package
+    raises marks a bug, in the package or in the code that calls it."""
+
+
+class GraphConstructionError(UsageError):
     """Self-loop, out-of-range endpoint, or duplicate arc in a graph spec."""
 
 

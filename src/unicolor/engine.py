@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from operator import add
 
-from .core import Configuration, DirectedGraph, EnabledTracker
+from .core import Configuration, DirectedGraph, EnabledTracker, UsageError
 from .algorithms import (
     AlgorithmKind,
     AlgorithmSpec,
@@ -213,7 +213,7 @@ def run(
     ``terminated=False``, not raised.
     """
     if len(initial.colors) != graph.n:
-        raise ValueError(f"initial configuration has {len(initial.colors)} colors for n={graph.n}")
+        raise UsageError(f"initial configuration has {len(initial.colors)} colors for n={graph.n}")
     if initial.k != algo.k:
         raise ValueError(f"initial palette {initial.k} != algorithm palette {algo.k}")
     if algo.kind is AlgorithmKind.PROBABILISTIC:
@@ -223,7 +223,7 @@ def run(
     if max_steps is None:
         max_steps = default_max_steps(graph, algo)
     elif max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+        raise UsageError(f"max_steps must be >= 0, got {max_steps}")
 
     rng = random.Random(seed)
     preds = graph.preds

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .core import Configuration, DirectedGraph
+from .core import Configuration, DirectedGraph, UsageError
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound
 from .engine import EngineStepError, default_max_steps, run
 from .schedulers import SchedulerPolicy
@@ -53,9 +53,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
+            raise UsageError(f"need at least one trial, got {self.trials}")
         if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+            raise UsageError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.algorithm.kind is AlgorithmKind.PROBABILISTIC:
             _check_prob_headroom(self.graph, self.algorithm.k)
 
@@ -165,7 +165,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     lower bound, so any censored trial leaves the bound verdict null.
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     capped = config
     if config.max_steps is None:
         capped = replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
@@ -186,7 +186,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     bound: Fraction | None = None
     bound_satisfied: bool | None = None
     z: float | None = None
-    if config.algorithm.kind is AlgorithmKind.PROBABILISTIC and moves:
+    # A graph without arcs has no degree for the bound to count conflicts by.
+    if config.algorithm.kind is AlgorithmKind.PROBABILISTIC and moves and config.graph.arcs:
         bound = expected_total_steps_bound(
             config.graph.n, config.graph.max_degree, config.algorithm.k
         )

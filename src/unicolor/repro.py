@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Configuration, bidirectional_clique, chain, is_legitimate, ring
+from .core import Configuration, UsageError, bidirectional_clique, chain, is_legitimate, ring
 from .algorithms import AlgorithmSpec
 from .engine import EngineStepError, ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script, ScriptViolationError
@@ -51,7 +51,7 @@ def ring_chase_initial(n: int, k: int | None = None) -> Configuration:
     conflicting adjacent pair.
     """
     if n < 3:
-        raise ValueError(f"chase initial needs n >= 3, got {n}")
+        raise UsageError(f"chase initial needs n >= 3, got {n}")
     if k is None:
         k = n - 1
     if k < n - 1:
@@ -178,7 +178,7 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
     the chase alive.
     """
     if laps < 1:
-        raise ValueError(f"need laps >= 1, got {laps}")
+        raise UsageError(f"need laps >= 1, got {laps}")
     k = n - 1
     initial = ring_chase_initial(n, k)
     failures = []
@@ -228,7 +228,7 @@ def repro_clique_state_bound(delta: int) -> ReproReport:
     terminal configurations are exactly the proper colorings.
     """
     if delta < 1:
-        raise ValueError(f"need delta >= 1, got {delta}")
+        raise UsageError(f"need delta >= 1, got {delta}")
     n = delta + 1
     support = verify_probabilistic_support(bidirectional_clique(n), k=delta + 1)
     enough = support.terminal_count

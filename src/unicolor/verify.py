@@ -85,13 +85,13 @@ from itertools import chain, combinations, product
 from math import gcd
 from operator import eq
 
-from .core import Configuration, DirectedGraph, process_enabled
+from .core import Configuration, DirectedGraph, UsageError, process_enabled
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, recolor
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(UsageError):
     def __init__(self, required: int, allowed: int):
         super().__init__(f"state space needs {required} configurations, cap is {allowed}")
         self.required = required
@@ -145,12 +145,12 @@ def _processes(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
-def check_arguments(graph: DirectedGraph, kind: AlgorithmKind, k: int, max_depth: int | None) -> None:
-    """Raise ``ValueError`` on a verification request no search can serve:
+def _check_arguments(graph: DirectedGraph, kind: AlgorithmKind, k: int, max_depth: int | None) -> None:
+    """Raise :class:`UsageError` on a verification request no search can serve:
     a negative ``max_depth``, ``k <= max_degree`` for the probabilistic
     rule, or a palette below 2, checked in that order."""
     if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+        raise UsageError(f"max_depth must be >= 0, got {max_depth}")
     if kind is AlgorithmKind.PROBABILISTIC:
         _check_prob_headroom(graph, k)
     AlgorithmSpec(kind, k)
@@ -499,7 +499,7 @@ def verify_deterministic(
     re-read from them, one edge per code, so they are the paths whose
     every edge is the first to reach its code's value.
     """
-    check_arguments(graph, AlgorithmKind.DETERMINISTIC, k, max_depth)
+    _check_arguments(graph, AlgorithmKind.DETERMINISTIC, k, max_depth)
     space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
     row, sizes, n = space.row, space.sizes, graph.n
 
@@ -610,7 +610,7 @@ def verify_probabilistic_support(
     at most n moves and the sweep takes at most n rounds after layer 0; the
     "no path" witness is kept as the check's own verdict.
     """
-    check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth)
+    _check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth)
     lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
     space = _Space(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
     n = graph.n

@@ -28,6 +28,7 @@ from unicolor import (
     Script,
     ScriptViolationError,
     StepRecord,
+    UsageError,
     VerificationReport,
     WorstCaseWitness,
     build_graph,
@@ -455,7 +456,7 @@ def reference_verify_probabilistic_support(
     terminal configuration.
     """
     if k <= graph.max_degree:
-        raise ValueError(
+        raise UsageError(
             f"probabilistic rule needs k > max_degree, got k={k}, max_degree={graph.max_degree}"
         )
     total = _state_space_size(graph, k, cap)

@@ -9,6 +9,7 @@ from unicolor import (
     AlgorithmSpec,
     Configuration,
     NonTerminatingCommandError,
+    UsageError,
     build_graph,
     conflict_creation_bound,
     expected_new_conflicts,
@@ -39,7 +40,7 @@ def prob_new(graph, config, i, rng):
 
 class TestSpec:
     def test_palette_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             AlgorithmSpec.deterministic(1)
 
     def test_constructors(self):
@@ -193,10 +194,12 @@ class TestBounds:
         assert conflict_creation_bound(delta, k) == value
 
     def test_conflict_creation_bound_domain(self):
-        with pytest.raises(ValueError):
-            conflict_creation_bound(3, 3)
-        with pytest.raises(ValueError):
-            conflict_creation_bound(0, 2)
+        # No argument of a command reaches the evaluators' checks: a caller
+        # that fails one has a bug, so the error is a plain ValueError.
+        for args in [(3, 3), (0, 2)]:
+            with pytest.raises(ValueError) as err:
+                conflict_creation_bound(*args)
+            assert type(err.value) is ValueError
 
     @pytest.mark.parametrize(
         "delta,k,value",

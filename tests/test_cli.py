@@ -8,7 +8,19 @@ from fractions import Fraction
 import pytest
 
 import unicolor
-from unicolor import AlgorithmSpec, Configuration, SchedulerPolicy, experiments, ring, run
+from unicolor import (
+    AlgorithmSpec,
+    Configuration,
+    EnumerationCapError,
+    GraphConstructionError,
+    NonTerminatingCommandError,
+    SchedulerPolicy,
+    ScriptViolationError,
+    UsageError,
+    experiments,
+    ring,
+    run,
+)
 from unicolor.cli import main, parse_graph_spec
 
 
@@ -230,15 +242,67 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert proc.stderr == "error: probabilistic rule needs k > max_degree, got k=2, max_degree=2\n"
 
-    def test_value_error_inside_the_search_is_not_a_usage_error(self, monkeypatch, capsys):
-        # A bug in the row function must crash, not exit 2 as if the
-        # arguments were wrong.
+
+class TestExitCodes:
+    """Exit code 2 is for the caller's errors only, decided by the
+    exception's class: a ``UsageError`` or an ``OSError``."""
+
+    def test_usage_error_class_tree(self):
+        assert issubclass(UsageError, ValueError)
+        assert issubclass(GraphConstructionError, UsageError)
+        assert issubclass(EnumerationCapError, UsageError)
+        assert not issubclass(NonTerminatingCommandError, UsageError)
+        assert not issubclass(ScriptViolationError, UsageError)
+
+    # Each command's usage errors that no other test pins, with the exact
+    # stderr line.  ``CONFIG`` stands for a config file holding ``config``.
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["run", "--graph", "ring:3", "--algo", "prob", "--k", "2"], None,
+             "probabilistic rule needs k > max_degree, got k=2, max_degree=2"),
+            (["run", "--graph", "ring:3", "--k", "3", "--initial", "0,1"], None,
+             "initial configuration has 2 colors for n=3"),
+            (["run", "--graph", "ring:3", "--k", "1"], None, "palette size must be >= 2, got k=1"),
+            (["experiment", "--graph", "ring:3", "--k", "3", "--trials", "5", "--sweep", "1,3"], None,
+             "palette size must be >= 2, got k=1"),
+            (["experiment", "--config", "CONFIG"], {"graph": "ring:3", "k": 3, "initial": "x"},
+             "'x' is not a valid InitialDistribution"),
+            (["verify", "--graph", "ring:3", "--k", "3", "--cap", "5"], None,
+             "state space needs 27 configurations, cap is 5"),
+            (["verify", "--graph", "clique:4", "--k", "3"], None,
+             "process 2: all 3 colors held by predecessors (in-degree 3)"),
+            (["repro", "sync-ring", "--n", "1"], None, "ring needs n >= 2, got 1"),
+            (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "max_steps must be >= 0, got -1"),
+        ],
+    )
+    def test_usage_error_exits_two(self, argv, config, message, capsys, tmp_path):
+        if config is not None:
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps(config))
+            argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+        assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("unicolor.engine.recolor", ["run", "--graph", "ring:3", "--k", "3"]),
+            ("unicolor.engine.recolor", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
+                                         "--initial", "uniform0", "--jobs", "1"]),
+            ("unicolor.engine.recolor", ["repro", "chain", "--n", "3"]),
+            ("unicolor.verify.recolor", ["verify", "--graph", "ring:3", "--k", "3"]),
+        ],
+        ids=["run", "experiment", "repro", "verify"],
+    )
+    def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
+        # A bug in a command must crash, not exit 2 as if the arguments were
+        # wrong.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
 
-        monkeypatch.setattr("unicolor.verify.recolor", broken)
+        monkeypatch.setattr(target, broken)
         with pytest.raises(ValueError, match="process 0 is not enabled"):
-            main(["verify", "--graph", "ring:3", "--k", "3"])
+            main(argv)
         assert capsys.readouterr().err == ""
 
 
@@ -396,6 +460,16 @@ class TestExperimentExitCode:
         assert f"{report['censored']} trial(s) hit the step cap" in err
         code, _, _ = run_cli(argv, capsys)
         assert code == 1
+
+    def test_graph_without_arcs_has_no_bound(self, capsys, tmp_path):
+        graph_path, out_path = tmp_path / "noarcs.txt", tmp_path / "report.json"
+        graph_path.write_text("3\n")
+        code, out, _ = run_cli(["experiment", "--graph", f"file:{graph_path}", "--algo", "prob", "--k", "3",
+                                "--trials", "5", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert out == "k=3 trials=5 converged=5 mean_moves=0.0000 max_moves=0\n"
+        report = json.loads(out_path.read_text())
+        assert report["bound"] is report["bound_satisfied"] is report["bound_z_score"] is None
 
     def test_capped_trials_exit_one(self, capsys):
         argv = ["experiment", "--graph", "ring:5", "--algo", "det", "--k", "5", "--sched", "sync",

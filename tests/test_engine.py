@@ -14,6 +14,7 @@ from unicolor import (
     SchedulerPolicy,
     Script,
     ScriptViolationError,
+    UsageError,
     bidirectional_clique,
     build_graph,
     chain,
@@ -196,17 +197,19 @@ class TestRun:
 
     def test_probabilistic_needs_palette_headroom(self):
         g = ring(4)  # max_degree 2
-        with pytest.raises(ValueError, match="max_degree"):
+        with pytest.raises(UsageError, match="max_degree"):
             run(g, AlgorithmSpec.probabilistic(2), LC1, Configuration.uniform(4, 0, 2))
 
     def test_negative_step_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+        with pytest.raises(UsageError, match="max_steps must be >= 0, got -1"):
             run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3), max_steps=-1)
 
     def test_palette_mismatch_rejected(self):
+        # The CLI builds both palettes from one --k, so a mismatch is a bug.
         g = ring(3)
-        with pytest.raises(ValueError, match="palette"):
+        with pytest.raises(ValueError, match="palette") as err:
             run(g, AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 4))
+        assert type(err.value) is ValueError
 
     def test_record_modes(self):
         g = ring(4)

@@ -6,6 +6,7 @@ from unicolor import (
     AlgorithmSpec,
     SchedulerPolicy,
     Script,
+    UsageError,
     bidirectional_clique,
     chain,
     chain_schedule,
@@ -147,7 +148,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_floor(self, jobs):
-        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        with pytest.raises(UsageError, match=f"jobs must be >= 1, got {jobs}"):
             run_experiment(prob_config(ring(4), 3, trials=2), jobs=jobs)
 
     def test_parallel_matches_sequential(self):
@@ -155,16 +156,16 @@ class TestRunExperiment:
         assert run_experiment(config, jobs=2).to_dict() == run_experiment(config, jobs=1).to_dict()
 
     def test_trials_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             prob_config(ring(4), 3, trials=0)
 
     def test_negative_step_cap_rejected(self):
-        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        with pytest.raises(UsageError, match="max_steps must be >= 0"):
             prob_config(ring(4), 3, max_steps=-1)
         assert prob_config(ring(4), 3, max_steps=0).max_steps == 0
 
     def test_palette_headroom_checked_at_config(self):
-        with pytest.raises(ValueError, match="max_degree"):
+        with pytest.raises(UsageError, match="max_degree"):
             prob_config(ring(4), 2)
 
 

@@ -8,6 +8,7 @@ from unicolor import (
     AmbiguousChaseError,
     Configuration,
     PolicyClass,
+    UsageError,
     chain,
     chain_schedule,
     repro_chain_worst_case,
@@ -80,7 +81,7 @@ class TestRingChase:
 
     @pytest.mark.parametrize("laps", [0, -1])
     def test_laps_floor(self, laps):
-        with pytest.raises(ValueError, match=f"need laps >= 1, got {laps}"):
+        with pytest.raises(UsageError, match=f"need laps >= 1, got {laps}"):
             repro_ring_chase(5, laps)
 
 

@@ -13,6 +13,7 @@ from unicolor import (
     EnumerationCapError,
     NonTerminatingCommandError,
     PolicyClass,
+    UsageError,
     bidirectional_clique,
     build_graph,
     chain,
@@ -184,7 +185,7 @@ class TestProbabilisticSupport:
         assert report.worst_case_moves is not None
 
     def test_needs_palette_headroom(self):
-        with pytest.raises(ValueError, match="max_degree"):
+        with pytest.raises(UsageError, match="max_degree"):
             verify_probabilistic_support(bidirectional_clique(3), 2)
 
     def test_cap_applies(self):
