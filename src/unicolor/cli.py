@@ -181,7 +181,7 @@ def _experiment_settings(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{where}: want a JSON object")
@@ -191,10 +191,12 @@ def _experiment_settings(args) -> dict:
                          f"(want {', '.join(EXPERIMENT_SETTINGS)})")
     settings = {key: raw.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
     # json.load builds exact types, so ``type(...) is int`` also turns away
-    # true and false, which ``isinstance`` would take for 1 and 0.
-    for key, (kind, _) in EXPERIMENT_SETTINGS.items():
-        if settings[key] is not None and type(settings[key]) is not kind:
-            raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {settings[key]!r}")
+    # true and false, which ``isinstance`` would take for 1 and 0.  A null
+    # stands for the default only where the default is None itself.
+    for key, (kind, default) in EXPERIMENT_SETTINGS.items():
+        value = settings[key]
+        if type(value) is not kind and (value is not None or default is not None):
+            raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {value!r}")
     if not all(type(k) is int for k in settings["k_sweep"] or ()):
         raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
     if settings["initial"] not in {d.value for d in InitialDistribution}:
@@ -251,8 +253,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = parse_graph_spec(args.graph)
     kind = AlgorithmKind(args.algo)
+    policy_class = PolicyClass(args.policy_class)
+    if kind is AlgorithmKind.PROBABILISTIC and policy_class is not PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
+        raise UsageError(f"--policy-class {policy_class.value} needs --algo det: "
+                         "the probabilistic check searches lc1 only")
+    graph = parse_graph_spec(args.graph)
     # The verifier searches every configuration, so this error means a
     # palette no larger than some in-degree: an argument it cannot take.  In
     # a run the same error is a failed step (exit 1).
@@ -261,7 +267,7 @@ def cmd_verify(args) -> int:
             report = verify_deterministic(
                 graph,
                 args.k,
-                PolicyClass(args.policy_class),
+                policy_class,
                 max_depth=args.max_depth,
                 cap=args.cap,
             )

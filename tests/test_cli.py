@@ -274,6 +274,8 @@ class TestExitCodes:
              "process 2: all 3 colors held by predecessors (in-degree 3)"),
             (["repro", "sync-ring", "--n", "1"], None, "ring needs n >= 2, got 1"),
             (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "max_steps must be >= 0, got -1"),
+            (["verify", "--graph", "ring:4", "--algo", "prob", "--k", "3", "--policy-class", "subsets"], None,
+             "--policy-class subsets needs --algo det: the probabilistic check searches lc1 only"),
         ],
     )
     def test_usage_error_exits_two(self, argv, config, message, capsys, tmp_path):
@@ -412,6 +414,29 @@ class TestExperimentCommand:
         assert proc.stderr.startswith("error: config file ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("key, kind", [("algo", "str"), ("sched", "str"), ("trials", "int"),
+                                           ("seed_base", "int"), ("initial", "str")])
+    def test_null_for_a_key_with_a_default_is_a_usage_error(self, key, kind, capsys, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"graph": "ring:3", "k": 3, key: None}))
+        assert run_cli(["experiment", "--config", str(cfg_path)], capsys) == (
+            2, "", f"error: config file {str(cfg_path)!r}: {key!r} must be {kind}, got None\n")
+
+    def test_null_for_a_key_without_a_default_takes_it(self, capsys, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"graph": "ring:3", "k": 3, "trials": 2, "max_steps": None,
+                                        "k_sweep": None}))
+        code, out, _ = run_cli(["experiment", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        assert out.startswith("k=3 trials=2 ")
+
+    def test_config_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_bytes(b'{"graph": "ring:3", "k": \xff}')
+        code, out, err = run_cli(["experiment", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {str(cfg_path)!r}: 'utf-8' codec can't decode byte 0xff")
 
     def test_needs_graph_or_config(self, capsys):
         code, _, err = run_cli(["experiment", "--trials", "5"], capsys)

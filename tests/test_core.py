@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,14 +132,18 @@ class TestGenerators:
     def test_random_digraph_matches_pair_list_construction(self, n, max_degree, seed):
         assert list(random_digraph(n, max_degree, seed).arcs) == reference_random_digraph_arcs(n, max_degree, seed)
 
+    @staticmethod
+    def sweep_cases():
+        rng = random.Random(2024)
+        cases = [(n, max_degree, rng.randrange(10**6)) for n in range(2, 42) for max_degree in (1, 2, 3, 4, n - 1, n + 2)]
+        return [c for c in cases if c[1] >= 1] + [(100, 4, 7)]
+
     def test_random_digraph_sweep_matches_pair_list_construction(self):
         # The build stops visiting candidates once at most one process is
         # unsaturated; the sweep covers graphs that end with none, one or
         # several unsaturated processes, and caps of n - 1 and above, where
         # every pair is kept.
-        rng = random.Random(2024)
-        cases = [(n, max_degree, rng.randrange(10**6)) for n in range(2, 42) for max_degree in (1, 2, 3, 4, n - 1, n + 2)]
-        cases = [c for c in cases if c[1] >= 1] + [(100, 4, 7)]
+        cases = self.sweep_cases()
         unsaturated_counts = set()
         for n, max_degree, seed in cases:
             graph = random_digraph(n, max_degree, seed)
@@ -146,6 +152,34 @@ class TestGenerators:
                 unsaturated_counts.add(min(2, sum(d < max_degree for d in graph.degrees)))
         assert len(cases) > 200
         assert unsaturated_counts == {0, 1, 2}
+
+    def test_random_digraph_keeps_both_arcs_of_every_pair(self):
+        for n, max_degree, seed in self.sweep_cases():
+            arcs = set(random_digraph(n, max_degree, seed).arcs)
+            assert arcs == {(j, i) for i, j in arcs}, (n, max_degree, seed)
+
+    def test_random_digraph_arcs_pinned(self):
+        # Artifacts and the benchmark name random: graphs, so their arcs must
+        # not change; the digest of random:2000:4:5 is in CHANGES.md.
+        arcs = random_digraph(1000, 4, 5).arcs
+        text = "".join(f"{i} {j}\n" for i, j in arcs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "003f3979dfc0170b16b7e171c48604864701be0507a838b4f5f396ef229ce7b9"
+        )
+        assert set(arcs) == {(j, i) for i, j in arcs}
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_shuffle_matches_random_shuffle(self, seed):
+        # Same permutation and same generator state after: the same draws.
+        # The lengths cross every bit-length boundary up to 2**16 + 1.
+        lengths = sorted({*range(18), *(2**b + d for b in range(1, 17) for d in (-1, 0, 1))})
+        for length in lengths:
+            expected, want = list(range(length)), random.Random(seed)
+            want.shuffle(expected)
+            got, rng = array("q", range(length)), random.Random(seed)
+            core._shuffle(got, rng.getrandbits)
+            assert got.tolist() == expected, length
+            assert rng.getstate() == want.getstate(), length
 
 
 class TestPredicates:
