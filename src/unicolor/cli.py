@@ -24,7 +24,7 @@ from .core import (
     read_graph_file,
     ring,
 )
-from .algorithms import AlgorithmKind, AlgorithmSpec, NonTerminatingCommandError
+from .algorithms import AlgorithmKind, AlgorithmSpec
 from .engine import EngineStepError, run
 from .experiments import (
     ExperimentConfig,
@@ -221,7 +221,8 @@ def cmd_experiment(args) -> int:
         initial=InitialDistribution(settings["initial"]),
         max_steps=settings["max_steps"],
     )
-    if settings["k_sweep"]:
+    swept = bool(settings["k_sweep"])
+    if swept:
         reports = sweep(config, settings["k_sweep"], jobs=args.jobs)
     else:
         reports = [run_experiment(config, jobs=args.jobs)]
@@ -242,13 +243,21 @@ def cmd_experiment(args) -> int:
             )
         if rep.failed or (rep.censored and not args.allow_capped) or rep.bound_satisfied is False:
             ok = False
-    if len(reports) > 1:
+    # A sweep's artifacts keep one shape for any number of palettes.
+    if swept:
         print(sweep_table(reports), end="")
     payload = [rep.to_dict() for rep in reports]
-    _write_out(args, [_json_text(payload[0] if len(payload) == 1 else {"reports": payload})])
+    _write_out(args, [_json_text({"reports": payload} if swept else payload[0])])
     if args.trials_tsv:
+        text = reports[0].per_trial_tsv()
+        if swept:
+            # One header, and each row led by its palette.
+            rows = [
+                f"{rep.algorithm['k']}\t{line}" for rep in reports for line in rep.per_trial_tsv().splitlines(True)[1:]
+            ]
+            text = "k\ttrial\tmoves\tsteps\tconverged\n" + "".join(rows)
         with open(args.trials_tsv, "w", encoding="utf-8") as fh:
-            fh.write("".join(rep.per_trial_tsv() for rep in reports))
+            fh.write(text)
     return 0 if ok else 1
 
 
@@ -259,24 +268,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--policy-class {policy_class.value} needs --algo det: "
                          "the probabilistic check searches lc1 only")
     graph = parse_graph_spec(args.graph)
-    # The verifier searches every configuration, so this error means a
-    # palette no larger than some in-degree: an argument it cannot take.  In
-    # a run the same error is a failed step (exit 1).
-    try:
-        if kind is AlgorithmKind.DETERMINISTIC:
-            report = verify_deterministic(
-                graph,
-                args.k,
-                policy_class,
-                max_depth=args.max_depth,
-                cap=args.cap,
-            )
-        else:
-            report = verify_probabilistic_support(
-                graph, args.k, max_depth=args.max_depth, cap=args.cap
-            )
-    except NonTerminatingCommandError as exc:
-        raise UsageError(str(exc)) from exc
+    if kind is AlgorithmKind.DETERMINISTIC:
+        report = verify_deterministic(graph, args.k, policy_class, max_depth=args.max_depth, cap=args.cap)
+    else:
+        report = verify_probabilistic_support(graph, args.k, max_depth=args.max_depth, cap=args.cap)
     print(
         f"graph={graph.label} algo={args.algo} k={args.k} policy_class={report.policy_class} "
         f"configurations={report.configurations_checked}"

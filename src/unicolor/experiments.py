@@ -15,7 +15,6 @@ import hashlib
 import math
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -171,6 +170,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         capped = replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
     indices = range(config.trials)
     if jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, which would slow every ``import unicolor``.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_trial, [capped] * config.trials, indices, chunksize=64))
     else:

@@ -132,28 +132,28 @@ class VerificationReport:
     terminal_equals_legitimate: bool
 
 
-def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
-    """The colors of ``code``."""
-    colors = []
-    for _ in range(n):
-        colors.append(code % k)
-        code //= k
-    return tuple(colors)
-
-
 def _processes(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
-def _check_arguments(graph: DirectedGraph, kind: AlgorithmKind, k: int, max_depth: int | None) -> None:
-    """Raise :class:`UsageError` on a verification request no search can serve:
-    a negative ``max_depth``, ``k <= max_degree`` for the probabilistic
-    rule, or a palette below 2, checked in that order."""
+def _check_arguments(graph: DirectedGraph, kind: AlgorithmKind, k: int, max_depth: int | None, cap: int) -> None:
+    """Raise :class:`UsageError` on a verification request no search can
+    serve, before any state is built: a negative ``max_depth``, ``k <=
+    max_degree`` for the probabilistic rule, a palette below 2, more than
+    ``cap`` configurations, or ``k <= max_in_degree`` for the deterministic
+    rule (a process can then see all k colors among its predecessors, its
+    own among them, and has no color to step to), checked in that order."""
     if max_depth is not None and max_depth < 0:
         raise UsageError(f"max_depth must be >= 0, got {max_depth}")
     if kind is AlgorithmKind.PROBABILISTIC:
         _check_prob_headroom(graph, k)
     AlgorithmSpec(kind, k)
+    if k**graph.n > cap:
+        raise EnumerationCapError(required=k**graph.n, allowed=cap)
+    if kind is AlgorithmKind.DETERMINISTIC and k <= graph.max_in_degree:
+        raise UsageError(
+            f"deterministic rule needs k > max_in_degree, got k={k}, max_in_degree={graph.max_in_degree}"
+        )
 
 
 def automorphism_generators(graph: DirectedGraph) -> list[tuple[int, ...]]:
@@ -349,13 +349,11 @@ class _Space:
     :func:`_orbits`.
     """
 
-    def __init__(self, graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class: PolicyClass, cap: int):
+    def __init__(self, graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class: PolicyClass):
         self.graph, self.k, self.policy_class = graph, k, policy_class
         self.algorithm = AlgorithmSpec(kind, k).summary()
         n = graph.n
         self.total = k**n
-        if self.total > cap:
-            raise EnumerationCapError(required=self.total, allowed=cap)
         self.codes = k ** (n - 1)
         self.orbit, self.reps, self.sizes = _orbits(automorphism_generators(graph), n, k)
         # A code's colors are the low digits' tuple joined to the high
@@ -366,12 +364,6 @@ class _Space:
         self.low = [digits[::-1] for digits in product(range(k), repeat=half)]
         self.high = [digits[::-1] + (0,) for digits in product(range(k), repeat=n - 1 - half)]
         self.row = self._row_builder(kind, policy_class)
-        if kind is AlgorithmKind.DETERMINISTIC and graph.max_in_degree >= k:
-            # Some enabled process then sees every color among its
-            # predecessors; building the rows in ascending code order fixes
-            # which code and process the error names.
-            for code in range(self.codes):
-                self.row(code)
 
     def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass):
         graph, k, orbit = self.graph, self.k, self.orbit
@@ -431,14 +423,18 @@ class _Space:
 
         return row
 
+    def colors(self, code: int) -> tuple[int, ...]:
+        """The colors of palette code ``code``."""
+        high_code, low_code = divmod(code, self.split)
+        return self.low[low_code] + self.high[high_code]
+
     def count_terminal(self, reps) -> int:
         """The palette codes in the orbits of ``reps`` at which no arc joins
         equal colors: the terminal ones, whose rows are empty."""
         heads, tails = [*zip(*self.graph.arcs)] or [(), ()]
         count = 0
         for rep in reps:
-            high_code, low_code = divmod(rep, self.split)
-            colors = self.low[low_code] + self.high[high_code]
+            colors = self.colors(rep)
             if not any(map(eq, map(colors.__getitem__, heads), map(colors.__getitem__, tails))):
                 count += self.sizes.get(rep, 1)
         return count
@@ -462,18 +458,18 @@ class _Space:
 
 
 def _cycle_witness(
-    graph: DirectedGraph, k: int, root: int, schedule: tuple[tuple[int, ...], ...], start: int
+    graph: DirectedGraph, k: int, root: tuple[int, ...], schedule: tuple[tuple[int, ...], ...], start: int
 ) -> DivergenceWitness:
     """Lift a cycle of rotation orbits to a cycle of configurations.
 
-    ``schedule`` leads from palette code ``root`` along the search stack
-    and back to the code at stack position ``start``.  Replayed, it reaches
-    that code's rotation orbit twice: first at the cycle's start, then at
-    the start rotated by some ``r``.  Both rules commute with the rotation,
-    so the cycle's schedule, repeated ``k / gcd(k, r)`` times, returns to
-    the start.
+    ``schedule`` leads from ``root``, the colors of the search's root, along
+    the search stack and back to the code at stack position ``start``.
+    Replayed, it reaches that code's rotation orbit twice: first at the
+    cycle's start, then at the start rotated by some ``r``.  Both rules
+    commute with the rotation, so the cycle's schedule, repeated
+    ``k / gcd(k, r)`` times, returns to the start.
     """
-    probe = DivergenceWitness(initial=_decode(root, graph.n, k), schedule=schedule, note="")
+    probe = DivergenceWitness(initial=root, schedule=schedule, note="")
     trace = replay_witness(graph, AlgorithmSpec.deterministic(k), probe)
     initial = trace.steps[start - 1].config_after if start else trace.initial
     rounds = k // gcd(k, trace.final[0] - initial[0])
@@ -498,9 +494,13 @@ def verify_deterministic(
     counts per orbit; the worst-case and ``max_depth`` schedules are
     re-read from them, one edge per code, so they are the paths whose
     every edge is the first to reach its code's value.
+
+    A palette of at most ``max_in_degree`` is refused with a
+    :class:`UsageError` before any state is built (:func:`_check_arguments`):
+    the rule then has no move for some enabled process.
     """
-    _check_arguments(graph, AlgorithmKind.DETERMINISTIC, k, max_depth)
-    space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, policy_class, cap)
+    _check_arguments(graph, AlgorithmKind.DETERMINISTIC, k, max_depth, cap)
+    space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, policy_class)
     row, sizes, n = space.row, space.sizes, graph.n
 
     # DFS over palette codes with cycle detection; on the acyclic side,
@@ -534,7 +534,7 @@ def verify_deterministic(
                     schedule = tuple(_processes(f[3][f[5] - 1], n) for f in stack)
                     start = [f[0] for f in stack].index(succ)
                     terminal += space.count_terminal(r for r in space.reps if marks[r] != 2)
-                    return space.report(terminal, None, _cycle_witness(graph, k, root, schedule, start))
+                    return space.report(terminal, None, _cycle_witness(graph, k, space.colors(root), schedule, start))
                 marks[succ] = 1
                 stack.append([succ, reps[edge], *row(succ), 0])
             else:
@@ -573,7 +573,7 @@ def verify_deterministic(
     worst = max(longest_moves)
     argmax = longest_moves.index(worst)
     worst_witness = WorstCaseWitness(
-        initial=_decode(argmax, n, k),
+        initial=space.colors(argmax),
         schedule=follow(argmax, longest_moves, int.bit_count),
         moves=worst,
     )
@@ -583,7 +583,7 @@ def verify_deterministic(
     if max_depth is not None and deepest > max_depth:
         deep_code = longest_steps.index(deepest)
         witness = DivergenceWitness(
-            initial=_decode(deep_code, n, k),
+            initial=space.colors(deep_code),
             schedule=follow(deep_code, longest_steps, lambda mask: 1)[:max_depth],
             note=f"path of {deepest} steps exceeds max_depth {max_depth}",
         )
@@ -610,10 +610,8 @@ def verify_probabilistic_support(
     at most n moves and the sweep takes at most n rounds after layer 0; the
     "no path" witness is kept as the check's own verdict.
     """
-    _check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth)
-    lc1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
-    space = _Space(graph, AlgorithmKind.PROBABILISTIC, k, lc1, cap)
-    n = graph.n
+    _check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth, cap)
+    space = _Space(graph, AlgorithmKind.PROBABILISTIC, k, PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE)
 
     # Escape distances one layer at a time over the representatives' rows,
     # their targets mapped to representatives: layer 0 is the empty rows,
@@ -648,13 +646,13 @@ def verify_probabilistic_support(
     witness = None
     if pending:
         witness = DivergenceWitness(
-            initial=_decode(pending[0][0], n, k),
+            initial=space.colors(pending[0][0]),
             schedule=(),
             note="no path to a terminal configuration",
         )
     elif max_depth is not None and escape > max_depth:
         witness = DivergenceWitness(
-            initial=_decode(dist.index(escape), n, k),
+            initial=space.colors(dist.index(escape)),
             schedule=(),
             note=f"shortest escape of {escape} moves exceeds max_depth {max_depth}",
         )

@@ -219,8 +219,8 @@ class TestVerifyCommand:
         # clique:4 has in-degree 3: with k = 3 some command has no free color.
         proc = run_cli_process(["verify", "--graph", "clique:4", "--k", "3"])
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: process ")
-        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: deterministic rule needs k > max_in_degree, got k=3, max_in_degree=3\n"
 
     @pytest.mark.parametrize("graph", ["ring:3", "file"])
     @pytest.mark.parametrize("k", [0, 1])
@@ -271,7 +271,7 @@ class TestExitCodes:
             (["verify", "--graph", "ring:3", "--k", "3", "--cap", "5"], None,
              "state space needs 27 configurations, cap is 5"),
             (["verify", "--graph", "clique:4", "--k", "3"], None,
-             "process 2: all 3 colors held by predecessors (in-degree 3)"),
+             "deterministic rule needs k > max_in_degree, got k=3, max_in_degree=3"),
             (["repro", "sync-ring", "--n", "1"], None, "ring needs n >= 2, got 1"),
             (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "max_steps must be >= 0, got -1"),
             (["verify", "--graph", "ring:4", "--algo", "prob", "--k", "3", "--policy-class", "subsets"], None,
@@ -378,6 +378,36 @@ class TestExperimentCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["reports"]) == 2
+
+    def test_sweep_of_one_palette_keeps_the_sweep_shape(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        tsv_path = tmp_path / "trials.tsv"
+        code, out, _ = run_cli(
+            ["experiment", "--graph", "ring:6", "--k", "3", "--trials", "4", "--sweep", "4",
+             "--out", str(out_path), "--trials-tsv", str(tsv_path)],
+            capsys,
+        )
+        assert code == 0
+        reports = json.loads(out_path.read_text())["reports"]
+        assert [rep["algorithm"]["k"] for rep in reports] == [4]
+        _, header, row = out.splitlines()
+        assert header == "k\tmean_moves\tbound"
+        assert row.startswith(f"4\t{reports[0]['mean_moves']:.4f}\t")
+        lines = tsv_path.read_text().splitlines()
+        assert lines[0] == "k\ttrial\tmoves\tsteps\tconverged"
+        assert [line.split("\t")[:2] for line in lines[1:]] == [["4", str(t)] for t in range(4)]
+
+    def test_sweep_tsv_has_one_header_and_a_palette_column(self, capsys, tmp_path):
+        tsv_path = tmp_path / "trials.tsv"
+        code, _, _ = run_cli(
+            ["experiment", "--graph", "ring:6", "--algo", "det", "--k", "3", "--trials", "3", "--sweep", "4,5",
+             "--trials-tsv", str(tsv_path)],
+            capsys,
+        )
+        assert code == 0
+        lines = tsv_path.read_text().splitlines()
+        assert lines[0] == "k\ttrial\tmoves\tsteps\tconverged"
+        assert [line.split("\t")[:2] for line in lines[1:]] == [[k, t] for k in "45" for t in "012"]
 
     def test_tsv_per_trial(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import unicolor
 from unicolor import (
     AlgorithmSpec,
     SchedulerPolicy,
@@ -154,6 +158,14 @@ class TestRunExperiment:
     def test_parallel_matches_sequential(self):
         config = prob_config(ring(8), 3, trials=40)
         assert run_experiment(config, jobs=2).to_dict() == run_experiment(config, jobs=1).to_dict()
+
+    def test_import_leaves_the_process_pool_out(self):
+        # A fresh interpreter: this one has run the pool above.
+        probe = "import sys, unicolor; print('concurrent.futures.process' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(unicolor.__file__))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout == "False\n"
 
     def test_trials_floor(self):
         with pytest.raises(UsageError):

@@ -25,9 +25,9 @@ from unicolor import (
     verify_probabilistic_support,
 )
 from unicolor.core import process_enabled
-from unicolor.verify import DivergenceWitness, _decode, _orbits, _Space, automorphism_generators
+from unicolor.verify import DivergenceWitness, _orbits, _Space, automorphism_generators
 
-from helpers import reference_verify_deterministic, reference_verify_probabilistic_support
+from helpers import _decode, reference_verify_deterministic, reference_verify_probabilistic_support
 
 LC1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
 SUBSETS = PolicyClass.ALL_DISTRIBUTED_SUBSETS
@@ -217,7 +217,7 @@ class TestTransitions:
 
     @staticmethod
     def row(graph, kind, k, policy_class, code=0):
-        return _Space(graph, kind, k, policy_class, cap=10**6).row(code)
+        return _Space(graph, kind, k, policy_class).row(code)
 
     @staticmethod
     def palette_codes(codes, n, k):
@@ -257,12 +257,32 @@ class TestTransitions:
         assert (targets, masks) == (self.palette_codes([1, 2], 2, 3), [1, 1])
         assert reps is targets
 
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (4, 3), (6, 2)])
+    def test_colors_decode_every_palette_code(self, n, k):
+        space = _Space(build_graph(n, []), AlgorithmKind.DETERMINISTIC, k, LC1)
+        assert space.codes == k ** (n - 1)
+        for code in range(space.codes):
+            assert space.colors(code) == _decode(code, n, k)
+
 
 def outcome(verify, *args, **kwargs):
     try:
         return asdict(verify(*args, **kwargs))
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+def in_degree_refusal(graph, k):
+    return UsageError, f"deterministic rule needs k > max_in_degree, got k={k}, max_in_degree={graph.max_in_degree}"
+
+
+def expected_deterministic(graph, k, policy_class, **kwargs):
+    """The reference's outcome, with its ``NonTerminatingCommandError``, met
+    while it enumerates, as the verifier's up-front refusal."""
+    expected = outcome(reference_verify_deterministic, graph, k, policy_class, **kwargs)
+    if isinstance(expected, tuple) and expected[0] is NonTerminatingCommandError:
+        return in_degree_refusal(graph, k)
+    return expected
 
 
 class TestAgainstReference:
@@ -280,9 +300,7 @@ class TestAgainstReference:
     def test_deterministic(self, graph, k, policy_class, max_depth, cap):
         args = (graph, k, policy_class)
         kwargs = dict(max_depth=max_depth, cap=cap)
-        assert outcome(verify_deterministic, *args, **kwargs) == outcome(
-            reference_verify_deterministic, *args, **kwargs
-        )
+        assert outcome(verify_deterministic, *args, **kwargs) == expected_deterministic(*args, **kwargs)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -298,12 +316,43 @@ class TestAgainstReference:
         )
 
     @pytest.mark.parametrize("policy_class", [LC1, SUBSETS])
-    def test_palette_below_in_degree_raises_the_same_error(self, policy_class):
-        # clique:4 has in-degree 3: with k = 3 some command has no free color.
-        new = outcome(verify_deterministic, bidirectional_clique(4), 3, policy_class)
-        old = outcome(reference_verify_deterministic, bidirectional_clique(4), 3, policy_class)
-        assert new == old
-        assert new[0] is NonTerminatingCommandError
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_refuses_exactly_where_the_reference_has_no_move(self, n, policy_class):
+        # Every labelled digraph on n processes, each palette from 2 to n.
+        pairs = list(permutations(range(n), 2))
+        refused = 0
+        for bits in range(1 << len(pairs)):
+            graph = build_graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+            for k in range(2, n + 1):
+                try:
+                    expected = report_bytes(reference_verify_deterministic(graph, k, policy_class))
+                except NonTerminatingCommandError:
+                    expected = in_degree_refusal(graph, k)
+                    refused += 1
+                    assert k <= graph.max_in_degree
+                try:
+                    new = report_bytes(verify_deterministic(graph, k, policy_class))
+                except UsageError as exc:
+                    new = type(exc), str(exc)
+                assert new == expected
+        # A process with both arcs in: 64 - 3**3 of the 3-process digraphs.
+        assert refused == {2: 0, 3: 37}[n]
+
+    def test_refusal_builds_no_state(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("state built for a refused request")
+
+        monkeypatch.setattr("unicolor.verify._Space", unbuilt)
+        monkeypatch.setattr("unicolor.verify.automorphism_generators", unbuilt)
+        in_star = build_graph(8, [(i, 0) for i in range(1, 8)])
+        for policy_class in (LC1, SUBSETS):
+            with pytest.raises(UsageError) as err:
+                verify_deterministic(in_star, 5, policy_class)
+            assert (type(err.value), str(err.value)) == in_degree_refusal(in_star, 5)
+
+    def test_cap_is_checked_before_the_in_degree(self):
+        with pytest.raises(EnumerationCapError, match="state space needs 6561 configurations, cap is 100"):
+            verify_deterministic(bidirectional_clique(8), 3, LC1, cap=100)
 
 
 class _Pick:
