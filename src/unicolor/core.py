@@ -14,7 +14,9 @@ import random
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
+from operator import itemgetter
 
 
 class UsageError(ValueError):
@@ -61,6 +63,18 @@ class DirectedGraph:
             "max_out_degree": self.max_out_degree,
             "max_degree": self.max_degree,
         }
+
+    @cached_property
+    def views(self) -> tuple:
+        """What each process reads: ``views[i](colors)`` is
+        ``(colors[i], *pred colors)`` in ``preds[i]`` order.  A process
+        without predecessors is never enabled, so its entry is ``None``.
+
+        Built on first use and kept on the instance, outside the dataclass
+        fields, so equality, hashing and ``repr`` ignore it.  ``itemgetter``
+        objects pickle, so a graph that has run still ships to pool workers.
+        """
+        return tuple(itemgetter(i, *p) if p else None for i, p in enumerate(self.preds))
 
 
 def build_graph(n: int, arcs, label: str = "custom") -> DirectedGraph:

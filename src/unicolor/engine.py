@@ -229,6 +229,16 @@ def run(
     preds = graph.preds
     kind = algo.kind
     k = algo.k
+    # The deterministic rule's new color is a function of the mover's view
+    # alone, so each view's first answer from ``recolor`` is kept for the
+    # run.  A view enters only once ``recolor`` accepted it, so a hit skips
+    # no check that could fail; a step with any unseen view goes to
+    # ``recolor`` whole, which raises as it would have.  The rule draws no
+    # random numbers, so the RNG stream is untouched.
+    table = {} if kind is AlgorithmKind.DETERMINISTIC else None
+    if table is not None:
+        views = graph.views
+        known = table.get
     colors = list(initial.colors)
     tracker = EnabledTracker(graph, colors)
     enabled_now = tracker.members
@@ -248,7 +258,19 @@ def run(
             if chosen is None:
                 break  # script exhausted before termination
             # Every command reads the pre-step colors.
-            new_colors = recolor(kind, chosen, preds, colors, k, rng)
+            if table is None:
+                new_colors = recolor(kind, chosen, preds, colors, k, rng)
+            elif len(chosen) == 1:  # lc1 and most scripts: no list to build
+                view = views[chosen[0]](colors)
+                new = known(view)
+                if new is None:
+                    new = table[view] = recolor(kind, chosen, preds, colors, k, rng)[0]
+                new_colors = (new,)
+            else:
+                new_colors = tuple([known(views[i](colors)) for i in chosen])
+                if None in new_colors:
+                    new_colors = recolor(kind, chosen, preds, colors, k, rng)
+                    table.update(zip([views[i](colors) for i in chosen], new_colors))
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
         if recording:

@@ -163,21 +163,45 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     order.  A trial that hits the cap is censored: its move count is only a
     lower bound, so any censored trial leaves the bound verdict null.
     """
+    return _run_batches([config], jobs)[0]
+
+
+def sweep(config: ExperimentConfig, k_values, jobs: int = 1) -> list[ExperimentReport]:
+    """One report per palette size; every k validated before any trial runs."""
+    specs = [replace(config, algorithm=replace(config.algorithm, k=k)) for k in k_values]
+    return _run_batches(specs, jobs)
+
+
+def _run_batches(configs: list[ExperimentConfig], jobs: int) -> list[ExperimentReport]:
+    """The report of each batch in ``configs``, in order.  With ``jobs > 1``
+    every batch's trials go through one process pool."""
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    capped = config
-    if config.max_steps is None:
-        capped = replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
-    indices = range(config.trials)
+    capped = [
+        config if config.max_steps is not None
+        else replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
+        for config in configs
+    ]
+    tasks = [c for c in capped for _ in range(c.trials)]
+    indices = [i for c in capped for i in range(c.trials)]
     if jobs > 1:
         # Imported here: the pool pulls in multiprocessing, which would slow every ``import unicolor``.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, [capped] * config.trials, indices, chunksize=64))
+            results = list(pool.map(run_trial, tasks, indices, chunksize=64))
     else:
-        results = [run_trial(capped, i) for i in indices]
+        results = list(map(run_trial, tasks, indices))
+    reports = []
+    start = 0
+    for config in configs:
+        reports.append(_aggregate(config, results[start:start + config.trials]))
+        start += config.trials
+    return reports
 
+
+def _aggregate(config: ExperimentConfig, results: list[TrialResult]) -> ExperimentReport:
+    """The report of one batch from its trials, in index order."""
     ok = [t for t in results if t.error is None]
     moves = [t.moves for t in ok]
     mean = statistics.fmean(moves) if moves else 0.0
@@ -221,12 +245,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         bound_satisfied=bound_satisfied,
         bound_z_score=z,
     )
-
-
-def sweep(config: ExperimentConfig, k_values, jobs: int = 1) -> list[ExperimentReport]:
-    """One report per palette size; every k validated before any trial runs."""
-    specs = [replace(config, algorithm=replace(config.algorithm, k=k)) for k in k_values]
-    return [run_experiment(spec, jobs=jobs) for spec in specs]
 
 
 def sweep_table(reports) -> str:

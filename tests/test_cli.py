@@ -298,7 +298,8 @@ class TestExitCodes:
     )
     def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
         # A bug in a command must crash, not exit 2 as if the arguments were
-        # wrong.
+        # wrong.  A deterministic run's first step always misses the engine's
+        # view table, so the patched ``recolor`` is reached.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
 

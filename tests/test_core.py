@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import random
 from array import array
 
@@ -8,9 +9,11 @@ from hypothesis import given, strategies as st
 
 from unicolor import core
 from unicolor import (
+    AlgorithmSpec,
     Configuration,
     EnabledTracker,
     GraphConstructionError,
+    SchedulerPolicy,
     bidirectional_clique,
     build_graph,
     chain,
@@ -18,6 +21,7 @@ from unicolor import (
     parse_graph_text,
     random_digraph,
     ring,
+    run,
 )
 
 from helpers import (
@@ -180,6 +184,38 @@ class TestGenerators:
             core._shuffle(got, rng.getrandbits)
             assert got.tolist() == expected, length
             assert rng.getstate() == want.getstate(), length
+
+
+class TestViews:
+    @pytest.mark.parametrize(
+        "graph",
+        [ring(7), chain(6), bidirectional_clique(5), random_digraph(30, 4, 3), build_graph(4, [(0, 1), (3, 1)])],
+        ids=lambda g: g.label,
+    )
+    def test_view_is_own_color_then_predecessor_colors(self, graph):
+        rng = random.Random(graph.n)
+        colors = [rng.randrange(5) for _ in range(graph.n)]
+        for i, view in enumerate(graph.views):
+            if graph.preds[i]:
+                assert view(colors) == (colors[i], *map(colors.__getitem__, graph.preds[i]))
+            else:
+                assert view is None
+
+    def test_views_leave_equality_hash_and_repr(self):
+        graph, twin = ring(5), ring(5)
+        before = hash(graph), repr(graph), graph.summary()
+        graph.views
+        assert graph == twin
+        assert (hash(graph), repr(graph), graph.summary()) == before == (hash(twin), repr(twin), twin.summary())
+
+    def test_graph_pickles_after_a_deterministic_step(self):
+        graph = chain(5)
+        run(graph, AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(), Configuration.uniform(5, 0, 3),
+            max_steps=1)
+        assert "views" in vars(graph)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert copy == graph
+        assert copy.views[0]([0, 1, 2, 0, 1]) == (0, 1)
 
 
 class TestPredicates:

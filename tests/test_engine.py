@@ -325,6 +325,8 @@ class TestIncrementalEngine:
             assert got == expected
             assert got.to_json() == expected.to_json()
 
+    # A deterministic run's first step always misses the view table, so
+    # the patched ``recolor`` below is reached at step 0.
     def test_programming_error_is_not_wrapped(self, monkeypatch):
         def broken(*args):
             raise TypeError("bug in a command")
@@ -350,6 +352,47 @@ class TestIncrementalEngine:
             run(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, Configuration.uniform(4, 0, 3))
         assert err.value.step_index == 2
         assert isinstance(err.value.cause, NonTerminatingCommandError)
+
+
+class TestViewTable:
+    """Deterministic steps read each mover's new color from a per-run table
+    keyed by its view; only a step with an unseen view calls ``recolor``."""
+
+    @staticmethod
+    def assert_matches_reference(*args, **kwargs):
+        got = run(*args, **kwargs)
+        expected = reference_run(*args, **kwargs)
+        assert got == expected
+        assert got.to_json() == expected.to_json()
+
+    def test_sync_ring(self):
+        graph, algo = ring(300), AlgorithmSpec.deterministic(3)
+        self.assert_matches_reference(graph, algo, POLICIES["sync"], start(graph, algo), max_steps=60)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("policy", ["dist", "lcmax"])
+    def test_random_digraph(self, policy, seed):
+        # Under dist, seeds 1 and 3 each have steps that meet seen views
+        # beside unseen ones, so ``recolor`` runs after partial hits.
+        graph, algo = random_digraph(60, 4, seed), AlgorithmSpec.deterministic(5)
+        self.assert_matches_reference(graph, algo, POLICIES[policy], start(graph, algo), seed=seed)
+
+    def test_scripted_clique_meets_seen_views(self, monkeypatch):
+        # Firing all of clique:5 together from a uniform start cycles with
+        # period 5, so steps 5 and 6 meet the views of steps 0 and 1, and
+        # step 7 fires process 0 alone at the view of step 2.  Step 8's
+        # views are new.
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return recolor(*args)
+
+        monkeypatch.setattr(engine, "recolor", counting)
+        graph, algo = bidirectional_clique(5), AlgorithmSpec.deterministic(5)
+        script = Script(steps=((0, 1, 2, 3, 4),) * 7 + ((0,), (1, 2)), locally_central=False)
+        self.assert_matches_reference(graph, algo, SchedulerPolicy.scripted(script), start(graph, algo))
+        assert calls == [(0, 1, 2, 3, 4)] * 5 + [(1, 2)]
 
 
 def stdlib_json(trace) -> str:

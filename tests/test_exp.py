@@ -213,6 +213,23 @@ class TestSweep:
             )
             assert hi.mean_moves <= lo.mean_moves + slack
 
+    def test_parallel_sweep_uses_one_pool(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        # 70 trials each: one chunk of 64 holds trials of both palettes.
+        config = prob_config(ring(8), 3, trials=70)
+        parallel = [rep.to_dict() for rep in sweep(config, [3, 5], jobs=2)]
+        assert parallel == [rep.to_dict() for rep in sweep(config, [3, 5], jobs=1)]
+        assert len(made) == 1
+
     def test_invalid_k_rejected_before_any_trial(self):
         config = prob_config(ring(8), 3, trials=10)
         with pytest.raises(ValueError, match="max_degree"):
