@@ -54,9 +54,9 @@ from .experiments import (
     ExperimentReport,
     InitialDistribution,
     TrialResult,
+    run_batches,
     run_experiment,
     split_seed,
-    sweep,
 )
 from .repro import (
     AmbiguousChaseError,

@@ -30,12 +30,12 @@ from .experiments import (
     ExperimentConfig,
     InitialDistribution,
     random_initial,
-    run_experiment,
-    sweep,
+    run_batches,
     sweep_table,
 )
 from .schedulers import SchedulerPolicy, Script
 from .verify import (
+    DEFAULT_CAP,
     PolicyClass,
     verify_deterministic,
     verify_probabilistic_support,
@@ -174,11 +174,24 @@ def _int_list(text: str) -> list[int]:
 
 
 def _experiment_settings(args) -> dict:
-    """The experiment's settings from the --config file, or else from the flags."""
-    if not args.config:
-        return {key: getattr(args, key) for key in EXPERIMENT_SETTINGS}
-    where = f"config file {args.config!r}"
-    with open(args.config, "r", encoding="utf-8") as fh:
+    """The experiment's settings from the --config file, or else from the
+    flags; a setting that neither names takes its default."""
+    given = {key: value for key in EXPERIMENT_SETTINGS if (value := getattr(args, key)) is not None}
+    if args.config:
+        if given:
+            flags = ", ".join("--sweep" if key == "k_sweep" else "--" + key.replace("_", "-") for key in given)
+            raise UsageError(f"{flags} cannot be given with --config, which holds the settings")
+        given = _config_file(args.config)
+    settings = {key: given.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
+    if settings["initial"] not in {d.value for d in InitialDistribution}:
+        raise UsageError(f"{settings['initial']!r} is not a valid InitialDistribution")
+    return settings
+
+
+def _config_file(path: str) -> dict:
+    """The settings a --config file holds, each checked for its type."""
+    where = f"config file {path!r}"
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -189,43 +202,41 @@ def _experiment_settings(args) -> dict:
     if unknown:
         raise UsageError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))} "
                          f"(want {', '.join(EXPERIMENT_SETTINGS)})")
-    settings = {key: raw.get(key, default) for key, (_, default) in EXPERIMENT_SETTINGS.items()}
     # json.load builds exact types, so ``type(...) is int`` also turns away
     # true and false, which ``isinstance`` would take for 1 and 0.  A null
     # stands for the default only where the default is None itself.
     for key, (kind, default) in EXPERIMENT_SETTINGS.items():
-        value = settings[key]
+        value = raw.get(key, default)
         if type(value) is not kind and (value is not None or default is not None):
             raise UsageError(f"{where}: {key!r} must be {kind.__name__}, got {value!r}")
-    if not all(type(k) is int for k in settings["k_sweep"] or ()):
-        raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {settings['k_sweep']!r}")
-    if settings["initial"] not in {d.value for d in InitialDistribution}:
-        raise UsageError(f"{settings['initial']!r} is not a valid InitialDistribution")
-    return settings
+    if not all(type(k) is int for k in raw.get("k_sweep") or ()):
+        raise UsageError(f"{where}: 'k_sweep' must be a list of int, got {raw['k_sweep']!r}")
+    return raw
 
 
 def cmd_experiment(args) -> int:
     settings = _experiment_settings(args)
-    if settings["graph"] is None or settings["k"] is None:
-        raise UsageError(f"config file {args.config!r} needs both 'graph' and 'k'" if args.config
-                         else "experiment needs --config or both --graph and --k")
+    # --sweep replaces --k: one batch per palette, each checked before any runs.
+    palettes = settings["k_sweep"] or [settings["k"]]
+    if settings["graph"] is None or None in palettes:
+        raise UsageError(f"config file {args.config!r} needs 'graph' and 'k' or 'k_sweep'" if args.config
+                         else "experiment needs --config, or --graph with --k or --sweep")
     graph = parse_graph_spec(settings["graph"])
-    algo = parse_algo(settings["algo"], settings["k"])
+    algos = [parse_algo(settings["algo"], k) for k in palettes]
     policy = parse_policy(settings["sched"])
-    config = ExperimentConfig(
-        graph=graph,
-        algorithm=algo,
-        scheduler=policy,
-        trials=settings["trials"],
-        seed_base=settings["seed_base"],
-        initial=InitialDistribution(settings["initial"]),
-        max_steps=settings["max_steps"],
-    )
-    swept = bool(settings["k_sweep"])
-    if swept:
-        reports = sweep(config, settings["k_sweep"], jobs=args.jobs)
-    else:
-        reports = [run_experiment(config, jobs=args.jobs)]
+    configs = [
+        ExperimentConfig(
+            graph=graph,
+            algorithm=algo,
+            scheduler=policy,
+            trials=settings["trials"],
+            seed_base=settings["seed_base"],
+            initial=InitialDistribution(settings["initial"]),
+            max_steps=settings["max_steps"],
+        )
+        for algo in algos
+    ]
+    reports = run_batches(configs, jobs=args.jobs)
 
     ok = True
     for rep in reports:
@@ -243,21 +254,19 @@ def cmd_experiment(args) -> int:
             )
         if rep.failed or (rep.censored and not args.allow_capped) or rep.bound_satisfied is False:
             ok = False
-    # A sweep's artifacts keep one shape for any number of palettes.
+    # A sweep's artifacts keep one shape for any number of palettes: a list
+    # of reports, and one trials table whose rows lead with their palette.
+    swept = bool(settings["k_sweep"])
     if swept:
         print(sweep_table(reports), end="")
     payload = [rep.to_dict() for rep in reports]
     _write_out(args, [_json_text({"reports": payload} if swept else payload[0])])
     if args.trials_tsv:
-        text = reports[0].per_trial_tsv()
-        if swept:
-            # One header, and each row led by its palette.
-            rows = [
-                f"{rep.algorithm['k']}\t{line}" for rep in reports for line in rep.per_trial_tsv().splitlines(True)[1:]
-            ]
-            text = "k\ttrial\tmoves\tsteps\tconverged\n" + "".join(rows)
         with open(args.trials_tsv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(("k\t" if swept else "") + "trial\tmoves\tsteps\tconverged\n")
+            for rep in reports:
+                lead = f"{rep.algorithm['k']}\t" if swept else ""
+                fh.writelines(f"{lead}{t.index}\t{t.moves}\t{t.steps}\t{int(t.converged)}\n" for t in rep.per_trial)
     return 0 if ok else 1
 
 
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--allow-capped", action="store_true",
                        help="do not fail on trials that hit the step cap (divergence studies)")
     add_common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment, **{key: d for key, (_, d) in EXPERIMENT_SETTINGS.items()})
+    p_exp.set_defaults(func=cmd_experiment)
 
     p_ver = sub.add_parser("verify", help="exhaustive small-instance stabilization check")
     p_ver.add_argument("--graph", required=True)
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k", type=int, required=True)
     p_ver.add_argument("--policy-class", default="lc1", choices=[c.value for c in PolicyClass])
     p_ver.add_argument("--max-depth", type=int, default=None)
-    p_ver.add_argument("--cap", type=int, default=10**6)
+    p_ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_ver.add_argument("--expect-diverge", action="store_true",
                        help="succeed when a divergence witness is found")
     add_common(p_ver)

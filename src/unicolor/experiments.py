@@ -15,7 +15,7 @@ import hashlib
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -90,35 +90,16 @@ class ExperimentReport:
     bound_z_score: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "algorithm": self.algorithm,
-            "scheduler": self.scheduler,
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-            "initial": self.initial,
-            "max_steps": self.max_steps,
-            "converged": self.converged,
-            "censored": self.censored,
-            "failed": self.failed,
-            "mean_moves": self.mean_moves,
-            "stddev_moves": self.stddev_moves,
-            "min_moves": self.min_moves,
-            "max_moves": self.max_moves,
-            "bound": None if self.bound is None else [self.bound.numerator, self.bound.denominator],
-            "bound_value": None if self.bound is None else float(self.bound),
-            "bound_satisfied": self.bound_satisfied,
-            "bound_z_score": self.bound_z_score,
-            "bound_check": "one-sided 3-sigma, mean <= bound + 3*stderr",
-            "per_trial_moves": [t.moves for t in self.per_trial],
-            "errors": [{"index": t.index, "error": t.error} for t in self.per_trial if t.error],
-        }
-
-    def per_trial_tsv(self) -> str:
-        lines = ["trial\tmoves\tsteps\tconverged"]
-        for t in self.per_trial:
-            lines.append(f"{t.index}\t{t.moves}\t{t.steps}\t{int(t.converged)}")
-        return "\n".join(lines) + "\n"
+        """The report's JSON object: every field but ``per_trial``, whose
+        moves and errors it lists instead, and ``bound`` as an exact pair."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
+        bound = self.bound
+        out["bound"] = None if bound is None else [bound.numerator, bound.denominator]
+        out["bound_value"] = None if bound is None else float(bound)
+        out["bound_check"] = "one-sided 3-sigma, mean <= bound + 3*stderr"
+        out["per_trial_moves"] = [t.moves for t in self.per_trial]
+        out["errors"] = [{"index": t.index, "error": t.error} for t in self.per_trial if t.error]
+        return out
 
 
 def random_initial(n: int, k: int, seed_base: int, index: int) -> Configuration:
@@ -156,25 +137,21 @@ def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run the batch and aggregate; trial errors are recorded, not raised.
+    """The report of one batch; see ``run_batches``."""
+    return run_batches([config], jobs)[0]
 
-    The default step cap is resolved once here, not once per trial; the
-    report keeps ``config.max_steps`` as given.  Trials come back in index
-    order.  A trial that hits the cap is censored: its move count is only a
-    lower bound, so any censored trial leaves the bound verdict null.
+
+def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[ExperimentReport]:
+    """Run each batch in ``configs`` and aggregate; trial errors are
+    recorded, not raised.
+
+    With ``jobs > 1`` every batch's trials go through one process pool.
+    The default step cap is resolved once per batch, not once per trial;
+    each report keeps its ``max_steps`` as given.  Reports come back in the
+    order of ``configs``, and trials in index order.  A trial that hits the
+    cap is censored: its move count is only a lower bound, so any censored
+    trial leaves the bound verdict null.
     """
-    return _run_batches([config], jobs)[0]
-
-
-def sweep(config: ExperimentConfig, k_values, jobs: int = 1) -> list[ExperimentReport]:
-    """One report per palette size; every k validated before any trial runs."""
-    specs = [replace(config, algorithm=replace(config.algorithm, k=k)) for k in k_values]
-    return _run_batches(specs, jobs)
-
-
-def _run_batches(configs: list[ExperimentConfig], jobs: int) -> list[ExperimentReport]:
-    """The report of each batch in ``configs``, in order.  With ``jobs > 1``
-    every batch's trials go through one process pool."""
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     capped = [

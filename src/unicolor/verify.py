@@ -90,6 +90,9 @@ from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
+# The most configurations, k^n, a search enumerates unless told otherwise.
+DEFAULT_CAP = 10**6
+
 
 class EnumerationCapError(UsageError):
     def __init__(self, required: int, allowed: int):
@@ -481,7 +484,7 @@ def verify_deterministic(
     k: int,
     policy_class: PolicyClass,
     max_depth: int | None = None,
-    cap: int = 10**6,
+    cap: int = DEFAULT_CAP,
 ) -> VerificationReport:
     """Enumerate every execution of the deterministic rule.
 
@@ -594,7 +597,7 @@ def verify_probabilistic_support(
     graph: DirectedGraph,
     k: int,
     max_depth: int | None = None,
-    cap: int = 10**6,
+    cap: int = DEFAULT_CAP,
 ) -> VerificationReport:
     """Structural probability-1 convergence check for the random rule.
 

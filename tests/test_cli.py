@@ -427,7 +427,7 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ('{"k": 5}', "needs both 'graph' and 'k'"),
+            ('{"k": 5}', "needs 'graph' and 'k' or 'k_sweep'"),
             ('{"graph": "ring:4", "k": 5', "Expecting"),
             ('{"graph": "ring:4", "k": "x"}', "'k' must be int, got 'x'"),
             ('{"graph": "ring:4", "k": 5, "k_sweep": [5, "x"]}', "'k_sweep' must be a list of int"),
@@ -472,6 +472,81 @@ class TestExperimentCommand:
     def test_needs_graph_or_config(self, capsys):
         code, _, err = run_cli(["experiment", "--trials", "5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--graph", "ring:4"], None),
+            (["--k", "3", "--trials", "5"], None),
+            ([], {"graph": "ring:4"}),
+            ([], {"graph": "ring:4", "k_sweep": []}),
+            ([], {"k_sweep": [3, 4]}),
+        ],
+    )
+    def test_missing_graph_or_palette_is_a_usage_error(self, argv, config, capsys, tmp_path):
+        message = "experiment needs --config, or --graph with --k or --sweep"
+        if config is not None:
+            cfg_path = tmp_path / "exp.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = ["--config", str(cfg_path)]
+            message = f"config file {str(cfg_path)!r} needs 'graph' and 'k' or 'k_sweep'"
+        assert run_cli(["experiment", *argv], capsys) == (2, "", f"error: {message}\n")
+
+    def test_sweep_replaces_k(self, capsys, tmp_path):
+        # The sweep's palettes are the ones run; --k is neither run nor
+        # checked, even where the probabilistic rule would refuse it.
+        outputs = []
+        for k_flag in [[], ["--k", "3"], ["--k", "5"]]:
+            out_path, tsv_path = tmp_path / "report.json", tmp_path / "trials.tsv"
+            code, out, err = run_cli(
+                ["experiment", "--graph", "clique:4", "--algo", "prob", *k_flag, "--sweep", "5,6",
+                 "--trials", "5", "--out", str(out_path), "--trials-tsv", str(tsv_path)],
+                capsys,
+            )
+            assert (code, err) == (0, "")
+            outputs.append((out, out_path.read_bytes(), tsv_path.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        reports = json.loads(outputs[0][1])["reports"]
+        assert [rep["algorithm"]["k"] for rep in reports] == [5, 6]
+
+    def test_config_file_sweep_without_k(self, capsys, tmp_path):
+        cfg_path, out_path = tmp_path / "exp.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({"graph": "clique:4", "algo": "prob", "k_sweep": [5, 6], "trials": 5}))
+        code, out, _ = run_cli(["experiment", "--config", str(cfg_path), "--out", str(out_path)], capsys)
+        assert code == 0
+        assert out.startswith("k=5 trials=5 ") and "\nk=6 trials=5 " in out
+        reports = json.loads(out_path.read_text())["reports"]
+        assert [(rep["algorithm"]["k"], rep["trials"]) for rep in reports] == [(5, 5), (6, 5)]
+
+    def test_invalid_palette_in_sweep_rejected_before_any_trial(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        argv = ["experiment", "--graph", "ring:8", "--algo", "prob", "--sweep", "3,2", "--trials", "10"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: probabilistic rule needs k > max_degree, got k=2, max_degree=2\n")
+        assert calls == []
+
+    def test_settings_flags_with_config_are_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"graph": "ring:4", "k": 3, "trials": 3}))
+        calls = []
+        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        argv = ["experiment", "--config", str(cfg_path), "--trials", "50", "--graph", "ring:9"]
+        assert run_cli(argv, capsys) == (
+            2, "", "error: --graph, --trials cannot be given with --config, which holds the settings\n")
+        assert run_cli(["experiment", "--config", str(cfg_path), "--sweep", "3"], capsys)[2] == (
+            "error: --sweep cannot be given with --config, which holds the settings\n")
+        assert calls == []
+
+    def test_config_combines_with_the_output_and_run_flags(self, capsys, tmp_path):
+        cfg_path, out_path, tsv_path = tmp_path / "exp.json", tmp_path / "report.json", tmp_path / "trials.tsv"
+        cfg_path.write_text(json.dumps({"graph": "ring:4", "k": 3, "trials": 3}))
+        code, out, _ = run_cli(["experiment", "--config", str(cfg_path), "--jobs", "1", "--allow-capped",
+                                "--out", str(out_path), "--trials-tsv", str(tsv_path)], capsys)
+        assert code == 0
+        assert out.startswith("k=3 trials=3 ")
+        assert json.loads(out_path.read_text())["trials"] == 3
+        assert len(tsv_path.read_text().splitlines()) == 4
 
     def test_worst_initial_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_:

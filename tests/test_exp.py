@@ -23,8 +23,8 @@ from unicolor.engine import default_max_steps
 from unicolor.experiments import (
     ExperimentConfig,
     InitialDistribution,
+    run_batches,
     run_experiment,
-    sweep,
     sweep_table,
 )
 
@@ -150,6 +150,16 @@ class TestRunExperiment:
         assert report.bound_satisfied is None and report.bound_z_score is None
         assert report.to_dict()["censored"] == report.censored
 
+    def test_report_json_keys(self):
+        report = run_experiment(prob_config(ring(4), 3, trials=2)).to_dict()
+        assert sorted(report) == sorted([
+            "graph", "algorithm", "scheduler", "trials", "seed_base", "initial", "max_steps",
+            "converged", "censored", "failed", "mean_moves", "stddev_moves", "min_moves", "max_moves",
+            "bound", "bound_value", "bound_satisfied", "bound_z_score", "bound_check",
+            "per_trial_moves", "errors",
+        ])
+        assert report["bound"] == [8, 1] and report["bound_value"] == 8.0
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_floor(self, jobs):
         with pytest.raises(UsageError, match=f"jobs must be >= 1, got {jobs}"):
@@ -200,13 +210,14 @@ class TestSeedSplitting:
 
 
 class TestSweep:
+    """A palette sweep is one config per palette, run by ``run_batches``."""
+
     def test_single_k_equals_run_experiment(self):
         config = prob_config(ring(8), 3, trials=30)
-        assert sweep(config, [3])[0].to_dict() == run_experiment(config).to_dict()
+        assert run_batches([config])[0].to_dict() == run_experiment(config).to_dict()
 
     def test_mean_weakly_decreasing_in_k(self):
-        config = prob_config(ring(20), 3, trials=400)
-        reports = sweep(config, [3, 4, 8, 64])
+        reports = run_batches([prob_config(ring(20), k, trials=400) for k in [3, 4, 8, 64]])
         for lo, hi in zip(reports, reports[1:]):
             slack = 3 * math.sqrt(
                 (lo.stddev_moves**2 + hi.stddev_moves**2) / lo.trials
@@ -225,19 +236,13 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         # 70 trials each: one chunk of 64 holds trials of both palettes.
-        config = prob_config(ring(8), 3, trials=70)
-        parallel = [rep.to_dict() for rep in sweep(config, [3, 5], jobs=2)]
-        assert parallel == [rep.to_dict() for rep in sweep(config, [3, 5], jobs=1)]
+        configs = [prob_config(ring(8), k, trials=70) for k in [3, 5]]
+        parallel = [rep.to_dict() for rep in run_batches(configs, jobs=2)]
+        assert parallel == [rep.to_dict() for rep in run_batches(configs, jobs=1)]
         assert len(made) == 1
 
-    def test_invalid_k_rejected_before_any_trial(self):
-        config = prob_config(ring(8), 3, trials=10)
-        with pytest.raises(ValueError, match="max_degree"):
-            sweep(config, [3, 2])  # k=2 equals the ring's max degree
-
     def test_table_shape(self):
-        config = prob_config(ring(6), 3, trials=10)
-        table = sweep_table(sweep(config, [3, 5]))
+        table = sweep_table(run_batches([prob_config(ring(6), k, trials=10) for k in [3, 5]]))
         lines = table.strip().splitlines()
         assert lines[0] == "k\tmean_moves\tbound"
         assert len(lines) == 3
