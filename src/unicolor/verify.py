@@ -24,9 +24,10 @@ fixed point, so each rotation class holds exactly k configurations; its
 ``n-1``, is 0.  These are the codes ``0 .. k**(n-1) - 1``.  A row lists
 the edges of one palette code: their targets (palette codes again: a move
 of process ``n-1`` to ``s`` rotates the new colors by ``-s``) and their
-masks (the activated processes as a bitmask).  Rows are built from the
-digits when a search asks for them; no ``Configuration`` is built per
-state.
+masks (the activated processes as a bitmask).  Rows are built when a
+search asks for them, from one outcome table per process, keyed by its
+view, and two rotation tables for the moves of process ``n-1``; no
+``Configuration`` is built per state.
 
 Both rules also commute with every automorphism of the digraph, a
 permutation of the processes that keeps the arcs: the guard and the rules
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, product
 from math import gcd
-from operator import eq
+from operator import add, eq
 
 from .core import Configuration, DirectedGraph, UsageError, process_enabled
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, recolor
@@ -259,9 +260,9 @@ def automorphism_generators(graph: DirectedGraph) -> list[tuple[int, ...]]:
     return generators
 
 
-def _digit_sums(columns, base: int = 0, lookup=None) -> array:
+def _digit_sums(columns, base: int = 0) -> array:
     """``base + sum(columns[i][d_i])`` for every digit tuple, in code order
-    (digit 0 lowest), or that entry of ``lookup`` when one is given.
+    (digit 0 lowest).
 
     Whole-list passes, one per digit; the last digit's pass goes to the
     array a slice at a time, so no list of every sum is held at once.
@@ -272,7 +273,7 @@ def _digit_sums(columns, base: int = 0, lookup=None) -> array:
         values = [x + s for s in column for x in values]
     out = array("q")
     for s in last:
-        out.extend([x + s for x in values] if lookup is None else [lookup[x + s] for x in values])
+        out.fromlist([*map(s.__add__, values)])
     return out
 
 
@@ -281,23 +282,41 @@ def _palette_map(g: tuple[int, ...], n: int, k: int) -> array:
 
     ``g`` moves the color of process ``i`` to process ``g[i]``; the result
     is rotated by ``-t`` so that process n-1 is back at color 0, where ``t``
-    is the color of ``p = g^-1(n-1)``.  Digit ``i`` of the code then adds
-    ``((d_i - t) % k) * k**g[i]``, a sum over the digits once ``t`` is
-    fixed.  So the map is built as ``k`` blocks of digit-wise sums, block
-    ``t`` over the digits other than ``p``, and each code reads its value
-    from block ``d_p`` at the code of its other digits.
+    is the color of ``p = g^-1(n-1)`` (0 when ``p`` is n-1 itself).  Digit
+    ``i != p`` of the code then adds ``((d_i - t) % k) * k**g[i]`` and the
+    color 0 of process n-1 adds ``((-t) % k) * k**g[n-1]``: a sum over the
+    digits once ``t`` is fixed.  The code is split into an inner block, the
+    low and larger half of its digits, and an outer block, the rest; each
+    has ``k`` tables of digit sums, table ``t`` for the rotation by ``-t``.
+    Each outer block of codes is one pass that adds the outer value to the
+    inner table: where ``p`` is n-1 or an outer digit, ``t`` is fixed
+    across the block; where it is an inner digit, the inner values are read from the
+    table of their own ``d_p`` and the outer values repeat with ``d_p``'s
+    period.
     """
     top = n - 1
     p = g.index(top)
     weight = [k ** g[i] for i in range(n)]
-    others = [i for i in range(top) if i != p]
-    if p == top:
-        return _digit_sums([[v * weight[i] for v in range(k)] for i in others])
-    blocks = array("q")
-    for t in range(k):
-        blocks += _digit_sums([[(v - t) % k * weight[i] for v in range(k)] for i in others], (-t) % k * weight[top])
-    steps = [k ** (top - 1) if i == p else k ** others.index(i) for i in range(top)]
-    return _digit_sums([[v * step for v in range(k)] for step in steps], lookup=blocks)
+    half = (top + 1) // 2
+
+    def sums(digits, t: int, base: int = 0) -> array:
+        return _digit_sums([[(v - t) % k * weight[i] * (i != p) for v in range(k)] for i in digits], base)
+
+    inner = [sums(range(half), t) for t in range(k)]
+    outer = [sums(range(half, top), t, (-t) % k * weight[top]) for t in range(k)]
+    out = array("q")
+    if p >= half:
+        stride = k ** (p - half)
+        for o in range(k ** (top - half)):
+            t = o // stride % k
+            out.fromlist([*map(outer[t][o].__add__, inner[t])])
+    else:
+        stride = k**p
+        table = [inner[x // stride % k][x] for x in range(k**half)]
+        repeats = k ** (half - p - 1)
+        for o in range(k ** (top - half)):
+            out.fromlist([*map(add, table, [outer[t][o] for t in range(k) for _ in range(stride)] * repeats)])
+    return out
 
 
 def _orbits(generators, n: int, k: int):
@@ -342,10 +361,24 @@ class _Space:
     ``subsets`` every nonempty set of moves is one, applied together, in
     ``combinations`` order by size.  :meth:`row` returns the targets, the
     masks (the activated processes as a bitmask) and the targets'
-    representatives of a palette code's edges.  An edge that moves process
-    ``n-1`` to color ``s`` lands on a configuration whose top digit is
-    ``s``: its target is that configuration rotated by ``-s``, a palette
-    code.  A row is empty iff no process is enabled, which is also iff the
+    representatives of a palette code's edges.
+
+    Each process with predecessors has an outcome table, from its view
+    (``graph.views[i]`` of the colors) to its moves as ``(code delta, new
+    color)`` pairs, none when it is not enabled, filled on first use by
+    :func:`process_enabled`, :func:`recolor` and :func:`free_colors`.  A
+    move of process ``i < n-1`` adds its delta to the code.  An edge that
+    moves process ``n-1`` to color ``s`` lands on a configuration whose top
+    digit is ``s``: its target is that configuration rotated by ``-s``, a
+    palette code, read as the sum of two rotation tables, the low and the
+    high digits rotated by ``-s``, split as the colors are.  A ``subsets``
+    row sums its targets over index bitmasks of its moves, each set one
+    move more than a smaller one, in the rotated frame for the sets that
+    move ``n-1``; the sets' order and masks are kept per set of enabled
+    processes, one list shared by their rows.  The tables live as long as
+    the space, one search.
+
+    A row is empty iff no process is enabled, which is also iff the
     configuration is legitimate (an arc joining equal colors makes its head
     enabled); for the probabilistic rule that needs ``k > max_degree``,
     which its caller checks.  ``orbit``, ``reps`` and ``sizes`` are those of
@@ -366,63 +399,103 @@ class _Space:
         self.split = k**half
         self.low = [digits[::-1] for digits in product(range(k), repeat=half)]
         self.high = [digits[::-1] + (0,) for digits in product(range(k), repeat=n - 1 - half)]
-        self.row = self._row_builder(kind, policy_class)
+        self.row = self._row_builder(kind, policy_class, half)
 
-    def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass):
+    def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass, half: int):
         graph, k, orbit = self.graph, self.k, self.orbit
         n = graph.n
         preds = graph.preds
         top = n - 1
         top_bit = 1 << top
         weights = [k**i for i in range(n)]
-        processes = range(n)
         deterministic = kind is AlgorithmKind.DETERMINISTIC
-        subsets = policy_class is PolicyClass.ALL_DISTRIBUTED_SUBSETS
         split, low, high = self.split, self.low, self.high
-        # The probabilistic rule's free colors depend only on the set of
-        # colors the predecessors hold, so they are computed once per set.
-        free_of: dict[frozenset[int], list[int]] = {}
+        # Process n-1's move to ``s``: ``rotated_low[s][low_code] +
+        # rotated_high[s][high_code]``.
+        rotated_low, rotated_high = (
+            [_digit_sums([[(v - s) % k * weights[i] for v in range(k)] for i in digits]) for s in range(k)]
+            for digits in (range(half), range(half, top))
+        )
+
+        def outcomes(i: int, colors) -> tuple[tuple[int, int], ...]:
+            """The ``(code delta, new color)`` of each move of process ``i``
+            at ``colors``; none when it is not enabled."""
+            if not process_enabled(preds[i], colors, i):
+                return ()
+            if deterministic:
+                new = recolor(kind, (i,), preds, colors, k, None)
+            else:
+                new = free_colors({*map(colors.__getitem__, preds[i])}, k)
+            return tuple(((c - colors[i]) * weights[i], c) for c in new)
+
+        # The outcome tables, one per process with predecessors.
+        movers = [(i, 1 << i, graph.views[i], {}) for i in range(n) if preds[i]]
+
+        if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
+
+            def row(code: int) -> tuple[list[int], list[int], list[int]]:
+                high_code, low_code = divmod(code, split)
+                colors = low[low_code] + high[high_code]
+                targets: list[int] = []
+                masks: list[int] = []
+                for i, bit, view, table in movers:
+                    key = view(colors)
+                    moves = table.get(key)
+                    if moves is None:
+                        moves = table[key] = outcomes(i, colors)
+                    for delta, c in moves:
+                        masks.append(bit)
+                        if i != top:
+                            targets.append(code + delta)
+                        else:
+                            targets.append(rotated_low[c][low_code] + rotated_high[c][high_code])
+                return targets, masks, targets if orbit is None else [*map(orbit.__getitem__, targets)]
+
+            return row
+
+        # The edges of a set of enabled processes, each with one move: every
+        # nonempty subset, in ``combinations`` order by size, as an index
+        # bitmask over the set's moves and as a mask of processes.
+        edges_of: dict[int, tuple[list[int], list[int]]] = {}
+
+        def by_size(bits) -> list[int]:
+            return [sum(choice) for r in range(1, len(bits) + 1) for choice in combinations(bits, r)]
 
         def row(code: int) -> tuple[list[int], list[int], list[int]]:
             high_code, low_code = divmod(code, split)
             colors = low[low_code] + high[high_code]
-            enabled = [i for i in processes if process_enabled(preds[i], colors, i)]
-            if deterministic:
-                moves = [*zip(enabled, recolor(kind, enabled, preds, colors, k, None))] if enabled else []
-            else:
-                moves = []
-                for i in enabled:
-                    taken = frozenset(map(colors.__getitem__, preds[i]))
-                    free = free_of.get(taken)
-                    if free is None:
-                        free = free_of[taken] = free_colors(taken, k)
-                    moves += [(i, c) for c in free]
-            targets: list[int] = []
-            masks: list[int] = []
-            if not subsets:
-                for i, c in moves:
-                    masks.append(1 << i)
-                    if i == top:
-                        targets.append(sum(((colors[j] - c) % k) * weights[j] for j in range(top)))
-                    else:
-                        targets.append(code + (c - colors[i]) * weights[i])
-            elif moves:
-                # One deterministic move per process, so process n-1, if it
-                # moves, comes last; a set holding it lands on ``rotated``
-                # plus the moves measured in the frame rotated by -s.
-                s = moves[-1][1] if moves[-1][0] == top else 0
-                rotated = sum(((c - s) % k) * w for c, w in zip(colors, weights))
-                steps = [
-                    (1 << i, (c - colors[i]) * weights[i], ((c - s) % k - (colors[i] - s) % k) * weights[i])
-                    for i, c in moves
-                ]
-                for size in range(1, len(steps) + 1):
-                    for choice in combinations(steps, size):
-                        bits, deltas, rotated_deltas = zip(*choice)
-                        mask = sum(bits)
-                        masks.append(mask)
-                        targets.append(rotated + sum(rotated_deltas) if mask & top_bit else code + sum(deltas))
-            return targets, masks, targets if orbit is None else [orbit[t] for t in targets]
+            moved = []
+            enabled = 0
+            for i, bit, view, table in movers:
+                key = view(colors)
+                moves = table.get(key)
+                if moves is None:
+                    moves = table[key] = outcomes(i, colors)
+                if moves:
+                    moved.append((i, *moves[0]))
+                    enabled += bit
+            edges = edges_of.get(enabled)
+            if edges is None:
+                indices = [1 << j for j in range(len(moved))]
+                edges = edges_of[enabled] = (by_size(indices), by_size([1 << i for i, _, _ in moved]))
+            # Targets per index bitmask, each set's one move more than the
+            # set without its highest index.  Process n-1, if it moves, is
+            # last; the sets holding it land on its own target plus the other
+            # moves measured in the frame rotated by -s.
+            sums = [code]
+            rest = moved[:-1] if enabled & top_bit else moved
+            for _, delta, _ in rest:
+                sums += [x + delta for x in sums]
+            if enabled & top_bit:
+                s = moved[-1][2]
+                rotated = [rotated_low[s][low_code] + rotated_high[s][high_code]]
+                for i, _, c in rest:
+                    delta = ((c - s) % k - (colors[i] - s) % k) * weights[i]
+                    rotated += [x + delta for x in rotated]
+                sums += rotated
+            order, masks = edges
+            targets = [*map(sums.__getitem__, order)]
+            return targets, masks, targets if orbit is None else [*map(orbit.__getitem__, targets)]
 
         return row
 

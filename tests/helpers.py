@@ -296,6 +296,40 @@ def _subset_choices(enabled_now: tuple[int, ...], policy_class: PolicyClass):
     ]
 
 
+def reference_row(arcs, n: int, k: int, kind: AlgorithmKind, policy_class: PolicyClass, code: int):
+    """The edges of palette code ``code`` (process n-1 at color 0), built from
+    the arc list and the colors alone: ``(targets, masks)``.
+
+    Each enabled process has one move under the deterministic rule (the
+    literal increment loop) and one per free color under the probabilistic
+    one.  Under ``lc1`` every move is an edge; under ``subsets`` (one move
+    per process) every nonempty set of moves is one, in ``combinations``
+    order by size.  A target is the new colors rotated by minus the new
+    color of process n-1, encoded; a mask has bit ``i`` for each mover.
+    """
+    colors = _decode(code, n, k)
+    options = []
+    for i in range(n):
+        if not oracle_enabled(arcs, colors, i):
+            continue
+        taken = {colors[p] for p, q in arcs if q == i}
+        if kind is AlgorithmKind.DETERMINISTIC:
+            options.append([(i, oracle_det_do_loop(taken, colors[i], k))])
+        else:
+            options.append([(i, c) for c in range(k) if c not in taken])
+    moves = [move for choices in options for move in choices]
+    if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
+        edges = [(move,) for move in moves]
+    else:
+        edges = [edge for size in range(1, len(moves) + 1) for edge in combinations(moves, size)]
+    targets, masks = [], []
+    for edge in edges:
+        new = with_colors(colors, edge)
+        targets.append(_encode(tuple((c - new[-1]) % k for c in new), k))
+        masks.append(sum(1 << i for i, _ in edge))
+    return targets, masks
+
+
 def reference_verify_deterministic(
     graph: DirectedGraph,
     k: int,

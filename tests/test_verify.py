@@ -25,9 +25,22 @@ from unicolor import (
     verify_probabilistic_support,
 )
 from unicolor.core import process_enabled
-from unicolor.verify import DivergenceWitness, _orbits, _Space, automorphism_generators
+from unicolor.verify import (
+    DivergenceWitness,
+    _check_arguments,
+    _orbits,
+    _palette_map,
+    _Space,
+    automorphism_generators,
+)
 
-from helpers import _decode, reference_verify_deterministic, reference_verify_probabilistic_support
+from helpers import (
+    _decode,
+    _encode,
+    reference_row,
+    reference_verify_deterministic,
+    reference_verify_probabilistic_support,
+)
 
 LC1 = PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE
 SUBSETS = PolicyClass.ALL_DISTRIBUTED_SUBSETS
@@ -256,6 +269,32 @@ class TestTransitions:
         targets, masks, reps = self.row(chain(2), AlgorithmKind.PROBABILISTIC, 3, LC1)
         assert (targets, masks) == (self.palette_codes([1, 2], 2, 3), [1, 1])
         assert reps is targets
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(small_graphs(), symmetric_graphs()),
+        st.sampled_from(
+            [
+                (AlgorithmKind.DETERMINISTIC, LC1),
+                (AlgorithmKind.DETERMINISTIC, SUBSETS),
+                (AlgorithmKind.PROBABILISTIC, LC1),
+            ]
+        ),
+        st.data(),
+    )
+    def test_every_row_matches_the_reference(self, graph, rule, data):
+        # Every palette code's row against one built from the arcs and the
+        # colors alone, on every palette from 2 to 5 the rule accepts (at
+        # most 5 processes, so every degree is below 5).
+        kind, policy_class = rule
+        floor = 1 + (graph.max_in_degree if kind is AlgorithmKind.DETERMINISTIC else graph.max_degree)
+        k = data.draw(st.integers(max(2, floor), 5))
+        _check_arguments(graph, kind, k, None, 10**6)
+        space = _Space(graph, kind, k, policy_class)
+        for code in range(space.codes):
+            targets, masks, reps = space.row(code)
+            assert (targets, masks) == reference_row(graph.arcs, graph.n, k, kind, policy_class, code)
+            assert reps == (targets if space.orbit is None else [space.orbit[t] for t in targets])
 
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (4, 3), (6, 2)])
     def test_colors_decode_every_palette_code(self, n, k):
@@ -569,6 +608,29 @@ class TestOrbitTable:
         smallest = min(sum(c * k**i for i, c in enumerate(colors)) for colors in seen)
         assert (code if orbit is None else orbit[code]) == smallest
         assert smallest in reps
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_palette_map_against_brute_force(self, n, k):
+        # The builder splits a code into its low n // 2 digits and the rest.
+        # g^-1(n-1) is n-1 itself for the clique's generators that fix it,
+        # an outer digit for a rotation of the ring, and an inner digit for
+        # its inverse.
+        generators = automorphism_generators(ring(n)) + automorphism_generators(bidirectional_clique(n))
+        branches = set()
+        for g in generators + [tuple(map(g.index, range(n))) for g in generators]:
+            p = g.index(n - 1)
+            branches.add("n-1" if p == n - 1 else "inner" if p < n // 2 else "outer")
+            image = _palette_map(g, n, k)
+            assert len(image) == k ** (n - 1)
+            for code in range(k ** (n - 1)):
+                colors = _decode(code, n, k)
+                moved = [0] * n
+                for i in range(n):
+                    moved[g[i]] = colors[i]
+                assert image[code] == _encode(tuple((c - moved[-1]) % k for c in moved), k)
+        # On two processes the one nontrivial automorphism is the swap.
+        assert branches == ({"n-1", "inner", "outer"} if n > 2 else {"inner"})
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chain_keeps_every_row(self, n):
