@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import filterfalse
 
-from .core import DirectedGraph, UsageError
+from .core import DirectedGraph, UsageError, _randbelow
 
 
 class AlgorithmKind(Enum):
@@ -88,7 +88,8 @@ def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.R
     atomic move: the first of ``old+1, old+2, ...`` (mod k) absent from the
     predecessors' colors.  The probabilistic rule draws uniformly from the
     sorted list of those absent colors, one ``rng.choice`` per move in the
-    order of ``processes``, so runs are bit-reproducible for a fixed seed.
+    order of ``processes`` (drawn through ``core._randbelow``, which takes
+    the same bits), so runs are bit-reproducible for a fixed seed.
     The first process that fails raises: :class:`NonTerminatingCommandError`
     when its predecessors hold every color, which the deterministic
     increment loop would never escape, and ``ValueError`` when it is not
@@ -122,7 +123,7 @@ def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.R
             raise ValueError(
                 f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
             )
-        append(rng.choice(candidates))
+        append(candidates[_randbelow(rng.getrandbits, len(candidates))])
     return tuple(new_colors)
 
 

@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 
 
@@ -170,6 +170,23 @@ def _shuffle(x, getrandbits) -> None:
         i = low - 1
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform integer in ``0..n-1``, for ``n >= 1``, drawn exactly as
+    CPython's ``random.Random._randbelow_with_getrandbits`` draws it: one
+    ``getrandbits(n.bit_length())``, again while it is ``n`` or more.
+
+    So ``seq[_randbelow(rng.getrandbits, len(seq))]`` is ``rng.choice(seq)``
+    and ``1 + _randbelow(rng.getrandbits, n - 1)`` is ``rng.randrange(1, n)``:
+    the same values and the same generator state afterwards, without the
+    three Python frames of ``random.py``.
+    """
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def random_digraph(n: int, max_degree: int, seed: int) -> DirectedGraph:
     """Random digraph saturated under a combined-degree cap.
 
@@ -277,7 +294,17 @@ class Configuration:
 
     @classmethod
     def random(cls, n: int, k: int, rng: random.Random) -> Configuration:
-        return cls(colors=tuple(rng.randrange(k) for _ in range(n)), k=k)
+        """``n`` colors from ``rng.randrange(k)``, drawn as it draws them:
+        ``getrandbits(k.bit_length())`` values, keeping those below ``k``.
+        Each pass draws only as many as are still missing, so no draw is
+        made past the ``n``-th kept value."""
+        if k < 1:  # nothing is below k: the loop would never end
+            raise ValueError(f"palette size must be >= 1, got k={k}")
+        getrandbits, bits = rng.getrandbits, k.bit_length()
+        colors: list[int] = []
+        while len(colors) < n:
+            colors += filter(k.__gt__, map(getrandbits, repeat(bits, n - len(colors))))
+        return cls(colors=tuple(colors), k=k)
 
 
 def _check_length(graph: DirectedGraph, colors) -> None:

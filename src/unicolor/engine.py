@@ -16,7 +16,9 @@ import math
 import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from operator import add
+from typing import NamedTuple
 
 from .core import Configuration, DirectedGraph, EnabledTracker, UsageError
 from .algorithms import (
@@ -46,11 +48,12 @@ class EngineStepError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step, column by column: ``activated[m]`` left ``old_colors[m]``
     for ``new_colors[m]``.  ``config_after`` is the configuration after the
-    step, kept only by ``record="full"``."""
+    step, kept only by ``record="full"``.  A named tuple, so ``run`` builds
+    one per step in C; it also equals, and unpacks like, the plain 4-tuple
+    of its fields."""
 
     activated: tuple[int, ...]
     old_colors: tuple[int, ...]
@@ -187,6 +190,10 @@ class ExecutionTrace:
         return [*map(str, range(max(len(self.initial), self.algorithm["k"])))]
 
 
+# Views the deterministic view table holds before ``run`` may drop it.
+_VIEW_TABLE_TRIAL = 8
+
+
 def default_max_steps(graph: DirectedGraph, algo: AlgorithmSpec) -> int:
     """10 n^2 rounds for the deterministic rule (well above n(n-1)/2), and
     for a graph without arcs, where no process is ever enabled; 100x the
@@ -234,7 +241,10 @@ def run(
     # run.  A view enters only once ``recolor`` accepted it, so a hit skips
     # no check that could fail; a step with any unseen view goes to
     # ``recolor`` whole, which raises as it would have.  The rule draws no
-    # random numbers, so the RNG stream is untouched.
+    # random numbers, so the RNG stream is untouched.  Where views do not
+    # recur (wide in-neighbourhoods, large palettes) the table only costs,
+    # so the miss path drops it once it holds ``_VIEW_TABLE_TRIAL`` views
+    # and more than one view per two moves so far, this step's included.
     table = {} if kind is AlgorithmKind.DETERMINISTIC else None
     if table is not None:
         views = graph.views
@@ -244,6 +254,9 @@ def run(
     enabled_now = tracker.members
     steps: list[StepRecord] = []
     recording = record != "none"
+    full = record == "full"
+    # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
+    step_record = partial(tuple.__new__, StepRecord)
     total_moves = 0
     total_steps = 0
     terminated = False
@@ -265,12 +278,16 @@ def run(
                 new = known(view)
                 if new is None:
                     new = table[view] = recolor(kind, chosen, preds, colors, k, rng)[0]
+                    if len(table) >= _VIEW_TABLE_TRIAL and 2 * len(table) > total_moves + len(chosen):
+                        table = None
                 new_colors = (new,)
             else:
                 new_colors = tuple([known(views[i](colors)) for i in chosen])
                 if None in new_colors:
                     new_colors = recolor(kind, chosen, preds, colors, k, rng)
                     table.update(zip([views[i](colors) for i in chosen], new_colors))
+                    if len(table) >= _VIEW_TABLE_TRIAL and 2 * len(table) > total_moves + len(chosen):
+                        table = None
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
         if recording:
@@ -281,8 +298,7 @@ def run(
         total_moves += len(chosen)
         total_steps += 1
         if recording:
-            config_after = tuple(colors) if record == "full" else None
-            steps.append(StepRecord(chosen, old_colors, new_colors, config_after))
+            steps.append(step_record((chosen, old_colors, new_colors, tuple(colors) if full else None)))
 
     return ExecutionTrace(
         graph=graph.summary(),

@@ -144,6 +144,7 @@ def repro_chain_worst_case(n: int) -> ReproReport:
             SchedulerPolicy.scripted(script),
             Configuration.uniform(n, 0, k),
             max_steps=len(script) + 1,
+            record="none",
         )
     except EngineStepError as exc:
         violation = isinstance(exc.cause, ScriptViolationError)

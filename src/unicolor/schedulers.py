@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .core import DirectedGraph
+from .core import DirectedGraph, _randbelow, _shuffle
 
 
 class SchedulerKind(Enum):
@@ -141,19 +141,22 @@ def select_from(
 
     ``enabled_now`` is the nonempty ascending sequence of enabled
     processes; it is only read.  Returns a sorted tuple, or None when a
-    scripted policy has run out of steps.
+    scripted policy has run out of steps.  The random policies draw from
+    ``rng.getrandbits`` exactly what ``rng.choice(enabled_now)``,
+    ``rng.randrange(1, 1 << len(enabled_now))`` and ``rng.shuffle`` would
+    (see ``core._randbelow`` and ``core._shuffle``).
     """
     kind = policy.kind
     if kind is SchedulerKind.SYNCHRONOUS:
         return tuple(enabled_now)
     if kind is SchedulerKind.DISTRIBUTED_RANDOM_SUBSET:
-        mask = rng.randrange(1, 1 << len(enabled_now))
+        mask = 1 + _randbelow(rng.getrandbits, (1 << len(enabled_now)) - 1)
         return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
     if kind is SchedulerKind.LOCALLY_CENTRAL_SINGLE:
-        return (rng.choice(enabled_now),)
+        return (enabled_now[_randbelow(rng.getrandbits, len(enabled_now))],)
     if kind is SchedulerKind.LOCALLY_CENTRAL_MAXIMAL:
         order = list(enabled_now)
-        rng.shuffle(order)
+        _shuffle(order, rng.getrandbits)
         picked: list[int] = []
         blocked: set[int] = set()
         for i in order:

@@ -36,7 +36,6 @@ from unicolor import (
     recolor,
     ring,
     ring_chase_initial,
-    select_from,
 )
 from unicolor.engine import default_max_steps
 
@@ -129,15 +128,66 @@ def reference_random_digraph_arcs(n: int, max_degree: int, seed: int) -> list[tu
     return sorted(arcs)
 
 
+def reference_select(policy, arcs, colors, enabled_now, rng: random.Random, step_index: int):
+    """``select_from`` with the stdlib's own draws: ``rng.choice``,
+    ``rng.randrange(1, 1 << m)`` and ``rng.shuffle``, and a script checked
+    against ``oracle_enabled`` and the arc list."""
+    kind = policy.kind.value
+    if kind == "sync":
+        return enabled_now
+    if kind == "dist":
+        mask = rng.randrange(1, 1 << len(enabled_now))
+        return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
+    if kind == "lc1":
+        return (rng.choice(enabled_now),)
+    if kind == "lcmax":
+        order = list(enabled_now)
+        rng.shuffle(order)
+        picked: list[int] = []
+        for i in order:
+            if all((i, p) not in arcs and (p, i) not in arcs for p in picked):
+                picked.append(i)
+        return tuple(sorted(picked))
+    script = policy.script
+    if step_index >= len(script.steps):
+        return None
+    chosen = script.steps[step_index]
+    for i in chosen:
+        if not oracle_enabled(arcs, colors, i):
+            raise ScriptViolationError(step_index, f"process {i} is not enabled")
+    if script.locally_central:
+        for a, b in combinations(chosen, 2):
+            if (a, b) in arcs or (b, a) in arcs:
+                raise ScriptViolationError(step_index, f"processes {a} and {b} are neighbors")
+    return chosen
+
+
+def reference_new_color(algo, arcs, colors, i, rng: random.Random) -> int:
+    """The new color of enabled process ``i`` read off the arc list: the
+    increment loop for the deterministic rule, ``rng.choice`` over the
+    free colors for the probabilistic one."""
+    preds = [p for (p, q) in arcs if q == i]
+    taken = {colors[p] for p in preds}
+    if algo.kind is AlgorithmKind.PROBABILISTIC:
+        return rng.choice([c for c in range(algo.k) if c not in taken])
+    if len(taken) >= algo.k:
+        raise NonTerminatingCommandError(
+            f"process {i}: all {algo.k} colors held by predecessors (in-degree {len(preds)})"
+        )
+    return oracle_det_do_loop(taken, colors[i], algo.k)
+
+
 def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="moves") -> ExecutionTrace:
     """``engine.run`` as a full rescan per step: ``tracker_members``, then
-    ``select_from`` on it, then ``recolor`` against a frozen
-    ``Configuration`` and a fresh one built from the moves.  Argument
-    checks are left to the caller; the differential tests run both on
-    valid input."""
+    ``reference_select`` on it, then ``reference_new_color`` against a
+    frozen ``Configuration`` and a fresh one built from the moves.  Every
+    draw goes through ``random.Random``'s own methods, so the engine's
+    inlined draws are checked bit for bit.  Argument checks are left to
+    the caller; the differential tests run both on valid input."""
     if max_steps is None:
         max_steps = default_max_steps(graph, algo)
     rng = random.Random(seed)
+    arcs = set(graph.arcs)
     config = initial
     steps = []
     total_moves = 0
@@ -150,14 +200,12 @@ def reference_run(graph, algo, policy, initial, max_steps=None, seed=0, record="
             break
         if total_steps >= max_steps:
             break
+        colors = config.colors
         try:
-            chosen = select_from(policy, graph, enabled_now, rng, total_steps)
+            chosen = reference_select(policy, arcs, colors, enabled_now, rng, total_steps)
             if chosen is None:
                 break
-            colors = config.colors
-            moves = tuple(
-                Move(i, colors[i], recolor(algo.kind, (i,), graph.preds, colors, algo.k, rng)[0]) for i in chosen
-            )
+            moves = tuple(Move(i, colors[i], reference_new_color(algo, arcs, colors, i, rng)) for i in chosen)
         except (NonTerminatingCommandError, ScriptViolationError) as exc:
             raise EngineStepError(total_steps, exc) from exc
         config = apply_moves(config, moves)

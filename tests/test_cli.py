@@ -688,6 +688,25 @@ GOLDEN_RUNS = {
     "sync-ring-2000": (["--graph", "ring:2000", "--k", "3", "--sched", "sync", "--max-steps", "60"],
                        "1192a5556a5365af300588df60c5db90db8fbe45441aadee45b0479e94886b98",
                        "787e655ce138780e3c1d50f3e9fcabd5d0357b769dddec2df7c40e227f9f2107"),
+    # Probabilistic lc1 and lcmax from random starts, recorded while every
+    # draw still went through ``random.Random``'s own methods.
+    "prob-lc1-random": (["--graph", "random:30:4:424242", "--algo", "prob", "--k", "5", "--sched", "lc1",
+                         "--seed", "11", "--initial", "random"],
+                        "7c55410cf1c8b43feed087d0a5867122366aa66b2a862409cce80ae6cb24d9b2",
+                        "468c24407b952ac815908904c0a0356d82fd0ac45f16a89a628c9a1520a1a13b"),
+    "prob-lcmax-ring": (["--graph", "ring:20", "--algo", "prob", "--k", "3", "--sched", "lcmax",
+                         "--seed", "5", "--initial", "random"],
+                        "bf12863c0cb0d48358ab722e6f7a72e17bcb2540c676c7efc174f1de222a68a6",
+                        "3d74d58c75226ae4f15598bbbb2884f300f48e6c52a3449a7b0cd5174b1be709"),
+}
+
+# sha256 of the ``experiment --out`` report and its ``--trials-tsv``,
+# recorded under the same draws as the probabilistic runs above.
+GOLDEN_EXPERIMENTS = {
+    "prob-dist-random-100": (["--graph", "random:100:4:7", "--algo", "prob", "--k", "5", "--sched", "dist",
+                              "--trials", "200", "--seed-base", "9"],
+                             "981e30b930e4eb7e3d13976a776089e96d7303dbf4994dc55171edf2340d3b36",
+                             "137c012f2c44c9fa9bde59afc9f12590c735574b8ee7df0ee22c6ebbf49a52c1"),
 }
 
 
@@ -720,6 +739,15 @@ class TestGoldenArtifacts:
             code, _, _ = run_cli(["run", *argv, "--format", fmt, "--out", str(out_path)], capsys)
             assert code == 0
             assert sha256(out_path) == want, fmt
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
+    def test_experiment_artifacts_unchanged(self, name, capsys, tmp_path):
+        argv, json_sha, tsv_sha = GOLDEN_EXPERIMENTS[name]
+        out_path, tsv_path = tmp_path / "report.json", tmp_path / "trials.tsv"
+        code, _, _ = run_cli(["experiment", *argv, "--out", str(out_path), "--trials-tsv", str(tsv_path)], capsys)
+        assert code == 0
+        assert sha256(out_path) == json_sha
+        assert sha256(tsv_path) == tsv_sha
 
     def test_record_none_artifact_unchanged(self):
         # ``run --trace`` takes moves or full only; record="none" is the

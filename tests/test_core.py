@@ -400,6 +400,19 @@ class TestConfiguration:
         cfg = Configuration.random(50, 4, random.Random(1))
         assert all(0 <= c < 4 for c in cfg.colors)
 
+    def test_random_draws_as_randrange(self):
+        # Powers of two and their neighbours draw with different rejection
+        # rates; each run starts where the last left the generator.
+        got, want = random.Random(5), random.Random(5)
+        for k in range(2, 34):
+            for n in range(201):
+                assert Configuration.random(n, k, got).colors == tuple(want.randrange(k) for _ in range(n))
+                assert got.getstate() == want.getstate()
+
+    def test_random_empty_palette(self):
+        with pytest.raises(ValueError, match="palette size must be >= 1"):
+            Configuration.random(3, 0, random.Random(1))
+
 
 class TestGraphFile:
     def test_parse_with_comments(self):

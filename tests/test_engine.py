@@ -14,6 +14,7 @@ from unicolor import (
     SchedulerPolicy,
     Script,
     ScriptViolationError,
+    StepRecord,
     UsageError,
     bidirectional_clique,
     build_graph,
@@ -354,9 +355,52 @@ class TestIncrementalEngine:
         assert isinstance(err.value.cause, NonTerminatingCommandError)
 
 
+class TestStepRecord:
+    def test_named_tuple_api(self):
+        rec = StepRecord((1, 3), (0, 2), (1, 0))
+        assert rec.config_after is None
+        assert rec == StepRecord(activated=(1, 3), old_colors=(0, 2), new_colors=(1, 0), config_after=None)
+        assert rec != StepRecord((1, 3), (0, 2), (1, 0), (1, 1, 1, 0))
+        assert rec.moves == (Move(1, 0, 1), Move(3, 2, 0))
+        # The one difference from the former frozen dataclass: a record is
+        # a tuple, so it equals and unpacks like the tuple of its fields.
+        assert rec == ((1, 3), (0, 2), (1, 0), None)
+        activated, old_colors, new_colors, config_after = rec
+        assert (activated, config_after) == ((1, 3), None)
+        with pytest.raises(AttributeError):
+            rec.activated = (2,)
+        assert rec.activated == (1, 3)
+
+    def test_run_builds_records(self):
+        trace = run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3),
+                    seed=1, record="full")
+        first = trace.steps[0]
+        assert type(first) is StepRecord
+        assert first == StepRecord(first.activated, (0,), first.new_colors, first.config_after)
+
+
+def counting_recolor(monkeypatch) -> list:
+    """The ``processes`` argument of each ``recolor`` call ``run`` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return recolor(*args)
+
+    monkeypatch.setattr(engine, "recolor", counting)
+    return calls
+
+
+def mover_views(graph, trace) -> list:
+    """The view of each step's single mover, from a ``record="full"`` trace."""
+    befores = [trace.initial] + [rec.config_after for rec in trace.steps[:-1]]
+    return [graph.views[rec.activated[0]](colors) for rec, colors in zip(trace.steps, befores)]
+
+
 class TestViewTable:
     """Deterministic steps read each mover's new color from a per-run table
-    keyed by its view; only a step with an unseen view calls ``recolor``."""
+    keyed by its view; only a step with an unseen view calls ``recolor``.
+    The table is dropped once most moves meet views it has not seen."""
 
     @staticmethod
     def assert_matches_reference(*args, **kwargs):
@@ -364,6 +408,7 @@ class TestViewTable:
         expected = reference_run(*args, **kwargs)
         assert got == expected
         assert got.to_json() == expected.to_json()
+        return got
 
     def test_sync_ring(self):
         graph, algo = ring(300), AlgorithmSpec.deterministic(3)
@@ -382,17 +427,37 @@ class TestViewTable:
         # period 5, so steps 5 and 6 meet the views of steps 0 and 1, and
         # step 7 fires process 0 alone at the view of step 2.  Step 8's
         # views are new.
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return recolor(*args)
-
-        monkeypatch.setattr(engine, "recolor", counting)
+        calls = counting_recolor(monkeypatch)
         graph, algo = bidirectional_clique(5), AlgorithmSpec.deterministic(5)
         script = Script(steps=((0, 1, 2, 3, 4),) * 7 + ((0,), (1, 2)), locally_central=False)
         self.assert_matches_reference(graph, algo, SchedulerPolicy.scripted(script), start(graph, algo))
         assert calls == [(0, 1, 2, 3, 4)] * 5 + [(1, 2)]
+
+    def test_kept_where_views_recur(self, monkeypatch):
+        # The chain's worst-case schedule meets one new view per sweep, so
+        # 435 moves make 29 ``recolor`` calls; k=3 rings have 3 views.
+        calls = counting_recolor(monkeypatch)
+        graph, algo = chain(30), AlgorithmSpec.deterministic(30)
+        policy = SchedulerPolicy.scripted(chain_schedule(30))
+        trace = self.assert_matches_reference(graph, algo, policy, start(graph, algo), record="full")
+        assert trace.total_moves == 435
+        assert len(calls) == len(set(mover_views(graph, trace))) == 29
+        calls.clear()
+        graph, algo = ring(200), AlgorithmSpec.deterministic(3)
+        self.assert_matches_reference(graph, algo, LC1, start(graph, algo), seed=4)
+        assert len(calls) <= 3
+
+    def test_dropped_where_views_do_not_recur(self, monkeypatch):
+        # On random:100:4:1 at k=5 the first eight moves meet eight new
+        # views, so the table is dropped.  Two later moves meet a view seen
+        # before and still call ``recolor``.
+        calls = counting_recolor(monkeypatch)
+        graph, algo = random_digraph(100, 4, 1), AlgorithmSpec.deterministic(5)
+        initial = Configuration.random(100, 5, random.Random(13))
+        trace = self.assert_matches_reference(graph, algo, LC1, initial, seed=13, record="full")
+        views = mover_views(graph, trace)
+        assert len(set(views)) == len(views) - 2
+        assert len(calls) == len(views) == trace.total_moves
 
 
 def stdlib_json(trace) -> str:

@@ -13,7 +13,7 @@ from unicolor import (
     select_from,
 )
 
-from helpers import random_instance, tracker_members
+from helpers import random_instance, reference_select, tracker_members
 
 
 def pick(policy, graph, cfg, rng, step_index=0):
@@ -103,6 +103,21 @@ class TestSelect:
         rng = random.Random(8)
         seen = {pick(SchedulerPolicy.distributed(), g, cfg, rng) for _ in range(200)}
         assert seen == {(0,), (1,), (0, 1)}
+
+    @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS, ids=lambda p: p.name)
+    def test_draws_as_the_stdlib(self, policy):
+        # ``select_from`` draws through ``getrandbits``; the reference calls
+        # ``choice``, ``randrange`` and ``shuffle``.  Enabled sets of 1 to
+        # 70 processes cover the distributed mask at m = 1 and past 64 bits;
+        # on a chain, what lcmax keeps depends on the permutation drawn.
+        for m in range(1, 71):
+            graph = chain(m + 1)
+            enabled_now = tuple(range(m))
+            got, want = random.Random(m), random.Random(m)
+            for _ in range(5):
+                assert select_from(policy, graph, enabled_now, got) == reference_select(
+                    policy, set(graph.arcs), None, enabled_now, want, 0)
+                assert got.getstate() == want.getstate()
 
     def test_seeded_determinism(self):
         g = ring(6)

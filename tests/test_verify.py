@@ -395,13 +395,16 @@ class TestAgainstReference:
 
 
 class _Pick:
-    """A stand-in rng whose draw is a fixed index into the candidates."""
+    """A stand-in rng for ``recolor``'s draw: its first ``getrandbits`` is
+    ``index``, cut to the bits asked for, and every later one is 0.  So
+    the draw picks the candidate at ``index`` when there is one, and over
+    ``index`` in ``0..k-1`` every candidate is picked."""
 
     def __init__(self, index):
-        self.index = index
+        self.draws = iter([index])
 
-    def choice(self, candidates):
-        return candidates[self.index % len(candidates)]
+    def getrandbits(self, bits):
+        return next(self.draws, 0) % (1 << bits)
 
 
 class TestPaletteRotation:
