@@ -190,10 +190,6 @@ class ExecutionTrace:
         return [*map(str, range(max(len(self.initial), self.algorithm["k"])))]
 
 
-# Views the deterministic view table holds before ``run`` may drop it.
-_VIEW_TABLE_TRIAL = 8
-
-
 def default_max_steps(graph: DirectedGraph, algo: AlgorithmSpec) -> int:
     """10 n^2 rounds for the deterministic rule (well above n(n-1)/2), and
     for a graph without arcs, where no process is ever enabled; 100x the
@@ -241,10 +237,7 @@ def run(
     # run.  A view enters only once ``recolor`` accepted it, so a hit skips
     # no check that could fail; a step with any unseen view goes to
     # ``recolor`` whole, which raises as it would have.  The rule draws no
-    # random numbers, so the RNG stream is untouched.  Where views do not
-    # recur (wide in-neighbourhoods, large palettes) the table only costs,
-    # so the miss path drops it once it holds ``_VIEW_TABLE_TRIAL`` views
-    # and more than one view per two moves so far, this step's included.
+    # random numbers, so the RNG stream is untouched.
     table = {} if kind is AlgorithmKind.DETERMINISTIC else None
     if table is not None:
         views = graph.views
@@ -278,16 +271,12 @@ def run(
                 new = known(view)
                 if new is None:
                     new = table[view] = recolor(kind, chosen, preds, colors, k, rng)[0]
-                    if len(table) >= _VIEW_TABLE_TRIAL and 2 * len(table) > total_moves + len(chosen):
-                        table = None
                 new_colors = (new,)
             else:
                 new_colors = tuple([known(views[i](colors)) for i in chosen])
                 if None in new_colors:
                     new_colors = recolor(kind, chosen, preds, colors, k, rng)
                     table.update(zip([views[i](colors) for i in chosen], new_colors))
-                    if len(table) >= _VIEW_TABLE_TRIAL and 2 * len(table) > total_moves + len(chosen):
-                        table = None
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
         if recording:

@@ -399,8 +399,7 @@ def mover_views(graph, trace) -> list:
 
 class TestViewTable:
     """Deterministic steps read each mover's new color from a per-run table
-    keyed by its view; only a step with an unseen view calls ``recolor``.
-    The table is dropped once most moves meet views it has not seen."""
+    keyed by its view; only a step with an unseen view calls ``recolor``."""
 
     @staticmethod
     def assert_matches_reference(*args, **kwargs):
@@ -435,7 +434,10 @@ class TestViewTable:
 
     def test_kept_where_views_recur(self, monkeypatch):
         # The chain's worst-case schedule meets one new view per sweep, so
-        # 435 moves make 29 ``recolor`` calls; k=3 rings have 3 views.
+        # 435 moves make 29 ``recolor`` calls.  A deterministic mover on a
+        # ring sees (c, c), so a ring run meets at most k views; at k=16
+        # from a random start most of them come in its first moves, and
+        # the table still holds them for the rest of the run.
         calls = counting_recolor(monkeypatch)
         graph, algo = chain(30), AlgorithmSpec.deterministic(30)
         policy = SchedulerPolicy.scripted(chain_schedule(30))
@@ -446,18 +448,12 @@ class TestViewTable:
         graph, algo = ring(200), AlgorithmSpec.deterministic(3)
         self.assert_matches_reference(graph, algo, LC1, start(graph, algo), seed=4)
         assert len(calls) <= 3
-
-    def test_dropped_where_views_do_not_recur(self, monkeypatch):
-        # On random:100:4:1 at k=5 the first eight moves meet eight new
-        # views, so the table is dropped.  Two later moves meet a view seen
-        # before and still call ``recolor``.
-        calls = counting_recolor(monkeypatch)
-        graph, algo = random_digraph(100, 4, 1), AlgorithmSpec.deterministic(5)
-        initial = Configuration.random(100, 5, random.Random(13))
-        trace = self.assert_matches_reference(graph, algo, LC1, initial, seed=13, record="full")
-        views = mover_views(graph, trace)
-        assert len(set(views)) == len(views) - 2
-        assert len(calls) == len(views) == trace.total_moves
+        for seed in range(5):
+            calls.clear()
+            graph, algo = ring(1000), AlgorithmSpec.deterministic(16)
+            initial = Configuration.random(1000, 16, random.Random(seed))
+            trace = self.assert_matches_reference(graph, algo, LC1, initial, seed=seed)
+            assert len(calls) <= 16 < trace.total_moves
 
 
 def stdlib_json(trace) -> str:
