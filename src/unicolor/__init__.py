@@ -30,6 +30,7 @@ from .algorithms import (
     expected_steps_per_conflict,
     expected_total_steps_bound,
     recolor,
+    rule,
 )
 from .schedulers import (
     SchedulerKind,
@@ -37,6 +38,7 @@ from .schedulers import (
     Script,
     ScriptViolationError,
     select_from,
+    selector,
 )
 from .engine import EngineStepError, ExecutionTrace, StepRecord, run
 from .verify import (

@@ -79,17 +79,20 @@ def free_colors(taken, k: int) -> list[int]:
     return [*filterfalse(taken.__contains__, range(k))]
 
 
-def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.Random | None) -> tuple[int, ...]:
-    """The new colors of ``processes`` under rule ``kind``, in their order.
+def rule(kind: AlgorithmKind, preds, k: int, rng: random.Random | None):
+    """The command of rule ``kind`` for one run: ``command(processes,
+    colors)`` returns the new colors of ``processes``, in their order.
 
     ``preds[i]`` are the predecessors of ``i`` and ``colors`` the pre-step
     colors; every process reads them, none sees another's new color.  The
     deterministic rule runs the inner increment loop to quiescence as one
     atomic move: the first of ``old+1, old+2, ...`` (mod k) absent from the
     predecessors' colors.  The probabilistic rule draws uniformly from the
-    sorted list of those absent colors, one ``rng.choice`` per move in the
-    order of ``processes`` (drawn through ``core._randbelow``, which takes
-    the same bits), so runs are bit-reproducible for a fixed seed.
+    sorted list of those absent colors (see :func:`free_colors`), one
+    ``rng.choice`` per move in the order of ``processes`` (drawn through
+    ``core._randbelow``, which takes the same bits), so runs are
+    bit-reproducible for a fixed seed.  The deterministic rule draws
+    nothing and may have no ``rng``.
     The first process that fails raises: :class:`NonTerminatingCommandError`
     when its predecessors hold every color, which the deterministic
     increment loop would never escape, and ``ValueError`` when it is not
@@ -98,33 +101,45 @@ def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.R
     rule: a caller's bug, since neither can happen in a run that passed
     set-up.
     """
-    color_of = colors.__getitem__
-    new_colors = []
-    append = new_colors.append
     deterministic = kind is AlgorithmKind.DETERMINISTIC
-    for i in processes:
-        preds_i = preds[i]
-        taken = set(map(color_of, preds_i))
-        old = colors[i]
-        if old not in taken:
-            raise ValueError(f"process {i} is not enabled")
-        if deterministic:
-            if len(taken) >= k:
-                raise NonTerminatingCommandError(
-                    f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+    palette = range(k)
+    getrandbits = getattr(rng, "getrandbits", None)
+
+    def command(processes, colors) -> tuple[int, ...]:
+        color_of = colors.__getitem__
+        new_colors = []
+        append = new_colors.append
+        for i in processes:
+            preds_i = preds[i]
+            taken = set(map(color_of, preds_i))
+            old = colors[i]
+            if old not in taken:
+                raise ValueError(f"process {i} is not enabled")
+            if deterministic:
+                if len(taken) >= k:
+                    raise NonTerminatingCommandError(
+                        f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+                    )
+                new = (old + 1) % k
+                while new in taken:
+                    new = (new + 1) % k
+                append(new)
+                continue
+            candidates = [*filterfalse(taken.__contains__, palette)]
+            if not candidates:
+                raise ValueError(
+                    f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
                 )
-            new = (old + 1) % k
-            while new in taken:
-                new = (new + 1) % k
-            append(new)
-            continue
-        candidates = free_colors(taken, k)
-        if not candidates:
-            raise ValueError(
-                f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
-            )
-        append(candidates[_randbelow(rng.getrandbits, len(candidates))])
-    return tuple(new_colors)
+            append(candidates[_randbelow(getrandbits, len(candidates))])
+        return tuple(new_colors)
+
+    return command
+
+
+def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.Random | None) -> tuple[int, ...]:
+    """The new colors of ``processes`` under rule ``kind``: one call of
+    :func:`rule`'s command, with the same checks and draws."""
+    return rule(kind, preds, k, rng)(processes, colors)
 
 
 def expected_new_conflicts(graph: DirectedGraph, i: int, k: int) -> Fraction:

@@ -28,9 +28,9 @@ from .algorithms import (
     NonTerminatingCommandError,
     _check_prob_headroom,
     expected_total_steps_bound,
-    recolor,
+    rule,
 )
-from .schedulers import SchedulerPolicy, ScriptViolationError, select_from
+from .schedulers import SchedulerPolicy, ScriptViolationError, selector
 
 # The model's own failures: a command with no color to move to, a script
 # that activates a disabled process or two neighbors.  Anything else,
@@ -229,22 +229,24 @@ def run(
         raise UsageError(f"max_steps must be >= 0, got {max_steps}")
 
     rng = random.Random(seed)
-    preds = graph.preds
-    kind = algo.kind
-    k = algo.k
+    # The scheduler and the rule are resolved once: each step calls only
+    # these closures.
+    select = selector(policy, graph, rng)
+    command = rule(algo.kind, graph.preds, algo.k, rng)
     # The deterministic rule's new color is a function of the mover's view
-    # alone, so each view's first answer from ``recolor`` is kept for the
-    # run.  A view enters only once ``recolor`` accepted it, so a hit skips
+    # alone, so each view's first answer from ``command`` is kept for the
+    # run.  A view enters only once ``command`` accepted it, so a hit skips
     # no check that could fail; a step with any unseen view goes to
-    # ``recolor`` whole, which raises as it would have.  The rule draws no
+    # ``command`` whole, which raises as it would have.  The rule draws no
     # random numbers, so the RNG stream is untouched.
-    table = {} if kind is AlgorithmKind.DETERMINISTIC else None
+    table = {} if algo.kind is AlgorithmKind.DETERMINISTIC else None
     if table is not None:
         views = graph.views
         known = table.get
     colors = list(initial.colors)
     tracker = EnabledTracker(graph, colors)
     enabled_now = tracker.members
+    refresh = tracker.refresh
     steps: list[StepRecord] = []
     recording = record != "none"
     full = record == "full"
@@ -260,22 +262,22 @@ def run(
         if total_steps >= max_steps:
             break
         try:
-            chosen = select_from(policy, graph, enabled_now, rng, total_steps)
+            chosen = select(enabled_now, total_steps)
             if chosen is None:
                 break  # script exhausted before termination
             # Every command reads the pre-step colors.
             if table is None:
-                new_colors = recolor(kind, chosen, preds, colors, k, rng)
+                new_colors = command(chosen, colors)
             elif len(chosen) == 1:  # lc1 and most scripts: no list to build
                 view = views[chosen[0]](colors)
                 new = known(view)
                 if new is None:
-                    new = table[view] = recolor(kind, chosen, preds, colors, k, rng)[0]
+                    new = table[view] = command(chosen, colors)[0]
                 new_colors = (new,)
             else:
                 new_colors = tuple([known(views[i](colors)) for i in chosen])
                 if None in new_colors:
-                    new_colors = recolor(kind, chosen, preds, colors, k, rng)
+                    new_colors = command(chosen, colors)
                     table.update(zip([views[i](colors) for i in chosen], new_colors))
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
@@ -283,7 +285,7 @@ def run(
             old_colors = tuple(map(colors.__getitem__, chosen))
         for i, c in zip(chosen, new_colors):
             colors[i] = c
-        tracker.refresh(chosen)
+        refresh(chosen)
         total_moves += len(chosen)
         total_steps += 1
         if recording:

@@ -16,7 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, compress
 
 from .core import DirectedGraph, _randbelow, _shuffle
 
@@ -51,9 +51,7 @@ class Script:
     locally_central: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "steps", tuple(tuple(sorted(set(step))) for step in self.steps)
-        )
+        object.__setattr__(self, "steps", tuple(map(tuple, map(sorted, map(set, self.steps)))))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -108,26 +106,71 @@ class SchedulerPolicy:
         return self.kind.value
 
 
-def _validate_scripted(
-    policy: SchedulerPolicy,
-    graph: DirectedGraph,
-    enabled_now,
-    step_index: int,
-) -> tuple[int, ...] | None:
-    script = policy.script
-    assert script is not None
-    if step_index >= len(script.steps):
-        return None
-    chosen = script.steps[step_index]
-    for i in chosen:
-        at = bisect_left(enabled_now, i)
-        if at == len(enabled_now) or enabled_now[at] != i:
-            raise ScriptViolationError(step_index, f"process {i} is not enabled")
-    if script.locally_central:
-        for a, b in combinations(chosen, 2):
-            if b in graph.neighbors[a]:
-                raise ScriptViolationError(step_index, f"processes {a} and {b} are neighbors")
-    return chosen
+# Byte ``b"0"`` to 0 and ``b"1"`` to 1, so a mask's binary digits index
+# ``compress``.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def selector(policy: SchedulerPolicy, graph: DirectedGraph, rng: random.Random):
+    """The pick of one run under ``policy``: ``pick(enabled_now, step_index)``
+    returns that step's activation set from ``enabled_now``.
+
+    ``enabled_now`` is the nonempty ascending sequence of enabled
+    processes; it is only read.  A pick returns a sorted tuple, or None
+    when a scripted policy has run out of steps.  The policy's kind, the
+    script and ``rng.getrandbits`` are read here, once per run.  The
+    random policies draw from ``rng.getrandbits`` exactly what
+    ``rng.choice(enabled_now)``, ``rng.randrange(1, 1 << len(enabled_now))``
+    and ``rng.shuffle`` would (see ``core._randbelow`` and
+    ``core._shuffle``).  A scripted pick raises
+    :class:`ScriptViolationError` for a step that activates a disabled
+    process or, in a locally central script, two neighbors; it draws
+    nothing, and ``rng`` may be None.
+    """
+    kind = policy.kind
+    getrandbits = getattr(rng, "getrandbits", None)
+    neighbors = graph.neighbors
+    if kind is SchedulerKind.SYNCHRONOUS:
+        def pick(enabled_now, step_index):
+            return tuple(enabled_now)
+    elif kind is SchedulerKind.DISTRIBUTED_RANDOM_SUBSET:
+        def pick(enabled_now, step_index):
+            mask = 1 + _randbelow(getrandbits, (1 << len(enabled_now)) - 1)
+            # The mask's binary digits, lowest first, as 0/1 bytes.
+            return tuple(compress(enabled_now, bin(mask)[:1:-1].encode().translate(_BITS)))
+    elif kind is SchedulerKind.LOCALLY_CENTRAL_SINGLE:
+        def pick(enabled_now, step_index):
+            return (enabled_now[_randbelow(getrandbits, len(enabled_now))],)
+    elif kind is SchedulerKind.LOCALLY_CENTRAL_MAXIMAL:
+        def pick(enabled_now, step_index):
+            order = list(enabled_now)
+            _shuffle(order, getrandbits)
+            picked: list[int] = []
+            blocked: set[int] = set()
+            for i in order:
+                if i not in blocked:
+                    picked.append(i)
+                    blocked.add(i)
+                    blocked.update(neighbors[i])
+            return tuple(sorted(picked))
+    else:
+        steps = policy.script.steps
+        locally_central = policy.script.locally_central
+
+        def pick(enabled_now, step_index):
+            if step_index >= len(steps):
+                return None
+            chosen = steps[step_index]
+            for i in chosen:
+                at = bisect_left(enabled_now, i)
+                if at == len(enabled_now) or enabled_now[at] != i:
+                    raise ScriptViolationError(step_index, f"process {i} is not enabled")
+            if locally_central and len(chosen) > 1:
+                for a, b in combinations(chosen, 2):
+                    if b in neighbors[a]:
+                        raise ScriptViolationError(step_index, f"processes {a} and {b} are neighbors")
+            return chosen
+    return pick
 
 
 def select_from(
@@ -137,32 +180,6 @@ def select_from(
     rng: random.Random,
     step_index: int = 0,
 ) -> tuple[int, ...] | None:
-    """Pick this step's activation set from ``enabled_now``.
-
-    ``enabled_now`` is the nonempty ascending sequence of enabled
-    processes; it is only read.  Returns a sorted tuple, or None when a
-    scripted policy has run out of steps.  The random policies draw from
-    ``rng.getrandbits`` exactly what ``rng.choice(enabled_now)``,
-    ``rng.randrange(1, 1 << len(enabled_now))`` and ``rng.shuffle`` would
-    (see ``core._randbelow`` and ``core._shuffle``).
-    """
-    kind = policy.kind
-    if kind is SchedulerKind.SYNCHRONOUS:
-        return tuple(enabled_now)
-    if kind is SchedulerKind.DISTRIBUTED_RANDOM_SUBSET:
-        mask = 1 + _randbelow(rng.getrandbits, (1 << len(enabled_now)) - 1)
-        return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
-    if kind is SchedulerKind.LOCALLY_CENTRAL_SINGLE:
-        return (enabled_now[_randbelow(rng.getrandbits, len(enabled_now))],)
-    if kind is SchedulerKind.LOCALLY_CENTRAL_MAXIMAL:
-        order = list(enabled_now)
-        _shuffle(order, rng.getrandbits)
-        picked: list[int] = []
-        blocked: set[int] = set()
-        for i in order:
-            if i not in blocked:
-                picked.append(i)
-                blocked.add(i)
-                blocked.update(graph.neighbors[i])
-        return tuple(sorted(picked))
-    return _validate_scripted(policy, graph, enabled_now, step_index)
+    """One pick of :func:`selector`: this step's activation set from
+    ``enabled_now``, drawn from ``rng`` as a run's pick draws it."""
+    return selector(policy, graph, rng)(enabled_now, step_index)

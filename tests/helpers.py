@@ -128,6 +128,12 @@ def reference_random_digraph_arcs(n: int, max_degree: int, seed: int) -> list[tu
     return sorted(arcs)
 
 
+def reference_mask_decode(mask: int, enabled_now) -> tuple[int, ...]:
+    """The processes of ``enabled_now`` whose bit is set in ``mask``, bit 0
+    for the first, one shift of the whole mask per process."""
+    return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
+
+
 def reference_select(policy, arcs, colors, enabled_now, rng: random.Random, step_index: int):
     """``select_from`` with the stdlib's own draws: ``rng.choice``,
     ``rng.randrange(1, 1 << m)`` and ``rng.shuffle``, and a script checked
@@ -136,8 +142,7 @@ def reference_select(policy, arcs, colors, enabled_now, rng: random.Random, step
     if kind == "sync":
         return enabled_now
     if kind == "dist":
-        mask = rng.randrange(1, 1 << len(enabled_now))
-        return tuple(i for bit, i in enumerate(enabled_now) if mask >> bit & 1)
+        return reference_mask_decode(rng.randrange(1, 1 << len(enabled_now)), enabled_now)
     if kind == "lc1":
         return (rng.choice(enabled_now),)
     if kind == "lcmax":

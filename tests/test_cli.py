@@ -288,10 +288,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "target, argv",
         [
-            ("unicolor.engine.recolor", ["run", "--graph", "ring:3", "--k", "3"]),
-            ("unicolor.engine.recolor", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
-                                         "--initial", "uniform0", "--jobs", "1"]),
-            ("unicolor.engine.recolor", ["repro", "chain", "--n", "3"]),
+            ("unicolor.engine.rule", ["run", "--graph", "ring:3", "--k", "3"]),
+            ("unicolor.engine.rule", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
+                                      "--initial", "uniform0", "--jobs", "1"]),
+            ("unicolor.engine.rule", ["repro", "chain", "--n", "3"]),
             ("unicolor.verify.recolor", ["verify", "--graph", "ring:3", "--k", "3"]),
         ],
         ids=["run", "experiment", "repro", "verify"],
@@ -299,11 +299,12 @@ class TestExitCodes:
     def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
         # A bug in a command must crash, not exit 2 as if the arguments were
         # wrong.  A deterministic run's first step always misses the engine's
-        # view table, so the patched ``recolor`` is reached.
+        # view table, so the command of the patched ``rule`` is reached; the
+        # verifier calls ``recolor`` itself.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
 
-        monkeypatch.setattr(target, broken)
+        monkeypatch.setattr(target, (lambda *args: broken) if target.endswith(".rule") else broken)
         with pytest.raises(ValueError, match="process 0 is not enabled"):
             main(argv)
         assert capsys.readouterr().err == ""
@@ -698,6 +699,12 @@ GOLDEN_RUNS = {
                          "--seed", "5", "--initial", "random"],
                         "bf12863c0cb0d48358ab722e6f7a72e17bcb2540c676c7efc174f1de222a68a6",
                         "3d74d58c75226ae4f15598bbbb2884f300f48e6c52a3449a7b0cd5174b1be709"),
+    # dist from the all-0 start: the first step draws a 300-bit subset
+    # mask.  Recorded while the mask was decoded one shift per process.
+    "prob-dist-300": (["--graph", "random:300:4:5", "--algo", "prob", "--k", "5", "--sched", "dist",
+                       "--initial", "uniform:0", "--seed", "3"],
+                      "457d71ea41631e1eb2d9a488ee591b505c73503be26174c9d274cd32bb30ee08",
+                      "f90384651d5bf3b47f8f5c3fc5c4cb5ccfc063af74aa569340b944c61b8648f6"),
 }
 
 # sha256 of the ``experiment --out`` report and its ``--trials-tsv``,

@@ -25,6 +25,7 @@ from unicolor import (
     read_graph_file,
     recolor,
     ring,
+    rule,
     run,
 )
 from unicolor import engine
@@ -327,12 +328,12 @@ class TestIncrementalEngine:
             assert got.to_json() == expected.to_json()
 
     # A deterministic run's first step always misses the view table, so
-    # the patched ``recolor`` below is reached at step 0.
+    # the command of the patched ``rule`` below is called at step 0.
     def test_programming_error_is_not_wrapped(self, monkeypatch):
         def broken(*args):
             raise TypeError("bug in a command")
 
-        monkeypatch.setattr(engine, "recolor", broken)
+        monkeypatch.setattr(engine, "rule", lambda *args: broken)
         with pytest.raises(TypeError, match="bug in a command"):
             run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3))
 
@@ -341,7 +342,7 @@ class TestIncrementalEngine:
         def broken(*args):
             raise ValueError("bug in a command")
 
-        monkeypatch.setattr(engine, "recolor", broken)
+        monkeypatch.setattr(engine, "rule", lambda *args: broken)
         with pytest.raises(ValueError, match="bug in a command"):
             run(ring(3), AlgorithmSpec.deterministic(3), LC1, Configuration.uniform(3, 0, 3))
 
@@ -379,15 +380,20 @@ class TestStepRecord:
         assert first == StepRecord(first.activated, (0,), first.new_colors, first.config_after)
 
 
-def counting_recolor(monkeypatch) -> list:
-    """The ``processes`` argument of each ``recolor`` call ``run`` makes."""
+def counting_commands(monkeypatch) -> list:
+    """The ``processes`` argument of each command call ``run`` makes."""
     calls = []
 
-    def counting(*args):
-        calls.append(args[1])
-        return recolor(*args)
+    def counting_rule(*args):
+        command = rule(*args)
 
-    monkeypatch.setattr(engine, "recolor", counting)
+        def counting(processes, colors):
+            calls.append(processes)
+            return command(processes, colors)
+
+        return counting
+
+    monkeypatch.setattr(engine, "rule", counting_rule)
     return calls
 
 
@@ -399,7 +405,7 @@ def mover_views(graph, trace) -> list:
 
 class TestViewTable:
     """Deterministic steps read each mover's new color from a per-run table
-    keyed by its view; only a step with an unseen view calls ``recolor``."""
+    keyed by its view; only a step with an unseen view calls the command."""
 
     @staticmethod
     def assert_matches_reference(*args, **kwargs):
@@ -417,7 +423,7 @@ class TestViewTable:
     @pytest.mark.parametrize("policy", ["dist", "lcmax"])
     def test_random_digraph(self, policy, seed):
         # Under dist, seeds 1 and 3 each have steps that meet seen views
-        # beside unseen ones, so ``recolor`` runs after partial hits.
+        # beside unseen ones, so the command runs after partial hits.
         graph, algo = random_digraph(60, 4, seed), AlgorithmSpec.deterministic(5)
         self.assert_matches_reference(graph, algo, POLICIES[policy], start(graph, algo), seed=seed)
 
@@ -426,7 +432,7 @@ class TestViewTable:
         # period 5, so steps 5 and 6 meet the views of steps 0 and 1, and
         # step 7 fires process 0 alone at the view of step 2.  Step 8's
         # views are new.
-        calls = counting_recolor(monkeypatch)
+        calls = counting_commands(monkeypatch)
         graph, algo = bidirectional_clique(5), AlgorithmSpec.deterministic(5)
         script = Script(steps=((0, 1, 2, 3, 4),) * 7 + ((0,), (1, 2)), locally_central=False)
         self.assert_matches_reference(graph, algo, SchedulerPolicy.scripted(script), start(graph, algo))
@@ -434,11 +440,11 @@ class TestViewTable:
 
     def test_kept_where_views_recur(self, monkeypatch):
         # The chain's worst-case schedule meets one new view per sweep, so
-        # 435 moves make 29 ``recolor`` calls.  A deterministic mover on a
+        # 435 moves make 29 command calls.  A deterministic mover on a
         # ring sees (c, c), so a ring run meets at most k views; at k=16
         # from a random start most of them come in its first moves, and
         # the table still holds them for the rest of the run.
-        calls = counting_recolor(monkeypatch)
+        calls = counting_commands(monkeypatch)
         graph, algo = chain(30), AlgorithmSpec.deterministic(30)
         policy = SchedulerPolicy.scripted(chain_schedule(30))
         trace = self.assert_matches_reference(graph, algo, policy, start(graph, algo), record="full")

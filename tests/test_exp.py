@@ -117,7 +117,7 @@ class TestRunExperiment:
         def broken(*args):
             raise TypeError("bug in a command")
 
-        monkeypatch.setattr(engine, "recolor", broken)
+        monkeypatch.setattr(engine, "rule", lambda *args: broken)
         with pytest.raises(TypeError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
@@ -126,7 +126,7 @@ class TestRunExperiment:
         def broken(*args):
             raise ValueError("bug in a command")
 
-        monkeypatch.setattr(engine, "recolor", broken)
+        monkeypatch.setattr(engine, "rule", lambda *args: broken)
         with pytest.raises(ValueError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 

@@ -11,9 +11,10 @@ from unicolor import (
     chain,
     ring,
     select_from,
+    selector,
 )
 
-from helpers import random_instance, reference_select, tracker_members
+from helpers import random_instance, reference_mask_decode, reference_select, tracker_members
 
 
 def pick(policy, graph, cfg, rng, step_index=0):
@@ -119,6 +120,68 @@ class TestSelect:
                     policy, set(graph.arcs), None, enabled_now, want, 0)
                 assert got.getstate() == want.getstate()
 
+    def test_dist_decodes_masks_as_the_reference(self):
+        # A stub whose draw is ``mask - 1`` makes the dist pick take
+        # ``mask``: one bit, every bit, the top bit only, and a random mask
+        # over enabled sets of 1 to 1,000 processes.
+        class Bits:
+            def __init__(self, mask):
+                self.value = mask - 1
+
+            def getrandbits(self, bits):
+                return self.value
+
+        policy, graph = SchedulerPolicy.distributed(), chain(2000)
+        rng = random.Random(5)
+        for m in range(1, 1001):
+            enabled_now = tuple(sorted(rng.sample(range(2 * m), m)))
+            for mask in {1, (1 << m) - 1, 1 << (m - 1), rng.randrange(1, 1 << m)}:
+                assert selector(policy, graph, Bits(mask))(enabled_now, 0) == reference_mask_decode(
+                    mask, enabled_now)
+
+    @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS + ["script"],
+                             ids=lambda p: p if isinstance(p, str) else p.name)
+    def test_selector_matches_select_from(self, policy):
+        # One run's pick, called for 250 consecutive steps, against a fresh
+        # ``select_from`` per step on a twin generator: the same picks, and
+        # the same generator state after each.  The script is 250 random
+        # independent sets of ring:40, run with every process enabled.
+        graph, sets = ring(40), random.Random(9)
+        if policy == "script":
+            steps = []
+            for _ in range(250):
+                picked = set()
+                for i in sets.sample(range(40), sets.randint(1, 6)):
+                    if not picked & set(graph.neighbors[i]):
+                        picked.add(i)
+                steps.append(tuple(picked))
+            policy = SchedulerPolicy.scripted(Script(steps=tuple(steps)))
+        got, want = random.Random(1), random.Random(1)
+        pick = selector(policy, graph, got)
+        for t in range(250):
+            if policy.script is not None:
+                enabled_now = tuple(range(40))
+            else:
+                enabled_now = tuple(sorted(sets.sample(range(40), sets.randint(1, 40))))
+            assert pick(enabled_now, t) == select_from(policy, graph, enabled_now, want, t)
+            assert got.getstate() == want.getstate()
+        if policy.script is not None:
+            assert pick(tuple(range(40)), 250) is None
+
+    @pytest.mark.parametrize("steps, enabled_now, message", [
+        (((0,), (5,)), (0, 1, 2, 3), "process 5 is not enabled"),
+        (((0,), (4, 2, 3)), (2, 3, 4), "processes 2 and 3 are neighbors"),
+    ])
+    def test_selector_raises_as_select_from(self, steps, enabled_now, message):
+        policy = SchedulerPolicy.scripted(Script(steps=steps))
+        graph = chain(6)
+        pick = selector(policy, graph, random.Random(0))
+        assert pick((0, 1), 0) == (0,)
+        for call in (lambda: pick(enabled_now, 1), lambda: select_from(policy, graph, enabled_now, None, 1)):
+            with pytest.raises(ScriptViolationError, match=f"^script: {message}$") as err:
+                call()
+            assert err.value.step_index == 1
+
     def test_seeded_determinism(self):
         g = ring(6)
         cfg = Configuration.uniform(6, 0, 4)
@@ -165,6 +228,9 @@ class TestScripted:
     def test_text_round_trip(self):
         script = Script(steps=((0,), (1, 2), (0,)))
         assert Script.from_text("0\n1 2\n0\n") == script
+
+    def test_steps_sorted_without_repeats(self):
+        assert Script.from_text("3 1 3\n\n2\n").steps == ((1, 3), (2,))
 
     def test_policy_requires_script(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import asdict
 from itertools import permutations, product
 from math import factorial
@@ -21,6 +22,7 @@ from unicolor import (
     recolor,
     replay_witness,
     ring,
+    rule,
     verify_deterministic,
     verify_probabilistic_support,
 )
@@ -436,6 +438,29 @@ class TestPaletteRotation:
                         before = {(c + r) % k for c in before}
                     assert after == before
 
+
+
+class TestRule:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.integers(2, 4), st.integers(0, 2**32))
+    def test_one_command_matches_recolor(self, graph, k, seed):
+        # One run's command, called on every configuration in turn with
+        # all its enabled processes, against ``recolor`` per call on a
+        # twin generator: the same colors or error, and the same state.
+        def outcome(call):
+            try:
+                return call()
+            except (ValueError, NonTerminatingCommandError) as exc:
+                return type(exc), str(exc)
+
+        for kind in AlgorithmKind:
+            got, want = random.Random(seed), random.Random(seed)
+            command = rule(kind, graph.preds, k, got)
+            for colors in product(range(k), repeat=graph.n):
+                processes = [i for i in range(graph.n) if process_enabled(graph.preds[i], colors, i)]
+                assert outcome(lambda: command(processes, colors)) == outcome(
+                    lambda: recolor(kind, processes, graph.preds, colors, k, want))
+                assert got.getstate() == want.getstate()
 
 def relabeled(kind, n, perm):
     if kind == "ring":
