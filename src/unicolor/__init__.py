@@ -29,7 +29,6 @@ from .algorithms import (
     expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
-    recolor,
     rule,
 )
 from .schedulers import (
@@ -37,7 +36,6 @@ from .schedulers import (
     SchedulerPolicy,
     Script,
     ScriptViolationError,
-    select_from,
     selector,
 )
 from .engine import EngineStepError, ExecutionTrace, StepRecord, run

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import filterfalse
+from operator import itemgetter
 
 from .core import DirectedGraph, UsageError, _randbelow
 
@@ -79,20 +80,21 @@ def free_colors(taken, k: int) -> list[int]:
     return [*filterfalse(taken.__contains__, range(k))]
 
 
-def rule(kind: AlgorithmKind, preds, k: int, rng: random.Random | None):
-    """The command of rule ``kind`` for one run: ``command(processes,
-    colors)`` returns the new colors of ``processes``, in their order.
+def rule(kind: AlgorithmKind, graph: DirectedGraph, k: int, rng: random.Random | None):
+    """The command of rule ``kind`` for one run on ``graph``:
+    ``command(processes, colors)`` returns the new colors of ``processes``,
+    in their order.
 
-    ``preds[i]`` are the predecessors of ``i`` and ``colors`` the pre-step
-    colors; every process reads them, none sees another's new color.  The
-    deterministic rule runs the inner increment loop to quiescence as one
-    atomic move: the first of ``old+1, old+2, ...`` (mod k) absent from the
-    predecessors' colors.  The probabilistic rule draws uniformly from the
-    sorted list of those absent colors (see :func:`free_colors`), one
-    ``rng.choice`` per move in the order of ``processes`` (drawn through
-    ``core._randbelow``, which takes the same bits), so runs are
-    bit-reproducible for a fixed seed.  The deterministic rule draws
-    nothing and may have no ``rng``.
+    ``graph.preds[i]`` are the predecessors of ``i`` and ``colors`` the
+    pre-step colors; every process reads them, none sees another's new
+    color.  The deterministic rule runs the inner increment loop to
+    quiescence as one atomic move: the first of ``old+1, old+2, ...``
+    (mod k) absent from the predecessors' colors.  The probabilistic rule
+    draws uniformly from the sorted list of those absent colors (see
+    :func:`free_colors`), one ``rng.choice`` per move in the order of
+    ``processes`` (drawn through ``core._randbelow``, which takes the same
+    bits), so runs are bit-reproducible for a fixed seed.  The
+    deterministic rule draws nothing and may have no ``rng``.
     The first process that fails raises: :class:`NonTerminatingCommandError`
     when its predecessors hold every color, which the deterministic
     increment loop would never escape, and ``ValueError`` when it is not
@@ -100,7 +102,15 @@ def rule(kind: AlgorithmKind, preds, k: int, rng: random.Random | None):
     ``core.process_enabled``) or no color is free for the probabilistic
     rule: a caller's bug, since neither can happen in a run that passed
     set-up.
+
+    A deterministic move is a function of the mover's view alone, its own
+    color and its predecessors' (``graph.views``), so the deterministic
+    command keeps each view's first answer for as long as it lives.  A
+    view enters only once the plain command accepted it, so a hit skips no
+    check that could fail; a call with any unseen view goes to the plain
+    command whole, which raises as it would have.
     """
+    preds = graph.preds
     deterministic = kind is AlgorithmKind.DETERMINISTIC
     palette = range(k)
     getrandbits = getattr(rng, "getrandbits", None)
@@ -133,13 +143,28 @@ def rule(kind: AlgorithmKind, preds, k: int, rng: random.Random | None):
             append(candidates[_randbelow(getrandbits, len(candidates))])
         return tuple(new_colors)
 
-    return command
+    if not deterministic:
+        return command
+    # A process without predecessors has no view: its own color stands in,
+    # a key no answer is kept under, so ``command`` says it is not enabled.
+    views = [view or itemgetter(i) for i, view in enumerate(graph.views)]
+    table = {}
+    known = table.get
 
+    def remembered(processes, colors) -> tuple[int, ...]:
+        if len(processes) == 1:  # lc1 and most scripts: no list to build
+            view = views[processes[0]](colors)
+            new = known(view)
+            if new is None:
+                new = table[view] = command(processes, colors)[0]
+            return (new,)
+        new_colors = tuple([known(views[i](colors)) for i in processes])
+        if None in new_colors:
+            new_colors = command(processes, colors)
+            table.update(zip([views[i](colors) for i in processes], new_colors))
+        return new_colors
 
-def recolor(kind: AlgorithmKind, processes, preds, colors, k: int, rng: random.Random | None) -> tuple[int, ...]:
-    """The new colors of ``processes`` under rule ``kind``: one call of
-    :func:`rule`'s command, with the same checks and draws."""
-    return rule(kind, preds, k, rng)(processes, colors)
+    return remembered
 
 
 def expected_new_conflicts(graph: DirectedGraph, i: int, k: int) -> Fraction:

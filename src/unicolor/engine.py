@@ -232,17 +232,7 @@ def run(
     # The scheduler and the rule are resolved once: each step calls only
     # these closures.
     select = selector(policy, graph, rng)
-    command = rule(algo.kind, graph.preds, algo.k, rng)
-    # The deterministic rule's new color is a function of the mover's view
-    # alone, so each view's first answer from ``command`` is kept for the
-    # run.  A view enters only once ``command`` accepted it, so a hit skips
-    # no check that could fail; a step with any unseen view goes to
-    # ``command`` whole, which raises as it would have.  The rule draws no
-    # random numbers, so the RNG stream is untouched.
-    table = {} if algo.kind is AlgorithmKind.DETERMINISTIC else None
-    if table is not None:
-        views = graph.views
-        known = table.get
+    command = rule(algo.kind, graph, algo.k, rng)
     colors = list(initial.colors)
     tracker = EnabledTracker(graph, colors)
     enabled_now = tracker.members
@@ -266,19 +256,7 @@ def run(
             if chosen is None:
                 break  # script exhausted before termination
             # Every command reads the pre-step colors.
-            if table is None:
-                new_colors = command(chosen, colors)
-            elif len(chosen) == 1:  # lc1 and most scripts: no list to build
-                view = views[chosen[0]](colors)
-                new = known(view)
-                if new is None:
-                    new = table[view] = command(chosen, colors)[0]
-                new_colors = (new,)
-            else:
-                new_colors = tuple([known(views[i](colors)) for i in chosen])
-                if None in new_colors:
-                    new_colors = command(chosen, colors)
-                    table.update(zip([views[i](colors) for i in chosen], new_colors))
+            new_colors = command(chosen, colors)
         except MODEL_ERRORS as exc:
             raise EngineStepError(total_steps, exc) from exc
         if recording:

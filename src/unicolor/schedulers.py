@@ -171,15 +171,3 @@ def selector(policy: SchedulerPolicy, graph: DirectedGraph, rng: random.Random):
                         raise ScriptViolationError(step_index, f"processes {a} and {b} are neighbors")
             return chosen
     return pick
-
-
-def select_from(
-    policy: SchedulerPolicy,
-    graph: DirectedGraph,
-    enabled_now,
-    rng: random.Random,
-    step_index: int = 0,
-) -> tuple[int, ...] | None:
-    """One pick of :func:`selector`: this step's activation set from
-    ``enabled_now``, drawn from ``rng`` as a run's pick draws it."""
-    return selector(policy, graph, rng)(enabled_now, step_index)

@@ -87,7 +87,7 @@ from math import gcd
 from operator import add, eq
 
 from .core import Configuration, DirectedGraph, UsageError, process_enabled
-from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, recolor
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, rule
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
@@ -355,8 +355,8 @@ class _Space:
     """The transition graph of rule ``kind`` under ``policy_class``, over
     palette codes, with rows built on demand.
 
-    The deterministic rule gives each enabled process one move (the
-    :func:`recolor` target); the probabilistic rule gives it one move per
+    The deterministic rule gives each enabled process one move, its
+    command's answer; the probabilistic rule gives it one move per
     color no predecessor holds.  Under ``lc1`` every move is an edge; under
     ``subsets`` every nonempty set of moves is one, applied together, in
     ``combinations`` order by size.  :meth:`row` returns the targets, the
@@ -366,10 +366,10 @@ class _Space:
     Each process with predecessors has an outcome table, from its view
     (``graph.views[i]`` of the colors) to its moves as ``(code delta, new
     color)`` pairs, none when it is not enabled, filled on first use by
-    :func:`process_enabled`, :func:`recolor` and :func:`free_colors`.  A
-    move of process ``i < n-1`` adds its delta to the code.  An edge that
-    moves process ``n-1`` to color ``s`` lands on a configuration whose top
-    digit is ``s``: its target is that configuration rotated by ``-s``, a
+    :func:`process_enabled` and, per rule, the space's one command from
+    :func:`rule` or :func:`free_colors`.  A move of process ``i < n-1``
+    adds its delta to the code.  An edge that moves process ``n-1`` to
+    color ``s`` lands on a configuration whose top digit is ``s``: its target is that configuration rotated by ``-s``, a
     palette code, read as the sum of two rotation tables, the low and the
     high digits rotated by ``-s``, split as the colors are.  A ``subsets``
     row sums its targets over index bitmasks of its moves, each set one
@@ -408,7 +408,7 @@ class _Space:
         top = n - 1
         top_bit = 1 << top
         weights = [k**i for i in range(n)]
-        deterministic = kind is AlgorithmKind.DETERMINISTIC
+        command = rule(kind, graph, k, None) if kind is AlgorithmKind.DETERMINISTIC else None
         split, low, high = self.split, self.low, self.high
         # Process n-1's move to ``s``: ``rotated_low[s][low_code] +
         # rotated_high[s][high_code]``.
@@ -422,8 +422,8 @@ class _Space:
             at ``colors``; none when it is not enabled."""
             if not process_enabled(preds[i], colors, i):
                 return ()
-            if deterministic:
-                new = recolor(kind, (i,), preds, colors, k, None)
+            if command is not None:
+                new = command((i,), colors)
             else:
                 new = free_colors({*map(colors.__getitem__, preds[i])}, k)
             return tuple(((c - colors[i]) * weights[i], c) for c in new)

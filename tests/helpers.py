@@ -33,9 +33,9 @@ from unicolor import (
     WorstCaseWitness,
     build_graph,
     is_legitimate,
-    recolor,
     ring,
     ring_chase_initial,
+    rule,
 )
 from unicolor.engine import default_max_steps
 
@@ -135,7 +135,7 @@ def reference_mask_decode(mask: int, enabled_now) -> tuple[int, ...]:
 
 
 def reference_select(policy, arcs, colors, enabled_now, rng: random.Random, step_index: int):
-    """``select_from`` with the stdlib's own draws: ``rng.choice``,
+    """A ``selector`` pick with the stdlib's own draws: ``rng.choice``,
     ``rng.randrange(1, 1 << m)`` and ``rng.shuffle``, and a script checked
     against ``oracle_enabled`` and the arc list."""
     kind = policy.kind.value
@@ -264,7 +264,7 @@ def reference_ring_chase_schedule(
                 f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
             )
         i = enabled_now[0]
-        colors[i] = recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, colors, config.k, None)[0]
+        colors[i] = oracle_det_do_loop({colors[p] for p in graph.preds[i]}, colors[i], config.k)
         tracker.refresh((i,))
         steps.append((i,))
     return Script(steps=tuple(steps))
@@ -311,7 +311,8 @@ def reference_tsv(trace: ExecutionTrace) -> str:
 
 # The exhaustive verifier as it was before the shared code-space builder:
 # each check enumerates the k^n configurations itself, through
-# ``Configuration``, ``tracker_members``, ``is_legitimate`` and ``recolor``.
+# ``Configuration``, ``tracker_members``, ``is_legitimate`` and a fresh
+# ``rule`` command per move.
 # Kept as the reference for the differential tests.
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
@@ -424,7 +425,7 @@ def reference_verify_deterministic(
         edges = []
         colors = config.colors
         for choice in _subset_choices(enabled_now, policy_class):
-            moves = [(i, recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, colors, k, None)[0]) for i in choice]
+            moves = [(i, rule(AlgorithmKind.DETERMINISTIC, graph, k, None)((i,), colors)[0]) for i in choice]
             edges.append((choice, _encode(with_colors(colors, moves), k)))
         adj.append(edges)
 

@@ -19,10 +19,10 @@ from unicolor import (
     build_graph,
     is_legitimate,
     random_digraph,
-    recolor,
     replay_witness,
     ring,
     chain,
+    rule,
     run,
     verify_deterministic,
 )
@@ -189,7 +189,7 @@ def test_criterion_8_prob_command_distribution():
         rng = random.Random(9000 + k)
         counts = {c: 0 for c in candidates}
         for _ in range(draws):
-            new = recolor(AlgorithmKind.PROBABILISTIC, (0,), graph.preds, config.colors, k, rng)[0]
+            new = rule(AlgorithmKind.PROBABILISTIC, graph, k, rng)((0,), config.colors)[0]
             ok = ok and new not in pred_colors
             counts[new] += 1
         p = 1 / len(candidates)

@@ -15,8 +15,8 @@ from unicolor import (
     expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
-    recolor,
     ring,
+    rule,
 )
 
 from helpers import oracle_det_do_loop, random_instance
@@ -31,11 +31,11 @@ def star_into(n_preds, pred_colors, own_color, k):
 
 
 def det_new(graph, config, i):
-    return recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, config.colors, config.k, None)[0]
+    return rule(AlgorithmKind.DETERMINISTIC, graph, config.k, None)((i,), config.colors)[0]
 
 
 def prob_new(graph, config, i, rng):
-    return recolor(AlgorithmKind.PROBABILISTIC, (i,), graph.preds, config.colors, config.k, rng)[0]
+    return rule(AlgorithmKind.PROBABILISTIC, graph, config.k, rng)((i,), config.colors)[0]
 
 
 class TestSpec:
@@ -167,6 +167,21 @@ class TestProbCommand:
         graph, config = star_into(3, [0, 1, 2], 0, k=3)
         with pytest.raises(ValueError, match="empty candidate set"):
             prob_new(graph, config, 0, random.Random(0))
+
+
+class TestCommand:
+    @pytest.mark.parametrize("kind", list(AlgorithmKind), ids=lambda kind: kind.value)
+    def test_process_without_predecessors_is_not_enabled(self, kind):
+        # Processes 0 and 2 read nobody, so they have no view.  Before and
+        # after process 1's view is known, asking for either of them, alone
+        # or beside process 1, raises as the guard does.
+        graph = build_graph(3, [(0, 1)])
+        command = rule(kind, graph, 3, random.Random(0))
+        for _ in range(2):
+            for processes, i in [((0,), 0), ((2,), 2), ((1, 2), 2), ((0, 1), 0)]:
+                with pytest.raises(ValueError, match=f"^process {i} is not enabled$"):
+                    command(processes, (0, 0, 0))
+            assert command((1,), (0, 0, 0))[0] in (1, 2)
 
 
 class TestBounds:

@@ -292,19 +292,18 @@ class TestExitCodes:
             ("unicolor.engine.rule", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
                                       "--initial", "uniform0", "--jobs", "1"]),
             ("unicolor.engine.rule", ["repro", "chain", "--n", "3"]),
-            ("unicolor.verify.recolor", ["verify", "--graph", "ring:3", "--k", "3"]),
+            ("unicolor.verify.rule", ["verify", "--graph", "ring:3", "--k", "3"]),
         ],
         ids=["run", "experiment", "repro", "verify"],
     )
     def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
         # A bug in a command must crash, not exit 2 as if the arguments were
-        # wrong.  A deterministic run's first step always misses the engine's
-        # view table, so the command of the patched ``rule`` is reached; the
-        # verifier calls ``recolor`` itself.
+        # wrong.  Every step of a run calls the command of the patched
+        # ``rule``, and so does the verifier's first outcome-table miss.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
 
-        monkeypatch.setattr(target, (lambda *args: broken) if target.endswith(".rule") else broken)
+        monkeypatch.setattr(target, lambda *args: broken)
         with pytest.raises(ValueError, match="process 0 is not enabled"):
             main(argv)
         assert capsys.readouterr().err == ""

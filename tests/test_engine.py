@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
@@ -23,7 +24,6 @@ from unicolor import (
     is_legitimate,
     random_digraph,
     read_graph_file,
-    recolor,
     ring,
     rule,
     run,
@@ -58,7 +58,7 @@ def explore_all_lc1(graph, k, config, moves_so_far, results):
         return
     assert moves_so_far < 100, "runaway execution"
     for i in enabled_now:
-        new = recolor(AlgorithmKind.DETERMINISTIC, (i,), graph.preds, config.colors, k, None)[0]
+        new = rule(AlgorithmKind.DETERMINISTIC, graph, k, None)((i,), config.colors)[0]
         explore_all_lc1(graph, k, Configuration(with_colors(config.colors, [(i, new)]), k), moves_so_far + 1, results)
 
 
@@ -327,8 +327,7 @@ class TestIncrementalEngine:
             assert got == expected
             assert got.to_json() == expected.to_json()
 
-    # A deterministic run's first step always misses the view table, so
-    # the command of the patched ``rule`` below is called at step 0.
+    # Every step calls the command of the patched ``rule`` below.
     def test_programming_error_is_not_wrapped(self, monkeypatch):
         def broken(*args):
             raise TypeError("bug in a command")
@@ -380,21 +379,22 @@ class TestStepRecord:
         assert first == StepRecord(first.activated, (0,), first.new_colors, first.config_after)
 
 
-def counting_commands(monkeypatch) -> list:
-    """The ``processes`` argument of each command call ``run`` makes."""
-    calls = []
+def counting_misses(monkeypatch) -> list:
+    """The process of each predecessor read that the commands of ``run``
+    make.  A deterministic command reads ``preds`` only when its view
+    table misses, once per process of the call, in the call's order."""
+    reads = []
 
-    def counting_rule(*args):
-        command = rule(*args)
+    class Preds(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
 
-        def counting(processes, colors):
-            calls.append(processes)
-            return command(processes, colors)
+    def reading_rule(kind, graph, k, rng):
+        return rule(kind, SimpleNamespace(preds=Preds(graph.preds), views=graph.views), k, rng)
 
-        return counting
-
-    monkeypatch.setattr(engine, "rule", counting_rule)
-    return calls
+    monkeypatch.setattr(engine, "rule", reading_rule)
+    return reads
 
 
 def mover_views(graph, trace) -> list:
@@ -404,8 +404,9 @@ def mover_views(graph, trace) -> list:
 
 
 class TestViewTable:
-    """Deterministic steps read each mover's new color from a per-run table
-    keyed by its view; only a step with an unseen view calls the command."""
+    """The deterministic command reads each mover's new color from a table
+    keyed by its view, kept for the run; only a step with an unseen view
+    runs the plain command."""
 
     @staticmethod
     def assert_matches_reference(*args, **kwargs):
@@ -432,34 +433,56 @@ class TestViewTable:
         # period 5, so steps 5 and 6 meet the views of steps 0 and 1, and
         # step 7 fires process 0 alone at the view of step 2.  Step 8's
         # views are new.
-        calls = counting_commands(monkeypatch)
+        reads = counting_misses(monkeypatch)
         graph, algo = bidirectional_clique(5), AlgorithmSpec.deterministic(5)
         script = Script(steps=((0, 1, 2, 3, 4),) * 7 + ((0,), (1, 2)), locally_central=False)
         self.assert_matches_reference(graph, algo, SchedulerPolicy.scripted(script), start(graph, algo))
-        assert calls == [(0, 1, 2, 3, 4)] * 5 + [(1, 2)]
+        assert reads == [0, 1, 2, 3, 4] * 5 + [1, 2]
 
     def test_kept_where_views_recur(self, monkeypatch):
         # The chain's worst-case schedule meets one new view per sweep, so
-        # 435 moves make 29 command calls.  A deterministic mover on a
-        # ring sees (c, c), so a ring run meets at most k views; at k=16
-        # from a random start most of them come in its first moves, and
-        # the table still holds them for the rest of the run.
-        calls = counting_commands(monkeypatch)
+        # 435 moves make 29 misses.  A deterministic mover on a ring sees
+        # (c, c), so a ring run meets at most k views; at k=16 from a
+        # random start most of them come in its first moves, and the table
+        # still holds them for the rest of the run.  Every step here has
+        # one mover, so each miss reads ``preds`` once.
+        misses = counting_misses(monkeypatch)
         graph, algo = chain(30), AlgorithmSpec.deterministic(30)
         policy = SchedulerPolicy.scripted(chain_schedule(30))
         trace = self.assert_matches_reference(graph, algo, policy, start(graph, algo), record="full")
         assert trace.total_moves == 435
-        assert len(calls) == len(set(mover_views(graph, trace))) == 29
-        calls.clear()
+        assert len(misses) == len(set(mover_views(graph, trace))) == 29
+        misses.clear()
         graph, algo = ring(200), AlgorithmSpec.deterministic(3)
         self.assert_matches_reference(graph, algo, LC1, start(graph, algo), seed=4)
-        assert len(calls) <= 3
+        assert len(misses) <= 3
         for seed in range(5):
-            calls.clear()
+            misses.clear()
             graph, algo = ring(1000), AlgorithmSpec.deterministic(16)
             initial = Configuration.random(1000, 16, random.Random(seed))
             trace = self.assert_matches_reference(graph, algo, LC1, initial, seed=seed)
-            assert len(calls) <= 16 < trace.total_moves
+            assert len(misses) <= 16 < trace.total_moves
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind), ids=lambda kind: kind.value)
+    def test_one_command_call_per_step(self, kind, monkeypatch):
+        # Hits included: a wrapper on the command ``rule`` returns sees
+        # every step, with that step's activation set.
+        calls = []
+
+        def counting_rule(*args):
+            command = rule(*args)
+
+            def counting(processes, colors):
+                calls.append(processes)
+                return command(processes, colors)
+
+            return counting
+
+        monkeypatch.setattr(engine, "rule", counting_rule)
+        graph, algo = random_digraph(60, 4, 1), AlgorithmSpec(kind, 5)
+        trace = run(graph, algo, SchedulerPolicy.distributed(), start(graph, algo), seed=2)
+        assert calls == [rec.activated for rec in trace.steps]
+        assert len(calls) == trace.total_steps > 1
 
 
 def stdlib_json(trace) -> str:

@@ -10,7 +10,6 @@ from unicolor import (
     ScriptViolationError,
     chain,
     ring,
-    select_from,
     selector,
 )
 
@@ -19,7 +18,7 @@ from helpers import random_instance, reference_mask_decode, reference_select, tr
 
 def pick(policy, graph, cfg, rng, step_index=0):
     """This step's activation set from the enabled processes of ``cfg``."""
-    return select_from(policy, graph, tracker_members(graph, cfg), rng, step_index)
+    return selector(policy, graph, rng)(tracker_members(graph, cfg), step_index)
 
 
 ALL_RANDOM_KINDS = [
@@ -107,7 +106,7 @@ class TestSelect:
 
     @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS, ids=lambda p: p.name)
     def test_draws_as_the_stdlib(self, policy):
-        # ``select_from`` draws through ``getrandbits``; the reference calls
+        # A pick draws through ``getrandbits``; the reference calls
         # ``choice``, ``randrange`` and ``shuffle``.  Enabled sets of 1 to
         # 70 processes cover the distributed mask at m = 1 and past 64 bits;
         # on a chain, what lcmax keeps depends on the permutation drawn.
@@ -116,7 +115,7 @@ class TestSelect:
             enabled_now = tuple(range(m))
             got, want = random.Random(m), random.Random(m)
             for _ in range(5):
-                assert select_from(policy, graph, enabled_now, got) == reference_select(
+                assert selector(policy, graph, got)(enabled_now, 0) == reference_select(
                     policy, set(graph.arcs), None, enabled_now, want, 0)
                 assert got.getstate() == want.getstate()
 
@@ -141,9 +140,9 @@ class TestSelect:
 
     @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS + ["script"],
                              ids=lambda p: p if isinstance(p, str) else p.name)
-    def test_selector_matches_select_from(self, policy):
+    def test_one_pick_matches_fresh_selectors(self, policy):
         # One run's pick, called for 250 consecutive steps, against a fresh
-        # ``select_from`` per step on a twin generator: the same picks, and
+        # ``selector`` per step on a twin generator: the same picks, and
         # the same generator state after each.  The script is 250 random
         # independent sets of ring:40, run with every process enabled.
         graph, sets = ring(40), random.Random(9)
@@ -163,7 +162,7 @@ class TestSelect:
                 enabled_now = tuple(range(40))
             else:
                 enabled_now = tuple(sorted(sets.sample(range(40), sets.randint(1, 40))))
-            assert pick(enabled_now, t) == select_from(policy, graph, enabled_now, want, t)
+            assert pick(enabled_now, t) == selector(policy, graph, want)(enabled_now, t)
             assert got.getstate() == want.getstate()
         if policy.script is not None:
             assert pick(tuple(range(40)), 250) is None
@@ -172,12 +171,12 @@ class TestSelect:
         (((0,), (5,)), (0, 1, 2, 3), "process 5 is not enabled"),
         (((0,), (4, 2, 3)), (2, 3, 4), "processes 2 and 3 are neighbors"),
     ])
-    def test_selector_raises_as_select_from(self, steps, enabled_now, message):
+    def test_one_pick_raises_as_fresh_selectors(self, steps, enabled_now, message):
         policy = SchedulerPolicy.scripted(Script(steps=steps))
         graph = chain(6)
         pick = selector(policy, graph, random.Random(0))
         assert pick((0, 1), 0) == (0,)
-        for call in (lambda: pick(enabled_now, 1), lambda: select_from(policy, graph, enabled_now, None, 1)):
+        for call in (lambda: pick(enabled_now, 1), lambda: selector(policy, graph, None)(enabled_now, 1)):
             with pytest.raises(ScriptViolationError, match=f"^script: {message}$") as err:
                 call()
             assert err.value.step_index == 1

@@ -19,7 +19,6 @@ from unicolor import (
     build_graph,
     chain,
     is_legitimate,
-    recolor,
     replay_witness,
     ring,
     rule,
@@ -397,7 +396,7 @@ class TestAgainstReference:
 
 
 class _Pick:
-    """A stand-in rng for ``recolor``'s draw: its first ``getrandbits`` is
+    """A stand-in rng for a probabilistic command's draw: its first ``getrandbits`` is
     ``index``, cut to the bits asked for, and every later one is 0.  So
     the draw picks the candidate at ``index`` when there is one, and over
     ``index`` in ``0..k-1`` every candidate is picked."""
@@ -422,7 +421,7 @@ class TestPaletteRotation:
 
         def outcomes(kind, i, colors):
             try:
-                return {recolor(kind, (i,), graph.preds, colors, k, _Pick(j))[0] for j in range(k)}
+                return {rule(kind, graph, k, _Pick(j))((i,), colors)[0] for j in range(k)}
             except (ValueError, NonTerminatingCommandError) as exc:
                 return type(exc)
 
@@ -443,10 +442,12 @@ class TestPaletteRotation:
 class TestRule:
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.integers(2, 4), st.integers(0, 2**32))
-    def test_one_command_matches_recolor(self, graph, k, seed):
+    def test_one_command_matches_fresh_rules(self, graph, k, seed):
         # One run's command, called on every configuration in turn with
-        # all its enabled processes, against ``recolor`` per call on a
-        # twin generator: the same colors or error, and the same state.
+        # all its enabled processes and then with every process, against
+        # a fresh ``rule`` per call on a twin generator: the same colors
+        # or error, and the same state.  The deterministic command reuses
+        # its view table throughout, hits beside misses included.
         def outcome(call):
             try:
                 return call()
@@ -455,12 +456,13 @@ class TestRule:
 
         for kind in AlgorithmKind:
             got, want = random.Random(seed), random.Random(seed)
-            command = rule(kind, graph.preds, k, got)
+            command = rule(kind, graph, k, got)
             for colors in product(range(k), repeat=graph.n):
-                processes = [i for i in range(graph.n) if process_enabled(graph.preds[i], colors, i)]
-                assert outcome(lambda: command(processes, colors)) == outcome(
-                    lambda: recolor(kind, processes, graph.preds, colors, k, want))
-                assert got.getstate() == want.getstate()
+                enabled = [i for i in range(graph.n) if process_enabled(graph.preds[i], colors, i)]
+                for processes in (enabled, range(graph.n)):
+                    assert outcome(lambda: command(processes, colors)) == outcome(
+                        lambda: rule(kind, graph, k, want)(processes, colors))
+                    assert got.getstate() == want.getstate()
 
 def relabeled(kind, n, perm):
     if kind == "ring":
