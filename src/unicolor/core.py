@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 
 
 class UsageError(ValueError):
@@ -324,49 +324,102 @@ def process_enabled(preds_i, colors, i: int) -> bool:
 class EnabledTracker:
     """The enabled set of a color list that changes a few processes at a time.
 
-    ``colors`` is shared with the caller, who writes the new colors of a
-    step into it and then calls :meth:`refresh` with the processes that
-    moved.  A move by ``i`` can change enabledness only at ``i`` and at its
-    successors, so only those are rechecked, each once per step however
-    many movers touch it: O(in-degree) per recheck plus a bisected list
-    update when a flag flips.  ``members`` holds the enabled
-    processes in ascending order; ``flags[i]`` is 1 iff ``i`` is enabled.
+    ``conflicts[j]`` counts the predecessors of ``j`` that hold ``j``'s
+    color, the conflicts the paper's proof counts, so ``j`` is enabled iff
+    it is nonzero.  ``members`` holds the enabled processes in ascending
+    order.  ``colors`` is shared with the caller, and :meth:`apply` writes
+    each step's new colors into it.  A move by ``i`` changes only the
+    counts of ``i`` and of its successors: ``i`` is recounted over its
+    predecessors, O(in-degree), and each successor that did not move
+    gains or loses one conflict in O(1).  A count that turns zero or
+    nonzero costs a bisected list update.
     """
 
-    __slots__ = ("preds", "succs", "colors", "flags", "members")
+    __slots__ = ("preds", "succs", "colors", "conflicts", "members")
 
     def __init__(self, graph: DirectedGraph, colors: list[int]):
         _check_length(graph, colors)
         self.preds = graph.preds
         self.succs = graph.succs
         self.colors = colors
-        self.members = [i for i in range(graph.n) if process_enabled(self.preds[i], colors, i)]
-        self.flags = bytearray(graph.n)
-        for i in self.members:
-            self.flags[i] = 1
+        color_of = colors.__getitem__
+        tails = [*map(itemgetter(0), graph.arcs)]
+        heads = [*map(itemgetter(1), graph.arcs)]
+        conflicts = [0] * graph.n
+        for j in compress(heads, map(eq, map(color_of, tails), map(color_of, heads))):
+            conflicts[j] += 1
+        self.conflicts = conflicts
+        self.members = [*compress(range(graph.n), conflicts)]
 
-    def refresh(self, movers) -> None:
-        """Recheck ``movers`` and their successors after their colors changed.
+    def apply(self, movers, new_colors) -> None:
+        """Give the distinct processes ``movers`` the colors ``new_colors``,
+        all at once, and update the counts and ``members``.
 
-        Several movers go through one set, built in C, so a process that is
-        a mover and a successor, or the successor of several movers, is
-        rechecked once.
+        Any recoloring is followed, not only a legal move: a mover may keep
+        its color, and a disabled process may move.
         """
-        preds, succs, colors, flags, members = self.preds, self.succs, self.colors, self.flags, self.members
+        preds, succs, colors, conflicts, members = self.preds, self.succs, self.colors, self.conflicts, self.members
         if len(movers) == 1:
+            # One mover, as under ``lc1`` and most scripts.  No process is
+            # its own successor, so all its successors stood still.
             i = movers[0]
-            touched = (i, *succs[i])
-        else:
-            touched = set(movers)
-            touched.update(*map(succs.__getitem__, movers))
-        for j in touched:
-            now = process_enabled(preds[j], colors, j)
-            if now != flags[j]:
-                flags[j] = now
-                if now:
-                    insort(members, j)
-                else:
-                    del members[bisect_left(members, j)]
+            new = new_colors[0]
+            old = colors[i]
+            colors[i] = new
+            count = 0
+            for p in preds[i]:
+                if colors[p] == new:
+                    count += 1
+            was = conflicts[i]
+            conflicts[i] = count
+            if count and not was:
+                insort(members, i)
+            elif was and not count:
+                del members[bisect_left(members, i)]
+            if old != new:
+                for j in succs[i]:
+                    cj = colors[j]
+                    if cj == old:
+                        conflicts[j] -= 1
+                        if not conflicts[j]:
+                            del members[bisect_left(members, j)]
+                    elif cj == new:
+                        conflicts[j] += 1
+                        if conflicts[j] == 1:
+                            insort(members, j)
+            return
+        # Every color is written before any count is taken, since a mover
+        # may read another.  A successor that moved is recounted in full,
+        # so only the standing ones gain or lose one.
+        old_colors = [*map(colors.__getitem__, movers)]
+        for i, new in zip(movers, new_colors):
+            colors[i] = new
+        moving = set(movers)
+        for i, old, new in zip(movers, old_colors, new_colors):
+            count = 0
+            for p in preds[i]:
+                if colors[p] == new:
+                    count += 1
+            was = conflicts[i]
+            conflicts[i] = count
+            if count and not was:
+                insort(members, i)
+            elif was and not count:
+                del members[bisect_left(members, i)]
+            if old == new:
+                continue
+            for j in succs[i]:
+                if j in moving:
+                    continue
+                cj = colors[j]
+                if cj == old:
+                    conflicts[j] -= 1
+                    if not conflicts[j]:
+                        del members[bisect_left(members, j)]
+                elif cj == new:
+                    conflicts[j] += 1
+                    if conflicts[j] == 1:
+                        insort(members, j)
 
 
 def is_legitimate(graph: DirectedGraph, config: Configuration) -> bool:

@@ -236,7 +236,7 @@ def run(
     colors = list(initial.colors)
     tracker = EnabledTracker(graph, colors)
     enabled_now = tracker.members
-    refresh = tracker.refresh
+    apply = tracker.apply
     steps: list[StepRecord] = []
     recording = record != "none"
     full = record == "full"
@@ -261,9 +261,7 @@ def run(
             raise EngineStepError(total_steps, exc) from exc
         if recording:
             old_colors = tuple(map(colors.__getitem__, chosen))
-        for i, c in zip(chosen, new_colors):
-            colors[i] = c
-        refresh(chosen)
+        apply(chosen, new_colors)
         total_moves += len(chosen)
         total_steps += 1
         if recording:

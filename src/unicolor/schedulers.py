@@ -51,7 +51,11 @@ class Script:
     locally_central: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(map(tuple, map(sorted, map(set, self.steps)))))
+        steps = tuple(map(tuple, self.steps))
+        # A step of zero or one process is already sorted and free of repeats.
+        if any(map((1).__lt__, map(len, steps))):
+            steps = tuple(map(tuple, map(sorted, map(set, steps))))
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)

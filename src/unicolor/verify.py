@@ -82,7 +82,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import gcd
 from operator import add, eq
 

@@ -264,8 +264,7 @@ def reference_ring_chase_schedule(
                 f"expected one enabled process, found {tuple(enabled_now)} after {len(steps)} steps"
             )
         i = enabled_now[0]
-        colors[i] = oracle_det_do_loop({colors[p] for p in graph.preds[i]}, colors[i], config.k)
-        tracker.refresh((i,))
+        tracker.apply((i,), (oracle_det_do_loop({colors[p] for p in graph.preds[i]}, colors[i], config.k),))
         steps.append((i,))
     return Script(steps=tuple(steps))
 

@@ -303,16 +303,34 @@ class TestInvariants:
 
 def assert_tracks(tracker, members, graph, colors) -> None:
     """``tracker`` holds the enabled set of ``colors`` in the list object
-    ``members`` it started with, and flags exactly those processes."""
-    expected = sorted(oracle_enabled_set(list(graph.arcs), colors))
+    ``members`` it started with, and counts each process's conflicts: its
+    predecessors that hold its color."""
+    arcs = list(graph.arcs)
+    expected = sorted(oracle_enabled_set(arcs, colors))
     assert tracker.members is members
+    assert tracker.colors is colors
     assert members == expected
-    assert [i for i in range(graph.n) if tracker.flags[i]] == expected
+    heads = [j for j, _ in oracle_conflict_pairs(arcs, colors)]
+    assert tracker.conflicts == [heads.count(j) for j in range(graph.n)]
+    assert tracker.conflicts == [sum(colors[p] == colors[j] for p in graph.preds[j]) for j in range(graph.n)]
+    assert [j for j in range(graph.n) if core.process_enabled(graph.preds[j], colors, j)] == expected
+
+
+class CountingColors(list):
+    """A color list that records the index of every read."""
+
+    def __init__(self, colors):
+        super().__init__(colors)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
 
 
 class TestEnabledTracker:
     @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
-    def test_refresh_matches_full_scan(self, seed, batches):
+    def test_apply_matches_full_scan(self, seed, batches):
         # Arbitrary recolorings, not only legal moves: the tracker must
         # follow any change the caller reports.
         rng = random.Random(seed)
@@ -320,16 +338,15 @@ class TestEnabledTracker:
         colors = list(cfg.colors)
         tracker = EnabledTracker(graph, colors)
         members = tracker.members
+        assert_tracks(tracker, members, graph, colors)
         for batch in batches:
             movers = sorted({i % graph.n for i in batch})
-            for i in movers:
-                colors[i] = rng.randrange(cfg.k)
-            tracker.refresh(movers)
+            tracker.apply(movers, [rng.randrange(cfg.k) for _ in movers])
             assert_tracks(tracker, members, graph, colors)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["ring", "clique", "random", "arcs"]),
            st.integers(2, 64), st.integers(1, 12))
-    def test_refresh_after_sync_sized_batches(self, seed, shape, n, rounds):
+    def test_apply_after_sync_sized_batches(self, seed, shape, n, rounds):
         # Every enabled process moves at once, as under ``sync``, to an
         # arbitrary color.  On cliques and dense arc sets the movers share
         # successors, so one process is touched by several movers.
@@ -348,33 +365,95 @@ class TestEnabledTracker:
         members = tracker.members
         for _ in range(rounds):
             movers = list(members) or sorted(rng.sample(range(graph.n), rng.randint(1, graph.n)))
-            for i in movers:
-                colors[i] = rng.randrange(k)
-            tracker.refresh(movers)
+            tracker.apply(movers, [rng.randrange(k) for _ in movers])
             assert_tracks(tracker, members, graph, colors)
 
+    @pytest.mark.parametrize("movers, new_colors, enabled", [
+        ((1,), (0,), [1]),  # a lone mover keeps its color and its conflict
+        ((0, 1), (1, 0), []),  # 1 keeps 0 as its predecessor 0 leaves it
+        ((1, 2), (0, 0), [0, 1, 2]),  # 1 keeps 0; 2 joins it; 0 stands and gains
+    ])
+    def test_mover_keeps_its_color(self, movers, new_colors, enabled):
+        # ring:3 reads 2 -> 0 -> 1 -> 2; from [0, 0, 2] only 1 is enabled.
+        graph = ring(3)
+        colors = [0, 0, 2]
+        tracker = EnabledTracker(graph, colors)
+        members = tracker.members
+        assert members == [1]
+        tracker.apply(movers, new_colors)
+        assert members == enabled
+        assert_tracks(tracker, members, graph, colors)
+
+    def test_standing_successor_loses_and_gains_its_last_conflict(self):
+        # chain:3 is one-way: 0 reads 1 and 1 reads 2.  Process 0 never
+        # moves, so only the arc 1 -> 0 changes its count.
+        graph = chain(3)
+        colors = [0, 0, 1]
+        tracker = EnabledTracker(graph, colors)
+        members = tracker.members
+        assert members == [0]
+        tracker.apply((1,), (2,))
+        assert tracker.conflicts == [0, 0, 0] and members == []
+        tracker.apply((1,), (0,))
+        assert tracker.conflicts == [1, 0, 0] and members == [0]
+        # The same with a second mover beside 1: the source 2 moves onto
+        # 1's new color as 1 leaves 0's.
+        tracker.apply((1, 2), (1, 1))
+        assert tracker.conflicts == [0, 1, 0] and members == [1]
+        tracker.apply((1, 2), (0, 2))
+        assert tracker.conflicts == [1, 0, 0] and members == [0]
+        assert_tracks(tracker, members, graph, colors)
+
+    def test_standing_successor_of_several_movers(self):
+        # On ring:4, 1 and 3 stand: 1 loses its conflict as 0 leaves color
+        # 0, and 3 keeps its own since 2 keeps its color.  On clique:4, 3
+        # stands while 0, 1 and 2 each change its count.
+        graph = ring(4)
+        colors = [0, 0, 0, 0]
+        tracker = EnabledTracker(graph, colors)
+        tracker.apply((0, 2), (1, 0))
+        assert tracker.conflicts == [0, 0, 1, 1] and tracker.members == [2, 3]
+        assert_tracks(tracker, tracker.members, graph, colors)
+        graph = bidirectional_clique(4)
+        colors = [0, 1, 2, 3]
+        tracker = EnabledTracker(graph, colors)
+        tracker.apply((0, 1, 2), (3, 3, 1))
+        assert tracker.conflicts == [2, 2, 0, 2] and tracker.members == [0, 1, 3]
+        assert_tracks(tracker, tracker.members, graph, colors)
+        tracker.apply((0, 1, 2), (0, 1, 2))
+        assert tracker.conflicts == [0, 0, 0, 0] and tracker.members == []
+
     @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
-    def test_each_touched_process_rechecked_once(self, graph, monkeypatch):
+    def test_each_touched_process_rechecked_once(self, graph):
         # A sync step from a uniform start moves every enabled process; on
-        # the ring and the clique each mover is also another mover's
-        # successor, and on the clique the successor of every other mover.
-        calls = []
-        guard = core.process_enabled
-
-        def counting(preds_i, colors, i):
-            calls.append(i)
-            return guard(preds_i, colors, i)
-
-        colors = [0] * graph.n
+        # these graphs each successor of a mover is a mover too, so the step
+        # reads each mover's old color and its predecessors' colors once.
+        colors = CountingColors([0] * graph.n)
         tracker = EnabledTracker(graph, colors)
         movers = tuple(tracker.members)
-        monkeypatch.setattr(core, "process_enabled", counting)
-        for i in movers:
-            colors[i] = 1
-        tracker.refresh(movers)
-        touched = set(movers).union(*(graph.succs[i] for i in movers))
-        assert sorted(calls) == sorted(touched)
+        assert set().union(*(graph.succs[i] for i in movers)) <= set(movers)
+        colors.reads.clear()
+        tracker.apply(movers, (1,) * len(movers))
+        assert sorted(colors.reads) == sorted([*movers, *(p for i in movers for p in graph.preds[i])])
         assert tracker.members == sorted(oracle_enabled_set(list(graph.arcs), colors))
+
+    @pytest.mark.parametrize("lone", [False, True], ids=["every-other", "lone"])
+    @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
+    def test_standing_successor_read_once_per_arc(self, graph, lone):
+        # Every other process moves, or the last one alone: each mover that
+        # changes color also reads each standing successor once, and a
+        # mover that keeps its color reads none.
+        colors = CountingColors([0] * graph.n)
+        tracker = EnabledTracker(graph, colors)
+        movers = (graph.n - 1,) if lone else tuple(range(0, graph.n, 2))
+        new_colors = [1 if lone or m % 4 == 0 else 0 for m in movers]
+        colors.reads.clear()
+        tracker.apply(movers, new_colors)
+        standing = [j for i, c in zip(movers, new_colors) if c for j in graph.succs[i] if j not in movers]
+        assert standing
+        expected = [*movers, *(p for i in movers for p in graph.preds[i]), *standing]
+        assert sorted(colors.reads) == sorted(expected)
+        assert_tracks(tracker, tracker.members, graph, colors)
 
     def test_length_checked(self):
         with pytest.raises(ValueError, match="2 colors for a 3-process graph"):

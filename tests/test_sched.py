@@ -231,6 +231,17 @@ class TestScripted:
     def test_steps_sorted_without_repeats(self):
         assert Script.from_text("3 1 3\n\n2\n").steps == ((1, 3), (2,))
 
+    @pytest.mark.parametrize("steps, normalised", [
+        ([(4,), (2,), [0], ()], ((4,), (2,), (0,), ())),  # singletons and empty steps kept
+        ([(4,), (2, 1), [0]], ((4,), (1, 2), (0,))),  # one multi-process step sorts every step
+        ([[5], (3, 3)], ((5,), (3,))),  # a repeat collapses
+        ((s for s in [(2, 0, 2), {1}]), ((0, 2), (1,))),  # any iterable of iterables
+    ])
+    def test_steps_normalised(self, steps, normalised):
+        script = Script(steps=steps)
+        assert script.steps == normalised
+        assert all(type(step) is tuple for step in script.steps)
+
     def test_policy_requires_script(self):
         with pytest.raises(ValueError):
             SchedulerPolicy(SchedulerKind.SCRIPTED)
