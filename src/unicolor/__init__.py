@@ -29,6 +29,7 @@ from .algorithms import (
     expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
+    moves,
     rule,
 )
 from .schedulers import (

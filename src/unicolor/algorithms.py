@@ -74,10 +74,47 @@ def _check_prob_headroom(graph: DirectedGraph, k: int) -> None:
         )
 
 
-def free_colors(taken, k: int) -> list[int]:
-    """The probabilistic rule's candidates: the colors of ``0..k-1`` outside
-    ``taken``, the set of colors a process's predecessors hold, ascending."""
-    return [*filterfalse(taken.__contains__, range(k))]
+def moves(kind: AlgorithmKind, graph: DirectedGraph, k: int):
+    """The moves of rule ``kind`` on ``graph`` with palette ``k``:
+    ``moves_of(i, colors)`` returns the colors process ``i`` may step to
+    from ``colors``, and ``()`` when ``i`` is not enabled (the guard: its
+    color is among its predecessors', ``core.process_enabled``).
+
+    The deterministic rule has one move, the inner increment loop run to
+    quiescence as one atomic move: the first of ``old+1, old+2, ...`` (mod
+    k) absent from the predecessors' colors.  It raises
+    :class:`NonTerminatingCommandError` when they hold every color, which
+    that loop would never escape.  The probabilistic rule's moves are the
+    colors of ``0..k-1`` absent from the predecessors', ascending; it raises
+    ``ValueError`` when there are none.  Both errors name the process.
+    """
+    preds = graph.preds
+    deterministic = kind is AlgorithmKind.DETERMINISTIC
+    palette = range(k)
+
+    def moves_of(i: int, colors) -> tuple[int, ...]:
+        preds_i = preds[i]
+        taken = set(map(colors.__getitem__, preds_i))
+        old = colors[i]
+        if old not in taken:
+            return ()
+        if deterministic:
+            if len(taken) >= k:
+                raise NonTerminatingCommandError(
+                    f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
+                )
+            new = (old + 1) % k
+            while new in taken:
+                new = (new + 1) % k
+            return (new,)
+        candidates = (*filterfalse(taken.__contains__, palette),)
+        if not candidates:
+            raise ValueError(
+                f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
+            )
+        return candidates
+
+    return moves_of
 
 
 def rule(kind: AlgorithmKind, graph: DirectedGraph, k: int, rng: random.Random | None):
@@ -85,23 +122,15 @@ def rule(kind: AlgorithmKind, graph: DirectedGraph, k: int, rng: random.Random |
     ``command(processes, colors)`` returns the new colors of ``processes``,
     in their order.
 
-    ``graph.preds[i]`` are the predecessors of ``i`` and ``colors`` the
-    pre-step colors; every process reads them, none sees another's new
-    color.  The deterministic rule runs the inner increment loop to
-    quiescence as one atomic move: the first of ``old+1, old+2, ...``
-    (mod k) absent from the predecessors' colors.  The probabilistic rule
-    draws uniformly from the sorted list of those absent colors (see
-    :func:`free_colors`), one ``rng.choice`` per move in the order of
-    ``processes`` (drawn through ``core._randbelow``, which takes the same
-    bits), so runs are bit-reproducible for a fixed seed.  The
-    deterministic rule draws nothing and may have no ``rng``.
-    The first process that fails raises: :class:`NonTerminatingCommandError`
-    when its predecessors hold every color, which the deterministic
-    increment loop would never escape, and ``ValueError`` when it is not
-    enabled (its color is not among its predecessors', the guard
-    ``core.process_enabled``) or no color is free for the probabilistic
-    rule: a caller's bug, since neither can happen in a run that passed
-    set-up.
+    ``colors`` are the pre-step colors; every process reads them, none sees
+    another's new color.  Each process takes one of its moves from
+    :func:`moves`: the deterministic rule's only one, and for the
+    probabilistic rule one ``rng.choice`` among them per move, in the order
+    of ``processes`` (drawn through ``core._randbelow``, which takes the
+    same bits), so runs are bit-reproducible for a fixed seed.  The
+    deterministic rule draws nothing and may have no ``rng``.  The first
+    process that fails raises: ``ValueError`` when it is not enabled, a
+    caller's bug, and otherwise what :func:`moves` raises for it.
 
     A deterministic move is a function of the mover's view alone, its own
     color and its predecessors' (``graph.views``), so the deterministic
@@ -110,37 +139,18 @@ def rule(kind: AlgorithmKind, graph: DirectedGraph, k: int, rng: random.Random |
     check that could fail; a call with any unseen view goes to the plain
     command whole, which raises as it would have.
     """
-    preds = graph.preds
+    moves_of = moves(kind, graph, k)
     deterministic = kind is AlgorithmKind.DETERMINISTIC
-    palette = range(k)
     getrandbits = getattr(rng, "getrandbits", None)
 
     def command(processes, colors) -> tuple[int, ...]:
-        color_of = colors.__getitem__
         new_colors = []
         append = new_colors.append
         for i in processes:
-            preds_i = preds[i]
-            taken = set(map(color_of, preds_i))
-            old = colors[i]
-            if old not in taken:
+            choices = moves_of(i, colors)
+            if not choices:
                 raise ValueError(f"process {i} is not enabled")
-            if deterministic:
-                if len(taken) >= k:
-                    raise NonTerminatingCommandError(
-                        f"process {i}: all {k} colors held by predecessors (in-degree {len(preds_i)})"
-                    )
-                new = (old + 1) % k
-                while new in taken:
-                    new = (new + 1) % k
-                append(new)
-                continue
-            candidates = [*filterfalse(taken.__contains__, palette)]
-            if not candidates:
-                raise ValueError(
-                    f"process {i}: empty candidate set, palette {k} too small for in-degree {len(preds_i)}"
-                )
-            append(candidates[_randbelow(getrandbits, len(candidates))])
+            append(choices[0] if deterministic else choices[_randbelow(getrandbits, len(choices))])
         return tuple(new_colors)
 
     if not deterministic:

@@ -5,7 +5,10 @@ An arc ``(i, j)`` means process ``j`` can read process ``i``'s variables:
 bidirectional link is modeled as two opposed arcs.  Everything downstream
 (recoloring rules, schedulers, the execution engine, the verifier) is built
 on the two predicates defined here: per-process enabledness and
-configuration legitimacy (no arc joins two processes of equal color).
+configuration legitimacy (no arc joins two processes of equal color).  Both
+are read off one scan of the arcs for equal colors,
+:func:`conflicting_heads`; :func:`process_enabled` is the guard's reference
+form.
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ class DirectedGraph:
         objects pickle, so a graph that has run still ships to pool workers.
         """
         return tuple(itemgetter(i, *p) if p else None for i, p in enumerate(self.preds))
+
+    @cached_property
+    def ends(self) -> tuple:
+        """The arc columns ``(tails, heads)``: arc ``a`` is ``(tails[a],
+        heads[a])``.  Kept on the instance like :attr:`views`, for
+        :func:`conflicting_heads`."""
+        return tuple(zip(*self.arcs)) or ((), ())
 
 
 def build_graph(n: int, arcs, label: str = "custom") -> DirectedGraph:
@@ -321,6 +331,15 @@ def process_enabled(preds_i, colors, i: int) -> bool:
     return False
 
 
+def conflicting_heads(graph: DirectedGraph, colors):
+    """The head of each arc whose two ends hold equal colors, in arc order,
+    as a lazy iterator: each is one conflict the paper's proof counts, and
+    there is none iff ``colors`` is legitimate."""
+    tails, heads = graph.ends
+    color_of = colors.__getitem__
+    return compress(heads, map(eq, map(color_of, tails), map(color_of, heads)))
+
+
 class EnabledTracker:
     """The enabled set of a color list that changes a few processes at a time.
 
@@ -342,11 +361,8 @@ class EnabledTracker:
         self.preds = graph.preds
         self.succs = graph.succs
         self.colors = colors
-        color_of = colors.__getitem__
-        tails = [*map(itemgetter(0), graph.arcs)]
-        heads = [*map(itemgetter(1), graph.arcs)]
         conflicts = [0] * graph.n
-        for j in compress(heads, map(eq, map(color_of, tails), map(color_of, heads))):
+        for j in conflicting_heads(graph, colors):
             conflicts[j] += 1
         self.conflicts = conflicts
         self.members = [*compress(range(graph.n), conflicts)]
@@ -424,6 +440,5 @@ class EnabledTracker:
 
 def is_legitimate(graph: DirectedGraph, config: Configuration) -> bool:
     """True iff every arc joins two distinct colors (read off the arcs, not the guard)."""
-    colors = config.colors
-    _check_length(graph, colors)
-    return all(colors[i] != colors[j] for i, j in graph.arcs)
+    _check_length(graph, config.colors)
+    return next(conflicting_heads(graph, config.colors), None) is None

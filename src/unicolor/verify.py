@@ -84,10 +84,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import gcd
-from operator import add, eq
+from operator import add
 
-from .core import Configuration, DirectedGraph, UsageError, process_enabled
-from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, free_colors, rule
+from .core import Configuration, DirectedGraph, UsageError, conflicting_heads
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, moves
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
 
@@ -355,21 +355,20 @@ class _Space:
     """The transition graph of rule ``kind`` under ``policy_class``, over
     palette codes, with rows built on demand.
 
-    The deterministic rule gives each enabled process one move, its
-    command's answer; the probabilistic rule gives it one move per
-    color no predecessor holds.  Under ``lc1`` every move is an edge; under
-    ``subsets`` every nonempty set of moves is one, applied together, in
-    ``combinations`` order by size.  :meth:`row` returns the targets, the
-    masks (the activated processes as a bitmask) and the targets'
-    representatives of a palette code's edges.
+    Each enabled process has the moves the rule's :func:`moves` gives it,
+    the colors a run's command chooses among: the deterministic rule's one,
+    or the probabilistic rule's free colors.  Under ``lc1`` every move is
+    an edge; under ``subsets`` every nonempty set of moves is one, applied
+    together, in ``combinations`` order by size.  :meth:`row` returns the
+    targets, the masks (the activated processes as a bitmask) and the
+    targets' representatives of a palette code's edges.
 
     Each process with predecessors has an outcome table, from its view
     (``graph.views[i]`` of the colors) to its moves as ``(code delta, new
-    color)`` pairs, none when it is not enabled, filled on first use by
-    :func:`process_enabled` and, per rule, the space's one command from
-    :func:`rule` or :func:`free_colors`.  A move of process ``i < n-1``
-    adds its delta to the code.  An edge that moves process ``n-1`` to
-    color ``s`` lands on a configuration whose top digit is ``s``: its target is that configuration rotated by ``-s``, a
+    color)`` pairs, none when it is not enabled, filled on first use.  A
+    move of process ``i < n-1`` adds its delta to the code.  An edge that
+    moves process ``n-1`` to color ``s`` lands on a configuration whose top
+    digit is ``s``: its target is that configuration rotated by ``-s``, a
     palette code, read as the sum of two rotation tables, the low and the
     high digits rotated by ``-s``, split as the colors are.  A ``subsets``
     row sums its targets over index bitmasks of its moves, each set one
@@ -404,11 +403,10 @@ class _Space:
     def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass, half: int):
         graph, k, orbit = self.graph, self.k, self.orbit
         n = graph.n
-        preds = graph.preds
         top = n - 1
         top_bit = 1 << top
         weights = [k**i for i in range(n)]
-        command = rule(kind, graph, k, None) if kind is AlgorithmKind.DETERMINISTIC else None
+        moves_of = moves(kind, graph, k)
         split, low, high = self.split, self.low, self.high
         # Process n-1's move to ``s``: ``rotated_low[s][low_code] +
         # rotated_high[s][high_code]``.
@@ -420,16 +418,10 @@ class _Space:
         def outcomes(i: int, colors) -> tuple[tuple[int, int], ...]:
             """The ``(code delta, new color)`` of each move of process ``i``
             at ``colors``; none when it is not enabled."""
-            if not process_enabled(preds[i], colors, i):
-                return ()
-            if command is not None:
-                new = command((i,), colors)
-            else:
-                new = free_colors({*map(colors.__getitem__, preds[i])}, k)
-            return tuple(((c - colors[i]) * weights[i], c) for c in new)
+            return tuple(((c - colors[i]) * weights[i], c) for c in moves_of(i, colors))
 
         # The outcome tables, one per process with predecessors.
-        movers = [(i, 1 << i, graph.views[i], {}) for i in range(n) if preds[i]]
+        movers = [(i, 1 << i, graph.views[i], {}) for i in range(n) if graph.preds[i]]
 
         if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
 
@@ -507,11 +499,9 @@ class _Space:
     def count_terminal(self, reps) -> int:
         """The palette codes in the orbits of ``reps`` at which no arc joins
         equal colors: the terminal ones, whose rows are empty."""
-        heads, tails = [*zip(*self.graph.arcs)] or [(), ()]
         count = 0
         for rep in reps:
-            colors = self.colors(rep)
-            if not any(map(eq, map(colors.__getitem__, heads), map(colors.__getitem__, tails))):
+            if next(conflicting_heads(self.graph, self.colors(rep)), None) is None:
                 count += self.sizes.get(rep, 1)
         return count
 

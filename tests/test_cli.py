@@ -292,14 +292,15 @@ class TestExitCodes:
             ("unicolor.engine.rule", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
                                       "--initial", "uniform0", "--jobs", "1"]),
             ("unicolor.engine.rule", ["repro", "chain", "--n", "3"]),
-            ("unicolor.verify.rule", ["verify", "--graph", "ring:3", "--k", "3"]),
+            ("unicolor.verify.moves", ["verify", "--graph", "ring:3", "--k", "3"]),
         ],
         ids=["run", "experiment", "repro", "verify"],
     )
     def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
         # A bug in a command must crash, not exit 2 as if the arguments were
         # wrong.  Every step of a run calls the command of the patched
-        # ``rule``, and so does the verifier's first outcome-table miss.
+        # ``rule``, and the verifier's first outcome-table miss calls the
+        # moves of the patched ``moves``.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
 

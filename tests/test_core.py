@@ -204,18 +204,37 @@ class TestViews:
     def test_views_leave_equality_hash_and_repr(self):
         graph, twin = ring(5), ring(5)
         before = hash(graph), repr(graph), graph.summary()
-        graph.views
+        graph.views, graph.ends
+        assert "views" in vars(graph) and "ends" in vars(graph)
         assert graph == twin
         assert (hash(graph), repr(graph), graph.summary()) == before == (hash(twin), repr(twin), twin.summary())
+
+    @pytest.mark.parametrize(
+        "graph",
+        [ring(7), chain(6), bidirectional_clique(5), random_digraph(30, 4, 3), build_graph(4, [(0, 1), (3, 1)]),
+         build_graph(1, [])],
+        ids=lambda g: f"{g.label}:{g.n}",
+    )
+    def test_ends_are_the_arc_columns(self, graph):
+        tails, heads = graph.ends
+        assert [*zip(tails, heads)] == [*graph.arcs]
+        if graph.arcs:
+            assert graph.ends == tuple(zip(*graph.arcs))
+        assert graph.ends is graph.ends
+        rng = random.Random(graph.n)
+        for _ in range(20):
+            colors = [rng.randrange(3) for _ in range(graph.n)]
+            assert [*core.conflicting_heads(graph, colors)] == [j for i, j in graph.arcs if colors[i] == colors[j]]
 
     def test_graph_pickles_after_a_deterministic_step(self):
         graph = chain(5)
         run(graph, AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(), Configuration.uniform(5, 0, 3),
             max_steps=1)
-        assert "views" in vars(graph)
+        assert "views" in vars(graph) and "ends" in vars(graph)
         copy = pickle.loads(pickle.dumps(graph))
         assert copy == graph
         assert copy.views[0]([0, 1, 2, 0, 1]) == (0, 1)
+        assert copy.ends == graph.ends == ((1, 2, 3, 4), (0, 1, 2, 3))
 
 
 class TestPredicates:

@@ -19,6 +19,7 @@ from unicolor import (
     build_graph,
     chain,
     is_legitimate,
+    moves,
     replay_witness,
     ring,
     rule,
@@ -440,6 +441,30 @@ class TestPaletteRotation:
 
 
 class TestRule:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.integers(2, 4))
+    def test_moves_are_the_commands_answers(self, graph, k):
+        # At every configuration, ``moves`` gives each process what a fresh
+        # command can answer for it over every draw, ascending; ``()``
+        # exactly where the command says the process is not enabled (and
+        # the guard says so too), and the command's own error otherwise.
+        def outcome(call):
+            try:
+                return call()
+            except (ValueError, NonTerminatingCommandError) as exc:
+                return type(exc), str(exc)
+
+        for kind in AlgorithmKind:
+            moves_of = moves(kind, graph, k)
+            for colors in product(range(k), repeat=graph.n):
+                for i in range(graph.n):
+                    want = outcome(lambda: tuple(sorted({rule(kind, graph, k, _Pick(j))((i,), colors)[0]
+                                                         for j in range(k)})))
+                    got = outcome(lambda: moves_of(i, colors))
+                    disabled = not process_enabled(graph.preds[i], colors, i)
+                    assert (want == (ValueError, f"process {i} is not enabled")) == disabled
+                    assert got == (() if disabled else want)
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(), st.integers(2, 4), st.integers(0, 2**32))
     def test_one_command_matches_fresh_rules(self, graph, k, seed):
