@@ -26,8 +26,10 @@ the edges of one palette code: their targets (palette codes again: a move
 of process ``n-1`` to ``s`` rotates the new colors by ``-s``) and their
 masks (the activated processes as a bitmask).  Rows are built when a
 search asks for them, from one outcome table per process, keyed by its
-view, and two rotation tables for the moves of process ``n-1``; no
-``Configuration`` is built per state.
+view code (its own and its predecessors' colors as a base-k number, read
+from two digit tables as the code's halves are), and two rotation tables
+for the moves of process ``n-1``; no ``Configuration`` is built per state,
+and a row whose views are all known builds no colors at all.
 
 Both rules also commute with every automorphism of the digraph, a
 permutation of the processes that keeps the arcs: the guard and the rules
@@ -42,12 +44,13 @@ the identity gets no table.  What is stored per orbit, at the
 representative's index, is the search's value: the longest move and step
 counts, or the escape distance, both the same across an orbit.
 
-Reports are the ones the full k^n walk gives.  Terminal counts are k times
-the palette codes in terminal orbits; ``configurations_checked`` and the
-cap stay on k^n.  The first code of any orbit is its representative, so
-the first code to reach a maximum is one, and initial configurations are
-unchanged.  Schedules are read off concrete palette codes' rows, whose
-order is that of the full walk's rows.
+Reports are the ones the full k^n walk gives.  The terminal count is one
+exact count of proper colorings, k times the palette codes at which no arc
+joins equal colors, made apart from the searches; ``configurations_checked``
+and the cap stay on k^n.  The first code of any orbit is its
+representative, so the first code to reach a maximum is one, and initial
+configurations are unchanged.  Schedules are read off concrete palette
+codes' rows, whose order is that of the full walk's rows.
 
 The probabilistic search builds the representatives' rows only, maps
 their targets to representatives, and computes escape distances one
@@ -86,7 +89,7 @@ from itertools import combinations, product
 from math import gcd
 from operator import add
 
-from .core import Configuration, DirectedGraph, UsageError, conflicting_heads
+from .core import Configuration, DirectedGraph, UsageError
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, moves
 from .engine import ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script
@@ -172,9 +175,14 @@ def automorphism_generators(graph: DirectedGraph) -> list[tuple[int, ...]]:
     ``order[:i]``; for each process of ``order[i]``'s cell outside the
     orbit those generators give ``order[i]``, a backtracking search over
     ``order[i+1:]`` looks for one automorphism that fixes ``order[:i]`` and
-    maps ``order[i]`` there.  A level adds at most its orbit size minus one
-    generators, so there are at most n(n-1)/2, and the group, n! elements on
-    clique:n, is never listed.  An empty list means the group is trivial.
+    maps ``order[i]`` there, once per process and level.  Each round adds
+    the automorphism found that grows ``order[i]``'s orbit most, the first
+    on ties, until no process outside the orbit has one; so a cyclic group
+    gets one generator however its processes are numbered (Seress,
+    *Permutation Group Algorithms*, ch. 4).  A level adds at most its orbit
+    size minus one generators, so there are at most n(n-1)/2, and the group,
+    n! elements on clique:n, is never listed.  An empty list means the group
+    is trivial.
     """
     n, preds, succs = graph.n, graph.preds, graph.succs
     arcs = set(graph.arcs)
@@ -233,11 +241,11 @@ def automorphism_generators(graph: DirectedGraph) -> list[tuple[int, ...]]:
 
     generators: list[tuple[int, ...]] = []
 
-    def orbit_of(point) -> set[int]:
+    def orbit_of(point, gens) -> set[int]:
         orbit, stack = {point}, [point]
         while stack:
             x = stack.pop()
-            for g in generators:
+            for g in gens:
                 if g[x] not in orbit:
                     orbit.add(g[x])
                     stack.append(g[x])
@@ -245,18 +253,21 @@ def automorphism_generators(graph: DirectedGraph) -> list[tuple[int, ...]]:
 
     for level in reversed(range(n)):
         base = order[level]
-        orbit = orbit_of(base)
         fixed = order[:level]
-        for x in members[cell[base]]:
-            if x in orbit or x in fixed:
-                continue
-            mapped = [(u, u) for u in fixed]
-            if not fits(mapped, base, x):
-                continue
-            found = extend(level + 1, mapped + [(base, x)], {*fixed, x})
-            if found:
-                generators.append(found)
-                orbit = orbit_of(base)
+        mapped = [(u, u) for u in fixed]
+        # The generators so far fix ``base`` too, so every candidate is
+        # outside its orbit now: one search each serves every round.
+        found = [
+            g
+            for x in members[cell[base]]
+            if x != base and x not in fixed and fits(mapped, base, x)
+            if (g := extend(level + 1, mapped + [(base, x)], {*fixed, x}))
+        ]
+        orbit = {base}
+        while outside := [g for g in found if g[base] not in orbit]:
+            # ``max`` keeps the first of equals.
+            generators.append(max(outside, key=lambda g: len(orbit_of(base, [*generators, g]))))
+            orbit = orbit_of(base, generators)
     return generators
 
 
@@ -323,18 +334,17 @@ def _orbits(generators, n: int, k: int):
     """The orbits of the palette codes under the automorphisms and rotation.
 
     Returns ``orbit``, which maps each palette code to the smallest code of
-    its orbit, its representative; the representatives in ascending order;
-    and the orbit sizes (in palette codes) of the representatives.  Codes
-    are labelled in ascending order, so the first code of each new orbit is
-    its smallest.  Without generators every code is its own orbit, and
-    ``orbit`` is None: no table is built.
+    its orbit, its representative, and the representatives in ascending
+    order.  Codes are labelled in ascending order, so the first code of each
+    new orbit is its smallest.  Without generators every code is its own
+    orbit, and ``orbit`` is None: no table is built.
     """
     codes = k ** (n - 1)
     if not generators:
-        return None, range(codes), {}
+        return None, range(codes)
     maps = [_palette_map(g, n, k) for g in generators]
     orbit = [-1] * codes
-    reps, sizes = [], {}
+    reps = []
     for code in range(codes):
         if orbit[code] >= 0:
             continue
@@ -347,8 +357,7 @@ def _orbits(generators, n: int, k: int):
                     orbit[y] = code
                     members.append(y)
         reps.append(code)
-        sizes[code] = len(members)
-    return orbit, reps, sizes
+    return orbit, reps
 
 
 class _Space:
@@ -363,9 +372,12 @@ class _Space:
     targets, the masks (the activated processes as a bitmask) and the
     targets' representatives of a palette code's edges.
 
-    Each process with predecessors has an outcome table, from its view
-    (``graph.views[i]`` of the colors) to its moves as ``(code delta, new
-    color)`` pairs, none when it is not enabled, filled on first use.  A
+    Each process with predecessors has an outcome table, from its view code
+    to its moves as ``(code delta, new color)`` pairs, none when it is not
+    enabled, filled on first use.  The view code is the process's own color
+    and its predecessors' as a base-k number, the sum of two digit tables
+    over the code's low and high digits; a row decodes a code's colors only
+    to fill a table or, under ``subsets``, to move process ``n-1``.  A
     move of process ``i < n-1`` adds its delta to the code.  An edge that
     moves process ``n-1`` to color ``s`` lands on a configuration whose top
     digit is ``s``: its target is that configuration rotated by ``-s``, a
@@ -380,7 +392,8 @@ class _Space:
     A row is empty iff no process is enabled, which is also iff the
     configuration is legitimate (an arc joining equal colors makes its head
     enabled); for the probabilistic rule that needs ``k > max_degree``,
-    which its caller checks.  ``orbit``, ``reps`` and ``sizes`` are those of
+    which its caller checks; :meth:`count_terminal` counts those codes
+    without building a row.  ``orbit`` and ``reps`` are those of
     :func:`_orbits`.
     """
 
@@ -390,7 +403,7 @@ class _Space:
         n = graph.n
         self.total = k**n
         self.codes = k ** (n - 1)
-        self.orbit, self.reps, self.sizes = _orbits(automorphism_generators(graph), n, k)
+        self.orbit, self.reps = _orbits(automorphism_generators(graph), n, k)
         # A code's colors are the low digits' tuple joined to the high
         # digits', process n-1 at color 0 last; ``product`` varies its last
         # factor fastest, so reversed tuples come in ascending code order.
@@ -415,26 +428,37 @@ class _Space:
             for digits in (range(half), range(half, top))
         )
 
-        def outcomes(i: int, colors) -> tuple[tuple[int, int], ...]:
+        def outcomes(i: int, low_code: int, high_code: int) -> tuple[tuple[int, int], ...]:
             """The ``(code delta, new color)`` of each move of process ``i``
-            at ``colors``; none when it is not enabled."""
+            at the colors of a palette code; none when it is not enabled."""
+            colors = low[low_code] + high[high_code]
             return tuple(((c - colors[i]) * weights[i], c) for c in moves_of(i, colors))
 
-        # The outcome tables, one per process with predecessors.
-        movers = [(i, 1 << i, graph.views[i], {}) for i in range(n) if graph.preds[i]]
+        def view_codes(i: int) -> tuple[list[int], list[int]]:
+            """Process ``i``'s view as a base-k code, digit ``j`` the color of
+            ``(i, *preds[i])[j]``: ``low_view[low_code] + high_view[high_code]``.
+            Process n-1 holds color 0 and adds nothing."""
+            place = {p: k**j for j, p in enumerate((i, *graph.preds[i]))}
+            return tuple(
+                _digit_sums([[v * place.get(d, 0) for v in range(k)] for d in digits]).tolist()
+                for digits in (range(half), range(half, top))
+            )
+
+        # The outcome tables, one per process with predecessors, keyed by
+        # view code.
+        movers = [(i, 1 << i, *view_codes(i), {}) for i in range(n) if graph.preds[i]]
 
         if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
 
             def row(code: int) -> tuple[list[int], list[int], list[int]]:
                 high_code, low_code = divmod(code, split)
-                colors = low[low_code] + high[high_code]
                 targets: list[int] = []
                 masks: list[int] = []
-                for i, bit, view, table in movers:
-                    key = view(colors)
+                for i, bit, low_view, high_view, table in movers:
+                    key = low_view[low_code] + high_view[high_code]
                     moves = table.get(key)
                     if moves is None:
-                        moves = table[key] = outcomes(i, colors)
+                        moves = table[key] = outcomes(i, low_code, high_code)
                     for delta, c in moves:
                         masks.append(bit)
                         if i != top:
@@ -455,14 +479,13 @@ class _Space:
 
         def row(code: int) -> tuple[list[int], list[int], list[int]]:
             high_code, low_code = divmod(code, split)
-            colors = low[low_code] + high[high_code]
             moved = []
             enabled = 0
-            for i, bit, view, table in movers:
-                key = view(colors)
+            for i, bit, low_view, high_view, table in movers:
+                key = low_view[low_code] + high_view[high_code]
                 moves = table.get(key)
                 if moves is None:
-                    moves = table[key] = outcomes(i, colors)
+                    moves = table[key] = outcomes(i, low_code, high_code)
                 if moves:
                     moved.append((i, *moves[0]))
                     enabled += bit
@@ -480,6 +503,7 @@ class _Space:
                 sums += [x + delta for x in sums]
             if enabled & top_bit:
                 s = moved[-1][2]
+                colors = low[low_code] + high[high_code]
                 rotated = [rotated_low[s][low_code] + rotated_high[s][high_code]]
                 for i, _, c in rest:
                     delta = ((c - s) % k - (colors[i] - s) % k) * weights[i]
@@ -496,18 +520,41 @@ class _Space:
         high_code, low_code = divmod(code, self.split)
         return self.low[low_code] + self.high[high_code]
 
-    def count_terminal(self, reps) -> int:
-        """The palette codes in the orbits of ``reps`` at which no arc joins
-        equal colors: the terminal ones, whose rows are empty."""
+    def count_terminal(self) -> int:
+        """The palette codes at which no arc joins equal colors: the
+        terminal ones, whose rows are empty.
+
+        The low digits' codes are the bits of an int: those at which no arc
+        inside the low digits joins equal colors, and per low process ``u``
+        and color ``x`` those at which ``u`` does not hold ``x``.  Each high
+        digits' code without a conflict inside them keeps the first set,
+        ANDed with one set per arc between the halves, and adds its count.
+        """
+        low, half = self.low, len(self.low[0])
+        inside_low, across, inside_high = [], [], []
+        for u, v in self.graph.arcs:
+            if u >= half and v >= half:
+                inside_high.append((u - half, v - half))
+            elif u < half and v < half:
+                inside_low.append((u, v))
+            else:
+                across.append((u, v - half) if u < half else (v, u - half))
+        proper = sum(1 << code for code, c in enumerate(low) if all(c[u] != c[v] for u, v in inside_low))
+        differs = [[sum(1 << code for code, c in enumerate(low) if c[u] != x) for x in range(self.k)] for u in range(half)]
         count = 0
-        for rep in reps:
-            if next(conflicting_heads(self.graph, self.colors(rep)), None) is None:
-                count += self.sizes.get(rep, 1)
+        for colors in self.high:
+            if any(colors[u] == colors[v] for u, v in inside_high):
+                continue
+            bits = proper
+            for u, v in across:
+                bits &= differs[u][colors[v]]
+            count += bits.bit_count()
         return count
 
-    def report(self, terminal_codes: int, worst_moves, divergence, worst_witness=None) -> VerificationReport:
-        """The report, ``terminal_codes`` being the number of palette codes
-        with an empty row; every one stands for ``k`` configurations."""
+    def report(self, worst_moves, divergence, worst_witness=None) -> VerificationReport:
+        """The report; each terminal palette code stands for ``k``
+        configurations."""
+        terminal = self.k * self.count_terminal()
         return VerificationReport(
             graph=self.graph.summary(),
             algorithm=self.algorithm,
@@ -517,8 +564,8 @@ class _Space:
             worst_case_moves=worst_moves,
             witness_divergence=divergence,
             worst_case_witness=worst_witness,
-            terminal_count=self.k * terminal_codes,
-            legitimate_count=self.k * terminal_codes,
+            terminal_count=terminal,
+            legitimate_count=terminal,
             terminal_equals_legitimate=True,
         )
 
@@ -567,7 +614,7 @@ def verify_deterministic(
     """
     _check_arguments(graph, AlgorithmKind.DETERMINISTIC, k, max_depth, cap)
     space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, policy_class)
-    row, sizes, n = space.row, space.sizes, graph.n
+    row, n = space.row, graph.n
 
     # DFS over palette codes with cycle detection; on the acyclic side,
     # longest-path memo per orbit.  A frame is a code, its representative,
@@ -581,7 +628,6 @@ def verify_deterministic(
     marks = bytearray(space.codes)
     longest_moves = array("q", [0]) * space.codes
     longest_steps = array("q", [0]) * space.codes
-    terminal = 0
 
     for root in space.reps:
         if marks[root]:
@@ -599,8 +645,7 @@ def verify_deterministic(
                 if marks[succ]:
                     schedule = tuple(_processes(f[3][f[5] - 1], n) for f in stack)
                     start = [f[0] for f in stack].index(succ)
-                    terminal += space.count_terminal(r for r in space.reps if marks[r] != 2)
-                    return space.report(terminal, None, _cycle_witness(graph, k, space.colors(root), schedule, start))
+                    return space.report(None, _cycle_witness(graph, k, space.colors(root), schedule, start))
                 marks[succ] = 1
                 stack.append([succ, reps[edge], *row(succ), 0])
             else:
@@ -615,8 +660,6 @@ def verify_deterministic(
                 longest_moves[rep] = best_m
                 longest_steps[rep] = best_s
                 marks[rep] = 2
-                if not targets:
-                    terminal += sizes.get(rep, 1)
                 stack.pop()
 
     def follow(code: int, longest: array, cost) -> tuple[tuple[int, ...], ...]:
@@ -653,7 +696,7 @@ def verify_deterministic(
             schedule=follow(deep_code, longest_steps, lambda mask: 1)[:max_depth],
             note=f"path of {deepest} steps exceeds max_depth {max_depth}",
         )
-    return space.report(terminal, worst, witness, worst_witness)
+    return space.report(worst, witness, worst_witness)
 
 
 def verify_probabilistic_support(
@@ -686,14 +729,11 @@ def verify_probabilistic_support(
     # left has no path to a terminal configuration.
     dist = array("q", [0]) * space.codes
     pending = []
-    terminal = 0
     for rep in space.reps:
         _, _, targets = space.row(rep)
         if targets:
             dist[rep] = -1
             pending.append((rep, targets))
-        else:
-            terminal += space.sizes.get(rep, 1)
     escape = 0
     while pending:
         left = []
@@ -722,7 +762,7 @@ def verify_probabilistic_support(
             schedule=(),
             note=f"shortest escape of {escape} moves exceeds max_depth {max_depth}",
         )
-    return space.report(terminal, escape, witness)
+    return space.report(escape, witness)
 
 
 def replay_witness(

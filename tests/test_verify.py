@@ -2,10 +2,10 @@ import json
 import random
 from dataclasses import asdict
 from itertools import permutations, product
-from math import factorial
+from math import factorial, perm
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unicolor import (
     AlgorithmKind,
@@ -74,6 +74,14 @@ def symmetric_graphs(draw):
     for _ in range(n):
         arcs |= {(step[i], step[j]) for i, j in arcs}
     return build_graph(n, sorted(arcs))
+
+
+def relabeled(kind, n, perm):
+    if kind == "ring":
+        arcs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    else:
+        arcs = [(perm[i], perm[i - 1]) for i in range(1, n)]
+    return build_graph(n, arcs, label=f"{kind}:{n}:relabeled")
 
 
 def closure(generators, n):
@@ -298,6 +306,43 @@ class TestTransitions:
             assert (targets, masks) == reference_row(graph.arcs, graph.n, k, kind, policy_class, code)
             assert reps == (targets if space.orbit is None else [space.orbit[t] for t in targets])
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(relabeled("ring", 6, (2, 5, 0, 3, 1, 4)), id="ring6-relabeled"),
+            pytest.param(relabeled("chain", 6, (4, 1, 5, 0, 2, 3)), id="chain6-relabeled"),
+            pytest.param(relabeled("ring", 7, (5, 2, 6, 0, 3, 1, 4)), id="ring7-relabeled"),
+            pytest.param(relabeled("chain", 7, (3, 6, 1, 4, 0, 5, 2)), id="chain7-relabeled"),
+            # Process 3 reads process 0, a low digit, and process 4, a high
+            # one (the low digits are 0 .. (n-1) // 2 - 1).
+            pytest.param(build_graph(6, [(0, 3), (4, 3), (1, 2), (2, 5)]), id="six-preds-in-both-halves"),
+            pytest.param(build_graph(7, [(1, 4), (5, 4), (0, 2), (2, 6), (3, 0)]), id="seven-preds-in-both-halves"),
+            # Process 1 reads process n-1, which holds color 0 at every
+            # palette code.
+            pytest.param(build_graph(6, [(5, 1), (1, 4), (4, 0), (2, 3)]), id="six-reads-the-top"),
+            pytest.param(build_graph(7, [(6, 1), (1, 4), (4, 0), (2, 3), (3, 5)]), id="seven-reads-the-top"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "kind, policy_class",
+        [
+            (AlgorithmKind.DETERMINISTIC, LC1),
+            (AlgorithmKind.DETERMINISTIC, SUBSETS),
+            (AlgorithmKind.PROBABILISTIC, LC1),
+        ],
+        ids=["det-lc1", "det-subsets", "prob-lc1"],
+    )
+    def test_rows_past_five_processes_match_the_reference(self, graph, kind, policy_class):
+        # Past the hypothesis sizes, where each half of a code holds several
+        # digits; every degree is at most 2, so k = 3 serves every rule.
+        k = 3
+        _check_arguments(graph, kind, k, None, 10**6)
+        space = _Space(graph, kind, k, policy_class)
+        for code in range(space.codes):
+            targets, masks, reps = space.row(code)
+            assert (targets, masks) == reference_row(graph.arcs, graph.n, k, kind, policy_class, code)
+            assert reps == (targets if space.orbit is None else [space.orbit[t] for t in targets])
+
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (4, 3), (6, 2)])
     def test_colors_decode_every_palette_code(self, n, k):
         space = _Space(build_graph(n, []), AlgorithmKind.DETERMINISTIC, k, LC1)
@@ -489,14 +534,6 @@ class TestRule:
                         lambda: rule(kind, graph, k, want)(processes, colors))
                     assert got.getstate() == want.getstate()
 
-def relabeled(kind, n, perm):
-    if kind == "ring":
-        arcs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
-    else:
-        arcs = [(perm[i], perm[i - 1]) for i in range(1, n)]
-    return build_graph(n, arcs, label=f"{kind}:{n}:relabeled")
-
-
 def report_bytes(report) -> str:
     return json.dumps(asdict(report), sort_keys=True, indent=2)
 
@@ -636,16 +673,16 @@ class TestOrbitTable:
         # Necklaces of n beads in k colors up to rotation of the beads and
         # of the colors: (1 / (n k)) * sum over (i, c) of the colorings that
         # rotating the beads by i and the colors by c fixes.
-        _, reps, sizes = _orbits(automorphism_generators(ring(n)), n, k)
+        orbit, reps = _orbits(automorphism_generators(ring(n)), n, k)
         assert len(reps) == count
-        assert sum(sizes.values()) == k ** (n - 1)
+        assert sorted(set(orbit)) == reps
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_graphs(), symmetric_graphs()), st.integers(2, 4), st.data())
     def test_codes_map_to_the_smallest_of_their_orbit(self, graph, k, data):
         n = graph.n
         generators = automorphism_generators(graph)
-        orbit, reps, _ = _orbits(generators, n, k)
+        orbit, reps = _orbits(generators, n, k)
         code = data.draw(st.integers(0, k ** (n - 1) - 1))
         start = _decode(code, n, k)
         seen = {start}
@@ -690,9 +727,28 @@ class TestOrbitTable:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chain_keeps_every_row(self, n):
         assert automorphism_generators(chain(n)) == []
-        orbit, reps, _ = _orbits([], n, 3)
+        orbit, reps = _orbits([], n, 3)
         assert orbit is None
         assert list(reps) == list(range(3 ** (n - 1)))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_relabelled_rings_get_one_generator(self, n):
+        # However the processes are numbered, the rotations are one cyclic
+        # group, and the search keeps the rotation whose orbit is all n.
+        for seed in range(10):
+            labels = list(range(n))
+            random.Random(seed).shuffle(labels)
+            graph = relabeled("ring", n, labels)
+            generators = automorphism_generators(graph)
+            assert len(generators) == 1
+            (g,) = generators
+            assert {(g[i], g[j]) for i, j in graph.arcs} == set(graph.arcs)
+            # The directed ring has exactly its n rotations.
+            assert len(closure(generators, n)) == n
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_clique_keeps_n_minus_one_generators(self, n):
+        assert len(automorphism_generators(bidirectional_clique(n))) == n - 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_clique_generators_are_few_and_make_the_symmetric_group(self, n):
@@ -705,3 +761,78 @@ class TestOrbitTable:
     def test_generators_make_the_automorphism_group(self, graph):
         generators = automorphism_generators(graph)
         assert closure(generators, graph.n) == automorphisms(graph)
+
+
+def terminal_count(graph, k):
+    """The configurations at which no arc joins equal colors, as the
+    report counts them."""
+    return k * _Space(graph, AlgorithmKind.DETERMINISTIC, k, LC1).count_terminal()
+
+
+@st.composite
+def split_graphs(draw):
+    """A digraph on 1 to 6 processes whose arcs are any, or all within the
+    low digits of a palette code (processes below (n-1) // 2), or all within
+    the high ones."""
+    n = draw(st.integers(1, 6))
+    half = (n - 1) // 2
+    within = draw(st.sampled_from([range(n), range(half), range(half, n)]))
+    pairs = list(permutations(within, 2))
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, arcs)
+
+
+class TestTerminalCount:
+    """The terminal count is one exact count of proper colorings."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_ring(self, n, k):
+        assert terminal_count(ring(n), k) == (k - 1) ** n + (-1) ** n * (k - 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_chain(self, n, k):
+        assert terminal_count(chain(n), k) == k * (k - 1) ** (n - 1)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_clique(self, n, k):
+        # k! / (k-n)!, and none when the clique has more processes than colors.
+        assert terminal_count(bidirectional_clique(n), k) == perm(k, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_graphs(), st.integers(2, 4))
+    @example(build_graph(1, []), 3)
+    @example(build_graph(2, [(0, 1)]), 2)
+    @example(build_graph(2, [(0, 1), (1, 0)]), 3)
+    def test_brute_force(self, graph, k):
+        proper = sum(
+            all(colors[u] != colors[v] for u, v in graph.arcs) for colors in product(range(k), repeat=graph.n)
+        )
+        assert terminal_count(graph, k) == proper
+
+
+def invariant_fields(report):
+    return report.all_converge, report.worst_case_moves, report.terminal_count, report.configurations_checked
+
+
+class TestIsomorphismInvariance:
+    """Renumbering the processes changes the generators, the palette codes
+    and the orbits, but not what the checks find."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(small_graphs(), symmetric_graphs()), st.data())
+    def test_relabelled_digraph_gets_the_same_verdicts(self, graph, data):
+        n = graph.n
+        labels = data.draw(st.permutations(range(n)))
+        twin = build_graph(n, [(labels[i], labels[j]) for i, j in graph.arcs])
+        k = data.draw(st.integers(graph.max_in_degree + 1, max(graph.max_in_degree + 1, 4)))
+        for policy_class in (LC1, SUBSETS):
+            assert invariant_fields(verify_deterministic(twin, k, policy_class)) == invariant_fields(
+                verify_deterministic(graph, k, policy_class)
+            )
+        k = data.draw(st.integers(graph.max_degree + 1, max(graph.max_degree + 1, 4)))
+        assert invariant_fields(verify_probabilistic_support(twin, k)) == invariant_fields(
+            verify_probabilistic_support(graph, k)
+        )
