@@ -4,7 +4,8 @@ Every configuration is a legal starting point, so stabilization under a
 scheduler class is certified by checking the whole transition graph over
 all k^n color vectors: the deterministic check proves every maximal path
 terminates (no cycle) and measures the exact worst-case move count by
-memoized longest path; the probabilistic check certifies the structural
+memoized longest path, one value per state that every edge lowers by at
+least its move count (Floyd 1967); the probabilistic check certifies the structural
 precondition for probability-1 convergence (some scheduler-and-random
 outcome path reaches a terminal configuration from everywhere; the
 terminal configurations are exactly the legitimate ones, since an arc
@@ -12,7 +13,8 @@ joining equal colors is what enables its head) and measures the worst
 shortest escape.  With ``k > max_degree``, which that check requires, the
 verdict always holds: an enabled process can move to a color no neighbour
 holds, which disables it and enables nobody, so every escape is at most n
-moves.  Its information is the escape length.
+moves.  Its information is the escape length.  ``max_depth`` bounds moves
+in both checks: the longest path's, or the worst shortest escape's.
 
 Both checks run on one state space, :class:`_Space`.  A configuration is
 its base-k code ``sum(colors[i] * k**i)``, process 0 being the lowest
@@ -41,8 +43,8 @@ finds a generating set of the group without listing it, and
 :func:`_orbits` labels every palette code with the smallest code of its
 orbit, the orbit's representative; a graph whose only automorphism is
 the identity gets no table.  What is stored per orbit, at the
-representative's index, is the search's value: the longest move and step
-counts, or the escape distance, both the same across an orbit.
+representative's index, is the search's one value: the longest move count,
+or the escape distance, both the same across an orbit.
 
 Reports are the ones the full k^n walk gives.  The terminal count is one
 exact count of proper colorings, k times the palette codes at which no arc
@@ -56,7 +58,8 @@ The probabilistic search builds the representatives' rows only, maps
 their targets to representatives, and computes escape distances one
 layer at a time: layer 0 is the empty rows, and an unresolved orbit is at
 distance d once one of its targets is at d - 1.  Since every escape is at
-most n, the sweep takes at most n rounds after layer 0.
+most n, the sweep takes at most n rounds after layer 0, and a round that
+resolves nothing is a bug: it raises ``RuntimeError``.
 
 The deterministic search is a DFS over palette codes with an on-stack
 mark per code and a done mark per orbit.  It expands a code only when
@@ -66,9 +69,10 @@ same order: a done orbit's codes reach no cycle and no code on the stack
 (an automorphism maps the finished code's reachable graph, acyclic and
 finished, onto theirs), so the full DFS would have walked them without a
 back edge and left the same stack; and no code of a done orbit is ever on
-the stack.  A witness is re-read from the longest values: at each code it
-takes the first edge whose cost (the moves of the edge, or 1 step) plus
-its target's value is the code's own value.  The rotation quotient has a
+the stack.  The worst-case witness is re-read from the longest values: at
+each code it takes the first edge whose moves plus its target's value are
+the code's own value; a ``max_depth`` witness is its longest prefix of at
+most ``max_depth`` moves.  The rotation quotient has a
 cycle iff the concrete graph has: a cycle of palette codes whose schedule
 rotates its start by ``r`` closes a concrete cycle when followed
 ``k / gcd(k, r)`` times.  At the first back edge, :func:`_cycle_witness`
@@ -85,7 +89,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd
 from operator import add
 
@@ -377,15 +381,16 @@ class _Space:
     enabled, filled on first use.  The view code is the process's own color
     and its predecessors' as a base-k number, the sum of two digit tables
     over the code's low and high digits; a row decodes a code's colors only
-    to fill a table or, under ``subsets``, to move process ``n-1``.  A
-    move of process ``i < n-1`` adds its delta to the code.  An edge that
-    moves process ``n-1`` to color ``s`` lands on a configuration whose top
-    digit is ``s``: its target is that configuration rotated by ``-s``, a
-    palette code, read as the sum of two rotation tables, the low and the
-    high digits rotated by ``-s``, split as the colors are.  A ``subsets``
-    row sums its targets over index bitmasks of its moves, each set one
-    move more than a smaller one, in the rotated frame for the sets that
-    move ``n-1``; the sets' order and masks are kept per set of enabled
+    to fill a table.  A move of process ``i < n-1`` adds its delta to the
+    code.  An edge that moves process ``n-1`` to color ``s`` lands on a
+    configuration whose top digit is ``s``: its target is that
+    configuration rotated by ``-s``, a palette code, read as the sum of two
+    rotation tables, the low and the high digits rotated by ``-s``, split as
+    the colors are.  A ``subsets`` row sums its targets over index bitmasks
+    of the moves of processes below ``n-1``, each set one move more than a
+    smaller one; the sets that also move ``n-1`` to ``s`` are those sums
+    rotated by ``-s``, read from the two rotation tables at each sum's
+    halves.  The sets' order and masks are kept per set of enabled
     processes, one list shared by their rows.  The tables live as long as
     the space, one search.
 
@@ -495,20 +500,16 @@ class _Space:
                 edges = edges_of[enabled] = (by_size(indices), by_size([1 << i for i, _, _ in moved]))
             # Targets per index bitmask, each set's one move more than the
             # set without its highest index.  Process n-1, if it moves, is
-            # last; the sets holding it land on its own target plus the other
-            # moves measured in the frame rotated by -s.
+            # last; the sets holding it land on the sums of the others,
+            # rotated by -s.
             sums = [code]
             rest = moved[:-1] if enabled & top_bit else moved
             for _, delta, _ in rest:
                 sums += [x + delta for x in sums]
             if enabled & top_bit:
                 s = moved[-1][2]
-                colors = low[low_code] + high[high_code]
-                rotated = [rotated_low[s][low_code] + rotated_high[s][high_code]]
-                for i, _, c in rest:
-                    delta = ((c - s) % k - (colors[i] - s) % k) * weights[i]
-                    rotated += [x + delta for x in rotated]
-                sums += rotated
+                rotated_l, rotated_h = rotated_low[s], rotated_high[s]
+                sums += [rotated_l[x % split] + rotated_h[x // split] for x in sums]
             order, masks = edges
             targets = [*map(sums.__getitem__, order)]
             return targets, masks, targets if orbit is None else [*map(orbit.__getitem__, targets)]
@@ -599,14 +600,16 @@ def verify_deterministic(
     """Enumerate every execution of the deterministic rule.
 
     Convergence holds iff the transition graph over all k^n configurations
-    is acyclic (and, when ``max_depth`` is given, no path is longer).  On
-    the acyclic side the exact worst-case move count is the longest move
+    is acyclic (and, when ``max_depth`` is given, no path has more moves).
+    On the acyclic side the exact worst-case move count is the longest move
     path, with a schedule witnessing it; on a cycle the report
     short-circuits to a divergence witness whose replay revisits a
-    configuration.  The search stores only the longest move and step
-    counts per orbit; the worst-case and ``max_depth`` schedules are
-    re-read from them, one edge per code, so they are the paths whose
-    every edge is the first to reach its code's value.
+    configuration.  The search stores one value per orbit, its longest move
+    count; the worst-case schedule is re-read from it, one edge per code, so
+    it is the path whose every edge is the first to reach its code's value.
+    When that path has more than ``max_depth`` moves, the divergence witness
+    starts where it starts and follows its longest prefix of at most
+    ``max_depth`` moves.
 
     A palette of at most ``max_in_degree`` is refused with a
     :class:`UsageError` before any state is built (:func:`_check_arguments`):
@@ -626,8 +629,7 @@ def verify_deterministic(
     # of its codes is on the stack, since that code would reach itself
     # through the done one.
     marks = bytearray(space.codes)
-    longest_moves = array("q", [0]) * space.codes
-    longest_steps = array("q", [0]) * space.codes
+    longest = array("q", [0]) * space.codes
 
     for root in space.reps:
         if marks[root]:
@@ -649,52 +651,41 @@ def verify_deterministic(
                 marks[succ] = 1
                 stack.append([succ, reps[edge], *row(succ), 0])
             else:
-                best_m, best_s = 0, 0
+                best = 0
                 for target, mask in zip(reps, masks):
-                    m = mask.bit_count() + longest_moves[target]
-                    s = 1 + longest_steps[target]
-                    if m > best_m:
-                        best_m = m
-                    if s > best_s:
-                        best_s = s
-                longest_moves[rep] = best_m
-                longest_steps[rep] = best_s
+                    m = mask.bit_count() + longest[target]
+                    if m > best:
+                        best = m
+                longest[rep] = best
                 marks[rep] = 2
                 stack.pop()
 
-    def follow(code: int, longest: array, cost) -> tuple[tuple[int, ...], ...]:
-        """The path that realises ``longest`` from representative ``code``:
-        at each code, the first edge whose cost plus its target's value is
-        the code's own value."""
-        schedule = []
-        value = longest[code]
-        while value:
-            targets, masks, reps = row(code)
-            for target, mask, rep in zip(targets, masks, reps):
-                if cost(mask) + longest[rep] == value:
-                    break
-            schedule.append(_processes(mask, n))
-            code, value = target, longest[rep]
-        return tuple(schedule)
-
     # Values sit at the representatives, each the smallest code of its
-    # orbit, so the first maximum is the first over all codes.
-    worst = max(longest_moves)
-    argmax = longest_moves.index(worst)
-    worst_witness = WorstCaseWitness(
-        initial=space.colors(argmax),
-        schedule=follow(argmax, longest_moves, int.bit_count),
-        moves=worst,
-    )
+    # orbit, so the first maximum is the first over all codes.  The
+    # schedule takes at each code the first edge whose moves plus its
+    # target's value are the code's own value.
+    worst = max(longest)
+    code = longest.index(worst)
+    initial = space.colors(code)
+    schedule = []
+    value = worst
+    while value:
+        targets, masks, reps = row(code)
+        for target, mask, rep in zip(targets, masks, reps):
+            if mask.bit_count() + longest[rep] == value:
+                break
+        schedule.append(_processes(mask, n))
+        code, value = target, longest[rep]
+    worst_witness = WorstCaseWitness(initial=initial, schedule=tuple(schedule), moves=worst)
 
     witness = None
-    deepest = max(longest_steps)
-    if max_depth is not None and deepest > max_depth:
-        deep_code = longest_steps.index(deepest)
+    if max_depth is not None and worst > max_depth:
+        # The longest prefix of at most ``max_depth`` moves.
+        cut = sum(moved <= max_depth for moved in accumulate(map(len, schedule)))
         witness = DivergenceWitness(
-            initial=space.colors(deep_code),
-            schedule=follow(deep_code, longest_steps, lambda mask: 1)[:max_depth],
-            note=f"path of {deepest} steps exceeds max_depth {max_depth}",
+            initial=initial,
+            schedule=tuple(schedule[:cut]),
+            note=f"path of {worst} moves exceeds max_depth {max_depth}",
         )
     return space.report(worst, witness, worst_witness)
 
@@ -716,8 +707,10 @@ def verify_probabilistic_support(
     orbit, so the search runs over the representatives' rows, in layers.
     With ``k > max_degree`` an enabled process can take a color no
     neighbour holds, leaving one process fewer enabled, so every escape is
-    at most n moves and the sweep takes at most n rounds after layer 0; the
-    "no path" witness is kept as the check's own verdict.
+    at most n moves and the sweep takes at most n rounds after layer 0.  A
+    round that resolves nothing would contradict that, so it raises
+    ``RuntimeError``: a bug, not a verdict.  ``max_depth`` fails the check
+    when the worst shortest escape has more moves.
     """
     _check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth, cap)
     space = _Space(graph, AlgorithmKind.PROBABILISTIC, k, PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE)
@@ -725,8 +718,8 @@ def verify_probabilistic_support(
     # Escape distances one layer at a time over the representatives' rows,
     # their targets mapped to representatives: layer 0 is the empty rows,
     # and an unresolved orbit joins layer d + 1 once one of its targets is
-    # in layer d.  A round that resolves nothing ends the sweep; what is
-    # left has no path to a terminal configuration.
+    # in layer d.  Every orbit resolves within n rounds, so a round that
+    # resolves nothing is a bug.
     dist = array("q", [0]) * space.codes
     pending = []
     for rep in space.reps:
@@ -745,18 +738,12 @@ def verify_probabilistic_support(
             else:
                 left.append(item)
         if len(left) == len(pending):
-            break
+            raise RuntimeError(f"escape sweep resolved no orbit at distance {escape + 1}, {len(left)} left")
         pending = left
         escape += 1
 
     witness = None
-    if pending:
-        witness = DivergenceWitness(
-            initial=space.colors(pending[0][0]),
-            schedule=(),
-            note="no path to a terminal configuration",
-        )
-    elif max_depth is not None and escape > max_depth:
+    if max_depth is not None and escape > max_depth:
         witness = DivergenceWitness(
             initial=space.colors(dist.index(escape)),
             schedule=(),

@@ -393,10 +393,11 @@ def reference_verify_deterministic(
     """Enumerate every execution of the deterministic rule.
 
     Convergence holds iff the transition graph over all k^n configurations
-    is acyclic (and, when ``max_depth`` is given, no path is longer).  On
-    the acyclic side the exact worst-case move count is the longest move
-    path, with a schedule witnessing it; on a cycle the report
-    short-circuits to a divergence witness whose replay revisits a
+    is acyclic (and, when ``max_depth`` is given, no path has more moves).
+    On the acyclic side the exact worst-case move count is the longest move
+    path, with a schedule witnessing it, cut to its longest prefix of at
+    most ``max_depth`` moves for the ``max_depth`` witness; on a cycle the
+    report short-circuits to a divergence witness whose replay revisits a
     configuration.
     """
     total = _state_space_size(graph, k, cap)
@@ -446,9 +447,7 @@ def reference_verify_deterministic(
     # DFS with cycle detection; on the acyclic side, longest-path memo.
     state = bytearray(total)
     longest_moves = [0] * total
-    longest_steps = [0] * total
     best_move_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
-    best_step_edge: list[tuple[tuple[int, ...], int] | None] = [None] * total
 
     for root in range(total):
         if state[root] != _WHITE:
@@ -481,47 +480,42 @@ def reference_verify_deterministic(
                     )
                     return report(False, None, witness, None)
             else:
-                best_m, best_s = 0, 0
+                best_m = 0
                 for choice, succ in edges:
                     m = len(choice) + longest_moves[succ]
-                    s = 1 + longest_steps[succ]
                     if m > best_m:
                         best_m = m
                         best_move_edge[code] = (choice, succ)
-                    if s > best_s:
-                        best_s = s
-                        best_step_edge[code] = (choice, succ)
                 longest_moves[code] = best_m
-                longest_steps[code] = best_s
                 state[code] = _BLACK
                 del pos[code]
                 stack.pop()
                 incoming.pop()
 
-    def follow(start: int, edge_table) -> tuple[tuple[int, ...], ...]:
-        schedule = []
-        code = start
-        while edge_table[code] is not None:
-            choice, succ = edge_table[code]
-            schedule.append(choice)
-            code = succ
-        return tuple(schedule)
-
     worst = max(longest_moves)
     argmax = longest_moves.index(worst)
+    schedule = []
+    code = argmax
+    while best_move_edge[code] is not None:
+        choice, code = best_move_edge[code]
+        schedule.append(choice)
     worst_witness = WorstCaseWitness(
         initial=_decode(argmax, n, k),
-        schedule=follow(argmax, best_move_edge),
+        schedule=tuple(schedule),
         moves=worst,
     )
 
-    deepest = max(longest_steps)
-    if max_depth is not None and deepest > max_depth:
-        deep_code = longest_steps.index(deepest)
+    if max_depth is not None and worst > max_depth:
+        prefix, moved = [], 0
+        for choice in schedule:
+            moved += len(choice)
+            if moved > max_depth:
+                break
+            prefix.append(choice)
         witness = DivergenceWitness(
-            initial=_decode(deep_code, n, k),
-            schedule=follow(deep_code, best_step_edge)[:max_depth],
-            note=f"path of {deepest} steps exceeds max_depth {max_depth}",
+            initial=worst_witness.initial,
+            schedule=tuple(prefix),
+            note=f"path of {worst} moves exceeds max_depth {max_depth}",
         )
         return report(False, worst, witness, worst_witness)
     return report(True, worst, None, worst_witness)

@@ -26,6 +26,7 @@ from unicolor import (
     verify_deterministic,
     verify_probabilistic_support,
 )
+from unicolor.cli import main
 from unicolor.core import process_enabled
 from unicolor.verify import (
     DivergenceWitness,
@@ -177,6 +178,41 @@ class TestDeterministic:
         assert "max_depth" in report.witness_divergence.note
         assert report.worst_case_moves == 3  # still measured
 
+    def test_max_depth_counts_moves_not_steps(self):
+        # Under subsets the worst case here is 6 moves in 3 steps of two
+        # movers each; a bound of 4 counted in steps would let it pass.
+        graph = build_graph(3, [(0, 1), (1, 0), (2, 0)])
+        report = verify_deterministic(graph, 3, SUBSETS, max_depth=4)
+        assert not report.all_converge
+        assert report.worst_case_moves == 6
+        assert len(report.worst_case_witness.schedule) == 3
+        witness = report.witness_divergence
+        assert witness == DivergenceWitness(
+            initial=(0, 0, 0), schedule=((0, 1), (0, 1)), note="path of 6 moves exceeds max_depth 4"
+        )
+        trace = replay_witness(graph, AlgorithmSpec.deterministic(3), witness)
+        assert trace.total_moves == 4
+        assert verify_deterministic(graph, 3, SUBSETS, max_depth=6).all_converge
+
+    @pytest.mark.parametrize(
+        "graph, k, max_depth",
+        [
+            pytest.param(chain(4), 4, 4, id="chain4-k4-depth4"),
+            pytest.param(ring(5), 5, 9, id="ring5-k5-depth9"),
+            pytest.param(ring(4), 4, 0, id="ring4-k4-depth0"),
+        ],
+    )
+    def test_max_depth_witness_is_a_prefix_of_the_worst_case(self, graph, k, max_depth):
+        # Under lc1 every step is one move, so the prefix is the first
+        # ``max_depth`` steps of the worst-case schedule.
+        report = verify_deterministic(graph, k, LC1, max_depth=max_depth)
+        worst = report.worst_case_witness
+        assert report.witness_divergence == DivergenceWitness(
+            initial=worst.initial,
+            schedule=worst.schedule[:max_depth],
+            note=f"path of {worst.moves} moves exceeds max_depth {max_depth}",
+        )
+
     def test_reports_deterministic(self):
         a = verify_deterministic(ring(3), 3, SUBSETS)
         b = verify_deterministic(ring(3), 3, SUBSETS)
@@ -220,6 +256,37 @@ class TestProbabilisticSupport:
         assert full.all_converge
         tight = verify_probabilistic_support(ring(4), 3, max_depth=full.worst_case_moves - 1)
         assert not tight.all_converge
+
+    @pytest.fixture
+    def stalled(self, monkeypatch):
+        """Rows in which the first representative with moves has itself as
+        its only target, so the escape sweep meets a round that resolves
+        nothing."""
+        build = _Space._row_builder
+
+        def builder(space, *args):
+            row = build(space, *args)
+            stuck = next(code for code in space.reps if row(code)[0])
+
+            def looped(code):
+                if code != stuck:
+                    return row(code)
+                _, masks, _ = row(code)
+                return [code], masks[:1], [code]
+
+            return looped
+
+        monkeypatch.setattr(_Space, "_row_builder", builder)
+
+    def test_stalled_sweep_is_a_bug(self, stalled):
+        with pytest.raises(RuntimeError, match="escape sweep resolved no orbit"):
+            verify_probabilistic_support(ring(4), 3)
+
+    def test_stalled_sweep_crashes_the_cli(self, stalled):
+        # A bug ends in a traceback: neither exit 1 (a verdict) nor 2 (a
+        # usage error).
+        with pytest.raises(RuntimeError, match="escape sweep resolved no orbit"):
+            main(["verify", "--graph", "ring:4", "--algo", "prob", "--k", "3"])
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(small_graphs(), st.integers(1, 3))
@@ -563,9 +630,9 @@ class TestOrbitReportsByteIdentical:
             pytest.param(ring(6), 5, LC1, None, id="ring6-k5-lc1"),
             pytest.param(ring(5), 4, SUBSETS, None, id="ring5-k4-subsets"),
             pytest.param(bidirectional_clique(4), 4, SUBSETS, None, id="clique4-k4-subsets"),
-            # Witnesses re-read from the longest-path values: the 25-step
-            # path cut at max_depth and the 31-move worst case leave (0,) * 6
-            # along different paths.
+            # Witnesses re-read from the longest-path values: the 31-move
+            # worst case from (0,) * 6, and its longest prefix of at most 24
+            # moves.
             pytest.param(
                 build_graph(6, [(0, 1), (1, 0), (1, 4), (2, 1), (2, 3), (2, 5), (4, 3), (5, 1), (5, 4)]),
                 6,
