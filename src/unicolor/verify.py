@@ -48,34 +48,40 @@ or the escape distance, both the same across an orbit.
 
 Reports are the ones the full k^n walk gives.  The terminal count is one
 exact count of proper colorings, k times the palette codes at which no arc
-joins equal colors, made apart from the searches; ``configurations_checked``
-and the cap stay on k^n.  The first code of any orbit is its
+joins equal colors, made before the searches in one pass that also marks
+those codes, whose rows are empty, so that neither search builds their
+rows; ``configurations_checked`` and the cap stay on k^n.  A terminal
+code's whole orbit is terminal, since automorphisms and the rotation keep
+proper colorings proper.  The first code of any orbit is its
 representative, so the first code to reach a maximum is one, and initial
 configurations are unchanged.  Schedules are read off concrete palette
 codes' rows, whose order is that of the full walk's rows.
 
-The probabilistic search builds the representatives' rows only, maps
-their targets to representatives, and computes escape distances one
-layer at a time: layer 0 is the empty rows, and an unresolved orbit is at
-distance d once one of its targets is at d - 1.  Since every escape is at
-most n, the sweep takes at most n rounds after layer 0, and a round that
-resolves nothing is a bug: it raises ``RuntimeError``.
+The probabilistic search builds the non-terminal representatives' rows
+only, maps their targets to representatives, and computes escape
+distances one layer at a time: layer 0 is the terminal codes, and an
+unresolved orbit is at distance d once one of its targets is at d - 1.
+Since every escape is at most n, the sweep takes at most n rounds after
+layer 0, and a round that resolves nothing is a bug: it raises
+``RuntimeError``.
 
 The deterministic search is a DFS over palette codes with an on-stack
-mark per code and a done mark per orbit.  It expands a code only when
-its orbit is not done, so a convergent instance builds one row per orbit.
-It finds the same first cycle as the DFS over all palette codes in the
-same order: a done orbit's codes reach no cycle and no code on the stack
-(an automorphism maps the finished code's reachable graph, acyclic and
-finished, onto theirs), so the full DFS would have walked them without a
-back edge and left the same stack; and no code of a done orbit is ever on
-the stack.  The worst-case witness is re-read from the longest values: at
-each code it takes the first edge whose moves plus its target's value are
-the code's own value; a ``max_depth`` witness is its longest prefix of at
-most ``max_depth`` moves.  The rotation quotient has a
-cycle iff the concrete graph has: a cycle of palette codes whose schedule
-rotates its start by ``r`` closes a concrete cycle when followed
-``k / gcd(k, r)`` times.  At the first back edge, :func:`_cycle_witness`
+mark per code and a done mark per orbit; the terminal codes start done.
+It expands a code only when its orbit is not done, so a convergent
+instance builds one row per non-terminal orbit.  It finds the same first
+cycle as the DFS over all palette codes in the same order: a terminal
+code has no edges, so it is never on the stack and its value is 0; a done
+orbit's codes reach no cycle and no code on the stack (an automorphism
+maps the finished code's reachable graph, acyclic and finished, onto
+theirs), so the full DFS would have walked them without a back edge and
+left the same stack; and no code of a done orbit is ever on the stack.
+The worst-case witness is re-read from the longest values: at each code
+it takes the first edge whose moves plus its target's value are the
+code's own value; a ``max_depth`` witness is its longest prefix of at
+most ``max_depth`` moves.  The rotation quotient has a cycle iff the
+concrete graph has: a cycle of palette codes whose schedule rotates its
+start by ``r`` closes a concrete cycle when followed ``k / gcd(k, r)``
+times.  At the first back edge, :func:`_cycle_witness`
 replays the path from the root's palette code, reads the cycle's start
 and ``r`` off the trace, and repeats the cycle's schedule.  That is the
 cycle the full walk reports: when it re-enters a rotation class on its
@@ -100,6 +106,9 @@ from .schedulers import SchedulerPolicy, Script
 
 # The most configurations, k^n, a search enumerates unless told otherwise.
 DEFAULT_CAP = 10**6
+
+# A bitmask's binary digits as bytes, 2 (done) at each set bit.
+_DONE = bytes.maketrans(b"01", b"\0\2")
 
 
 class EnumerationCapError(UsageError):
@@ -397,9 +406,11 @@ class _Space:
     A row is empty iff no process is enabled, which is also iff the
     configuration is legitimate (an arc joining equal colors makes its head
     enabled); for the probabilistic rule that needs ``k > max_degree``,
-    which its caller checks; :meth:`count_terminal` counts those codes
-    without building a row.  ``orbit`` and ``reps`` are those of
-    :func:`_orbits`.
+    which its caller checks.  ``terminal`` counts those palette codes and
+    ``marks`` holds a byte per palette code, 2 at those codes and 0
+    elsewhere, both from one pass that builds no row (:meth:`_terminal`);
+    the deterministic search takes ``marks`` as its own, so a space serves
+    one search.  ``orbit`` and ``reps`` are those of :func:`_orbits`.
     """
 
     def __init__(self, graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class: PolicyClass):
@@ -417,6 +428,7 @@ class _Space:
         self.low = [digits[::-1] for digits in product(range(k), repeat=half)]
         self.high = [digits[::-1] + (0,) for digits in product(range(k), repeat=n - 1 - half)]
         self.row = self._row_builder(kind, policy_class, half)
+        self.terminal, self.marks = self._terminal()
 
     def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass, half: int):
         graph, k, orbit = self.graph, self.k, self.orbit
@@ -521,17 +533,19 @@ class _Space:
         high_code, low_code = divmod(code, self.split)
         return self.low[low_code] + self.high[high_code]
 
-    def count_terminal(self) -> int:
-        """The palette codes at which no arc joins equal colors: the
-        terminal ones, whose rows are empty.
+    def _terminal(self) -> tuple[int, bytearray]:
+        """The palette codes at which no arc joins equal colors, the
+        terminal ones, whose rows are empty: their count, and a byte per
+        palette code, 2 at the terminal ones and 0 elsewhere.
 
         The low digits' codes are the bits of an int: those at which no arc
         inside the low digits joins equal colors, and per low process ``u``
         and color ``x`` those at which ``u`` does not hold ``x``.  Each high
         digits' code without a conflict inside them keeps the first set,
-        ANDed with one set per arc between the halves, and adds its count.
+        ANDed with one set per arc between the halves, adds its count and
+        writes its bits, lowest first, into its block of the bytes.
         """
-        low, half = self.low, len(self.low[0])
+        low, half, split = self.low, len(self.low[0]), self.split
         inside_low, across, inside_high = [], [], []
         for u, v in self.graph.arcs:
             if u >= half and v >= half:
@@ -543,19 +557,24 @@ class _Space:
         proper = sum(1 << code for code, c in enumerate(low) if all(c[u] != c[v] for u, v in inside_low))
         differs = [[sum(1 << code for code, c in enumerate(low) if c[u] != x) for x in range(self.k)] for u in range(half)]
         count = 0
-        for colors in self.high:
+        marks = bytearray(self.codes)
+        for high_code, colors in enumerate(self.high):
             if any(colors[u] == colors[v] for u, v in inside_high):
                 continue
             bits = proper
             for u, v in across:
                 bits &= differs[u][colors[v]]
-            count += bits.bit_count()
-        return count
+            if bits:
+                count += bits.bit_count()
+                flags = bin(bits)[:1:-1].encode().translate(_DONE)
+                start = high_code * split
+                marks[start : start + len(flags)] = flags
+        return count, marks
 
     def report(self, worst_moves, divergence, worst_witness=None) -> VerificationReport:
         """The report; each terminal palette code stands for ``k``
         configurations."""
-        terminal = self.k * self.count_terminal()
+        terminal = self.k * self.terminal
         return VerificationReport(
             graph=self.graph.summary(),
             algorithm=self.algorithm,
@@ -605,11 +624,12 @@ def verify_deterministic(
     path, with a schedule witnessing it; on a cycle the report
     short-circuits to a divergence witness whose replay revisits a
     configuration.  The search stores one value per orbit, its longest move
-    count; the worst-case schedule is re-read from it, one edge per code, so
-    it is the path whose every edge is the first to reach its code's value.
-    When that path has more than ``max_depth`` moves, the divergence witness
-    starts where it starts and follows its longest prefix of at most
-    ``max_depth`` moves.
+    count, and expands no terminal code: those start done at value 0.  The
+    worst-case schedule is re-read from it, one edge per code, so it is the
+    path whose every edge is the first to reach its code's value.  When that
+    path has more than ``max_depth`` moves, the divergence witness starts
+    where it starts and follows its longest prefix of at most ``max_depth``
+    moves.
 
     A palette of at most ``max_in_degree`` is refused with a
     :class:`UsageError` before any state is built (:func:`_check_arguments`):
@@ -623,12 +643,13 @@ def verify_deterministic(
     # longest-path memo per orbit.  A frame is a code, its representative,
     # its row and its next edge, so the edge it explores is that pointer
     # minus one.  ``marks`` is 1 once a code is pushed and 2 at the
-    # representative once its orbit is done.  The done mark is read first,
+    # representative once its orbit is done; every terminal code starts at
+    # 2, its value 0, and is never pushed.  The done mark is read first,
     # so a finished code that keeps its 1 is skipped, and a code met again
     # with only its 1 is on the stack: a cycle.  No orbit is done while one
     # of its codes is on the stack, since that code would reach itself
     # through the done one.
-    marks = bytearray(space.codes)
+    marks = space.marks
     longest = array("q", [0]) * space.codes
 
     for root in space.reps:
@@ -704,7 +725,8 @@ def verify_probabilistic_support(
     ``worst_case_moves`` here is the worst-case shortest escape: the
     largest, over configurations, of the fewest moves that can reach a
     terminal configuration.  Distances are the same for every member of an
-    orbit, so the search runs over the representatives' rows, in layers.
+    orbit, so the search runs over the representatives' rows, in layers;
+    a terminal representative, at distance 0, gets no row.
     With ``k > max_degree`` an enabled process can take a color no
     neighbour holds, leaving one process fewer enabled, so every escape is
     at most n moves and the sweep takes at most n rounds after layer 0.  A
@@ -715,18 +737,17 @@ def verify_probabilistic_support(
     _check_arguments(graph, AlgorithmKind.PROBABILISTIC, k, max_depth, cap)
     space = _Space(graph, AlgorithmKind.PROBABILISTIC, k, PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE)
 
-    # Escape distances one layer at a time over the representatives' rows,
-    # their targets mapped to representatives: layer 0 is the empty rows,
-    # and an unresolved orbit joins layer d + 1 once one of its targets is
-    # in layer d.  Every orbit resolves within n rounds, so a round that
-    # resolves nothing is a bug.
+    # Escape distances one layer at a time over the non-terminal
+    # representatives' rows, their targets mapped to representatives:
+    # layer 0 is the terminal codes, and an unresolved orbit joins layer
+    # d + 1 once one of its targets is in layer d.  Every orbit resolves
+    # within n rounds, so a round that resolves nothing is a bug.
     dist = array("q", [0]) * space.codes
     pending = []
     for rep in space.reps:
-        _, _, targets = space.row(rep)
-        if targets:
+        if not space.marks[rep]:
             dist[rep] = -1
-            pending.append((rep, targets))
+            pending.append((rep, space.row(rep)[2]))
     escape = 0
     while pending:
         left = []

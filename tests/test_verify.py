@@ -830,10 +830,57 @@ class TestOrbitTable:
         assert closure(generators, graph.n) == automorphisms(graph)
 
 
+def is_terminal(graph, k, code):
+    colors = _decode(code, graph.n, k)
+    return all(colors[u] != colors[v] for u, v in graph.arcs)
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The palette codes whose rows a search builds, in order."""
+    built = []
+    build = _Space._row_builder
+
+    def builder(space, *args):
+        row = build(space, *args)
+
+        def counted(code):
+            built.append(code)
+            return row(code)
+
+        return counted
+
+    monkeypatch.setattr(_Space, "_row_builder", builder)
+    return built
+
+
+class TestRowBudget:
+    """A converging deterministic search builds one row per non-terminal
+    orbit, then one per step of its worst-case schedule; terminal codes
+    are marked done from the terminal count's pass and never expanded."""
+
+    @pytest.mark.parametrize("graph, policy_class", [(ring(5), LC1), (chain(5), SUBSETS)])
+    def test_one_row_per_non_terminal_orbit(self, built_rows, graph, policy_class):
+        k = graph.n
+        _, reps = _orbits(automorphism_generators(graph), graph.n, k)
+        live = sum(not is_terminal(graph, k, rep) for rep in reps)
+        report = verify_deterministic(graph, k, policy_class)
+        assert report.all_converge
+        assert 0 < live < len(reps)
+        assert len(built_rows) == live + len(report.worst_case_witness.schedule)
+        assert not any(is_terminal(graph, k, code) for code in built_rows)
+
+    def test_probabilistic_builds_no_terminal_row(self, built_rows):
+        graph, k = ring(6), 3
+        _, reps = _orbits(automorphism_generators(graph), graph.n, k)
+        assert verify_probabilistic_support(graph, k).all_converge
+        assert built_rows == [rep for rep in reps if not is_terminal(graph, k, rep)]
+
+
 def terminal_count(graph, k):
     """The configurations at which no arc joins equal colors, as the
     report counts them."""
-    return k * _Space(graph, AlgorithmKind.DETERMINISTIC, k, LC1).count_terminal()
+    return k * _Space(graph, AlgorithmKind.DETERMINISTIC, k, LC1).terminal
 
 
 @st.composite
@@ -878,6 +925,13 @@ class TestTerminalCount:
             all(colors[u] != colors[v] for u, v in graph.arcs) for colors in product(range(k), repeat=graph.n)
         )
         assert terminal_count(graph, k) == proper
+        # The same pass marks exactly the proper palette codes done.
+        space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, LC1)
+        codes = range(k ** (graph.n - 1))
+        terminal = [is_terminal(graph, k, code) for code in codes]
+        assert list(space.marks) == [2 * t for t in terminal]
+        if k > graph.max_in_degree:
+            assert [not space.row(code)[0] for code in codes] == terminal
 
 
 def invariant_fields(report):
