@@ -93,8 +93,11 @@ def repro_sync_ring(n: int, steps: int, k: int | None = None) -> ReproReport:
 
     All processes move together every round, so each reached configuration
     stays uniform (colors cycling through the palette) and is never
-    terminal.
+    terminal.  A run of no step would check nothing, so ``steps`` below 1
+    is a usage error.
     """
+    if steps < 1:
+        raise UsageError(f"need steps >= 1, got {steps}")
     if k is None:
         k = n
     graph = ring(n)

@@ -24,14 +24,17 @@ and the free-color set rotates with the palette.  The rotation has no
 fixed point, so each rotation class holds exactly k configurations; its
 *palette code* is the member whose top digit, the color of process
 ``n-1``, is 0.  These are the codes ``0 .. k**(n-1) - 1``.  A row lists
-the edges of one palette code: their targets (palette codes again: a move
-of process ``n-1`` to ``s`` rotates the new colors by ``-s``) and their
-masks (the activated processes as a bitmask).  Rows are built when a
-search asks for them, from one outcome table per process, keyed by its
-view code (its own and its predecessors' colors as a base-k number, read
-from two digit tables as the code's halves are), and two rotation tables
-for the moves of process ``n-1``; no ``Configuration`` is built per state,
-and a row whose views are all known builds no colors at all.
+the edges of one palette code: each enabled process's moves, one edge
+each, and under ``subsets`` those moves combined into every nonempty set,
+in ``combinations`` order by size.  An edge is its target (a palette code
+again: a move of process ``n-1`` to ``s`` rotates the new colors by
+``-s``) and its mask (the activated processes as a bitmask).  Rows are
+built when a search asks for them, from one outcome table per process,
+keyed by its view code (its own and its predecessors' colors as a base-k
+number, read from two digit tables as the code's halves are), and two
+rotation tables for the moves of process ``n-1``; no ``Configuration`` is
+built per state, and a row whose views are all known builds no colors at
+all.
 
 Both rules also commute with every automorphism of the digraph, a
 permutation of the processes that keeps the arcs: the guard and the rules
@@ -379,11 +382,16 @@ class _Space:
 
     Each enabled process has the moves the rule's :func:`moves` gives it,
     the colors a run's command chooses among: the deterministic rule's one,
-    or the probabilistic rule's free colors.  Under ``lc1`` every move is
-    an edge; under ``subsets`` every nonempty set of moves is one, applied
-    together, in ``combinations`` order by size.  :meth:`row` returns the
-    targets, the masks (the activated processes as a bitmask) and the
-    targets' representatives of a palette code's edges.
+    or the probabilistic rule's free colors.  A row first lists every move
+    as an edge, process by process: that is the whole ``lc1`` row.  Under
+    ``subsets`` it then combines those edges into every nonempty set,
+    applied together, in ``combinations`` order by size.  That relies on
+    one move per enabled process, which holds because only the
+    deterministic rule is searched under ``subsets``:
+    :func:`verify_probabilistic_support` always passes ``lc1``, and
+    ``verify --algo prob`` refuses ``--policy-class subsets``.  :meth:`row`
+    returns the targets, the masks (the activated processes as a bitmask)
+    and the targets' representatives of a palette code's edges.
 
     Each process with predecessors has an outcome table, from its view code
     to its moves as ``(code delta, new color)`` pairs, none when it is not
@@ -395,11 +403,12 @@ class _Space:
     configuration whose top digit is ``s``: its target is that
     configuration rotated by ``-s``, a palette code, read as the sum of two
     rotation tables, the low and the high digits rotated by ``-s``, split as
-    the colors are.  A ``subsets`` row sums its targets over index bitmasks
-    of the moves of processes below ``n-1``, each set one move more than a
-    smaller one; the sets that also move ``n-1`` to ``s`` are those sums
-    rotated by ``-s``, read from the two rotation tables at each sum's
-    halves.  The sets' order and masks are kept per set of enabled
+    the colors are.  A ``subsets`` row reads each one-process edge's delta
+    back as its target minus the code and sums the deltas over index
+    bitmasks of the edges of processes below ``n-1``, each set one delta
+    more than a smaller one; the sets that also move ``n-1`` to ``s`` are
+    those sums rotated by ``-s``, read from the two rotation tables at each
+    sum's halves.  The sets' order and masks are kept per set of enabled
     processes, one list shared by their rows.  The tables live as long as
     the space, one search.
 
@@ -465,30 +474,10 @@ class _Space:
         # view code.
         movers = [(i, 1 << i, *view_codes(i), {}) for i in range(n) if graph.preds[i]]
 
-        if policy_class is PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE:
-
-            def row(code: int) -> tuple[list[int], list[int], list[int]]:
-                high_code, low_code = divmod(code, split)
-                targets: list[int] = []
-                masks: list[int] = []
-                for i, bit, low_view, high_view, table in movers:
-                    key = low_view[low_code] + high_view[high_code]
-                    moves = table.get(key)
-                    if moves is None:
-                        moves = table[key] = outcomes(i, low_code, high_code)
-                    for delta, c in moves:
-                        masks.append(bit)
-                        if i != top:
-                            targets.append(code + delta)
-                        else:
-                            targets.append(rotated_low[c][low_code] + rotated_high[c][high_code])
-                return targets, masks, targets if orbit is None else [*map(orbit.__getitem__, targets)]
-
-            return row
-
-        # The edges of a set of enabled processes, each with one move: every
+        subsets = policy_class is PolicyClass.ALL_DISTRIBUTED_SUBSETS
+        # Under ``subsets``, the edges of a set of enabled processes: every
         # nonempty subset, in ``combinations`` order by size, as an index
-        # bitmask over the set's moves and as a mask of processes.
+        # bitmask over the row's one-process edges and as a mask of processes.
         edges_of: dict[int, tuple[list[int], list[int]]] = {}
 
         def by_size(bits) -> list[int]:
@@ -496,34 +485,38 @@ class _Space:
 
         def row(code: int) -> tuple[list[int], list[int], list[int]]:
             high_code, low_code = divmod(code, split)
-            moved = []
-            enabled = 0
+            targets: list[int] = []
+            masks: list[int] = []
             for i, bit, low_view, high_view, table in movers:
                 key = low_view[low_code] + high_view[high_code]
                 moves = table.get(key)
                 if moves is None:
                     moves = table[key] = outcomes(i, low_code, high_code)
-                if moves:
-                    moved.append((i, *moves[0]))
-                    enabled += bit
-            edges = edges_of.get(enabled)
-            if edges is None:
-                indices = [1 << j for j in range(len(moved))]
-                edges = edges_of[enabled] = (by_size(indices), by_size([1 << i for i, _, _ in moved]))
-            # Targets per index bitmask, each set's one move more than the
-            # set without its highest index.  Process n-1, if it moves, is
-            # last; the sets holding it land on the sums of the others,
-            # rotated by -s.
-            sums = [code]
-            rest = moved[:-1] if enabled & top_bit else moved
-            for _, delta, _ in rest:
-                sums += [x + delta for x in sums]
-            if enabled & top_bit:
-                s = moved[-1][2]
-                rotated_l, rotated_h = rotated_low[s], rotated_high[s]
-                sums += [rotated_l[x % split] + rotated_h[x // split] for x in sums]
-            order, masks = edges
-            targets = [*map(sums.__getitem__, order)]
+                for delta, c in moves:
+                    masks.append(bit)
+                    if i != top:
+                        targets.append(code + delta)
+                    else:
+                        s = c
+                        targets.append(rotated_low[s][low_code] + rotated_high[s][high_code])
+            if subsets and len(masks) > 1:
+                enabled = sum(masks)
+                edges = edges_of.get(enabled)
+                if edges is None:
+                    edges = edges_of[enabled] = (by_size([1 << j for j in range(len(masks))]), by_size(masks))
+                # Targets per index bitmask, each set's one move more than the
+                # set without its highest index.  Process n-1, if it moves, is
+                # last; the sets holding it land on the sums of the others,
+                # rotated by -s.
+                sums = [code]
+                for target in targets[:-1] if enabled & top_bit else targets:
+                    delta = target - code
+                    sums += [x + delta for x in sums]
+                if enabled & top_bit:
+                    rotated_l, rotated_h = rotated_low[s], rotated_high[s]
+                    sums += [rotated_l[x % split] + rotated_h[x // split] for x in sums]
+                order, masks = edges
+                targets = [*map(sums.__getitem__, order)]
             return targets, masks, targets if orbit is None else [*map(orbit.__getitem__, targets)]
 
         return row

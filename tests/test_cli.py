@@ -273,7 +273,7 @@ class TestExitCodes:
             (["verify", "--graph", "clique:4", "--k", "3"], None,
              "deterministic rule needs k > max_in_degree, got k=3, max_in_degree=3"),
             (["repro", "sync-ring", "--n", "1"], None, "ring needs n >= 2, got 1"),
-            (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "max_steps must be >= 0, got -1"),
+            (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "need steps >= 1, got -1"),
             (["verify", "--graph", "ring:4", "--algo", "prob", "--k", "3", "--policy-class", "subsets"], None,
              "--policy-class subsets needs --algo det: the probabilistic check searches lc1 only"),
         ],
@@ -346,6 +346,7 @@ class TestReproCommand:
             # 8^8 configurations: over the verifier's default cap.
             (["clique-bound", "--delta", "7"], "state space needs 16777216 configurations, cap is 1000000"),
             (["sync-ring", "--n", "3", "--k", "1"], "palette size must be >= 2, got k=1"),
+            (["sync-ring", "--n", "3", "--steps", "0"], "need steps >= 1, got 0"),
         ],
     )
     def test_argument_error_is_a_usage_error(self, argv, message):
