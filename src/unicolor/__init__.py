@@ -26,7 +26,6 @@ from .algorithms import (
     Move,
     NonTerminatingCommandError,
     conflict_creation_bound,
-    expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
     moves,

@@ -78,7 +78,7 @@ def moves(kind: AlgorithmKind, graph: DirectedGraph, k: int):
     """The moves of rule ``kind`` on ``graph`` with palette ``k``:
     ``moves_of(i, colors)`` returns the colors process ``i`` may step to
     from ``colors``, and ``()`` when ``i`` is not enabled (the guard: its
-    color is among its predecessors', ``core.process_enabled``).
+    color is among its predecessors').
 
     The deterministic rule has one move, the inner increment loop run to
     quiescence as one atomic move: the first of ``old+1, old+2, ...`` (mod
@@ -175,19 +175,6 @@ def rule(kind: AlgorithmKind, graph: DirectedGraph, k: int, rng: random.Random |
         return new_colors
 
     return remembered
-
-
-def expected_new_conflicts(graph: DirectedGraph, i: int, k: int) -> Fraction:
-    """Expected conflicts one probabilistic move of ``i`` creates.
-
-    Exactly (degree - in_degree) / (k - in_degree): each successor outside
-    the predecessor set is hit with probability 1/(k - in_degree).
-    """
-    d = graph.degrees[i]
-    d_in = graph.in_degrees[i]
-    if k <= d_in:
-        raise ValueError(f"need k > in-degree, got k={k}, in-degree={d_in}")
-    return Fraction(d - d_in, k - d_in)
 
 
 def conflict_creation_bound(max_degree: int, k: int) -> Fraction:

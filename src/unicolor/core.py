@@ -7,8 +7,7 @@ bidirectional link is modeled as two opposed arcs.  Everything downstream
 on the two predicates defined here: per-process enabledness and
 configuration legitimacy (no arc joins two processes of equal color).  Both
 are read off one scan of the arcs for equal colors,
-:func:`conflicting_heads`; :func:`process_enabled` is the guard's reference
-form.
+:func:`conflicting_heads`.
 """
 
 from __future__ import annotations
@@ -320,15 +319,6 @@ class Configuration:
 def _check_length(graph: DirectedGraph, colors) -> None:
     if len(colors) != graph.n:
         raise ValueError(f"configuration has {len(colors)} colors for a {graph.n}-process graph")
-
-
-def process_enabled(preds_i, colors, i: int) -> bool:
-    """The guard: true iff some predecessor in ``preds_i`` holds ``colors[i]``."""
-    ci = colors[i]
-    for p in preds_i:
-        if colors[p] == ci:
-            return True
-    return False
 
 
 def conflicting_heads(graph: DirectedGraph, colors):

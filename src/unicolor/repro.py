@@ -15,7 +15,7 @@ from .core import Configuration, UsageError, bidirectional_clique, chain, is_leg
 from .algorithms import AlgorithmSpec
 from .engine import EngineStepError, ExecutionTrace, run
 from .schedulers import SchedulerPolicy, Script, ScriptViolationError
-from .verify import verify_probabilistic_support
+from .verify import DEFAULT_CAP, EnumerationCapError, proper_colorings
 
 
 class AmbiguousChaseError(RuntimeError):
@@ -223,32 +223,30 @@ def repro_ring_chase(n: int, laps: int) -> ReproReport:
 
 def repro_clique_state_bound(delta: int) -> ReproReport:
     """Pigeonhole: a (delta+1)-clique admits no proper coloring with only
-    delta colors, and delta+1 colors restore both colorings and
-    probabilistic convergence.
+    delta colors, and delta+1 colors admit (delta+1)! of them.
 
-    A proper coloring of a clique gives its n processes distinct colors, so
-    with k colors there are ``perm(k, n)`` of them: 0 for k = delta, n! for
-    k = delta+1.  The latter count is read off the verifier's report, whose
-    terminal configurations are exactly the proper colorings.
+    Both counts are enumerated by :func:`proper_colorings`, which needs no
+    rule and builds no state space.  A clique over the verifier's default
+    cap, ``(delta+1)^(delta+1)`` configurations, is refused before either
+    count with :class:`EnumerationCapError`.
     """
     if delta < 1:
         raise UsageError(f"need delta >= 1, got {delta}")
     n = delta + 1
-    support = verify_probabilistic_support(bidirectional_clique(n), k=delta + 1)
-    enough = support.terminal_count
+    if n**n > DEFAULT_CAP:
+        raise EnumerationCapError(required=n**n, allowed=DEFAULT_CAP)
+    clique = bidirectional_clique(n)
+    short, enough = proper_colorings(clique, delta), proper_colorings(clique, n)
     details = {
         "delta": delta,
         "n": n,
-        "legitimate_with_k_delta": math.perm(delta, n),
+        "legitimate_with_k_delta": short,
         "legitimate_with_k_delta_plus_1": enough,
         "expected_with_k_delta_plus_1": math.factorial(n),
-        "probabilistic_support": support.all_converge,
     }
     failures = []
+    if short:
+        failures.append(f"{short} proper colorings with k={delta}, expected 0")
     if enough != math.factorial(n):
-        failures.append(
-            f"{enough} proper colorings with k={delta + 1}, expected {math.factorial(n)}"
-        )
-    if not support.all_converge:
-        failures.append("probabilistic support check failed with k=delta+1")
+        failures.append(f"{enough} proper colorings with k={n}, expected {math.factorial(n)}")
     return ReproReport("clique-bound", not failures, details, tuple(failures))

@@ -51,9 +51,10 @@ or the escape distance, both the same across an orbit.
 
 Reports are the ones the full k^n walk gives.  The terminal count is one
 exact count of proper colorings, k times the palette codes at which no arc
-joins equal colors, made before the searches in one pass that also marks
-those codes, whose rows are empty, so that neither search builds their
-rows; ``configurations_checked`` and the cap stay on k^n.  A terminal
+joins equal colors, made before the searches by the rule-free pass of
+:func:`proper_colorings`, whose blocks also mark those codes, whose rows
+are empty, so that neither search builds their rows;
+``configurations_checked`` and the cap stay on k^n.  A terminal
 code's whole orbit is terminal, since automorphisms and the rotation keep
 proper colorings proper.  The first code of any orbit is its
 representative, so the first code to reach a maximum is one, and initial
@@ -304,6 +305,67 @@ def _digit_sums(columns, base: int = 0) -> array:
     return out
 
 
+def _halves(n: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The colors of the palette codes' low digits, the processes below
+    ``(n-1) // 2``, and of their high digits, process n-1 at color 0 last,
+    each in ascending code order: a code's colors are ``low[code %
+    len(low)] + high[code // len(low)]``.  ``product`` varies its last
+    factor fastest, so its reversed tuples come in that order."""
+    half = (n - 1) // 2
+    low = [digits[::-1] for digits in product(range(k), repeat=half)]
+    high = [digits[::-1] + (0,) for digits in product(range(k), repeat=n - 1 - half)]
+    return low, high
+
+
+def _proper_blocks(graph: DirectedGraph, k: int, low, high):
+    """The palette codes at which no arc joins equal colors, one block per
+    high digits' code: ``(high_code, bits)``, bit ``low_code`` of ``bits``
+    set at each such code ``high_code * len(low) + low_code``, for every
+    high code with a nonzero ``bits``.
+
+    The low digits' codes are the bits of an int: those at which no arc
+    inside the low digits joins equal colors, and per low process ``u`` and
+    color ``x`` those at which ``u`` does not hold ``x``.  Each high digits'
+    code without a conflict inside them keeps the first set, ANDed with one
+    set per arc between the halves, until it is empty.
+    """
+    half = len(low[0])
+    inside_low, across, inside_high = [], [], []
+    for u, v in graph.arcs:
+        if u >= half and v >= half:
+            inside_high.append((u - half, v - half))
+        elif u < half and v < half:
+            inside_low.append((u, v))
+        else:
+            across.append((u, v - half) if u < half else (v, u - half))
+    proper = sum(1 << code for code, c in enumerate(low) if all(c[u] != c[v] for u, v in inside_low))
+    differs = [[sum(1 << code for code, c in enumerate(low) if c[u] != x) for x in range(k)] for u in range(half)]
+    for high_code, colors in enumerate(high):
+        if any(colors[u] == colors[v] for u, v in inside_high):
+            continue
+        bits = proper
+        for u, v in across:
+            bits &= differs[u][colors[v]]
+            if not bits:
+                break
+        if bits:
+            yield high_code, bits
+
+
+def proper_colorings(graph: DirectedGraph, k: int) -> int:
+    """The colorings of ``graph`` with ``k`` colors at which no arc joins
+    equal colors, counted exactly with no rule involved.
+
+    The palette rotations ``c -> c+r mod k`` keep a coloring proper, and
+    each rotation class holds ``k`` colorings, one of them a palette code
+    (process n-1 at color 0).  So the count is ``k`` times that of the
+    proper palette codes, which :func:`_proper_blocks` finds a block of low
+    digits at a time.  The verifier's terminal count and done marks come
+    from the same blocks.
+    """
+    return k * sum(bits.bit_count() for _, bits in _proper_blocks(graph, k, *_halves(graph.n, k)))
+
+
 def _palette_map(g: tuple[int, ...], n: int, k: int) -> array:
     """The action of automorphism ``g`` on palette codes, over ``0 .. k**(n-1) - 1``.
 
@@ -417,9 +479,9 @@ class _Space:
     enabled); for the probabilistic rule that needs ``k > max_degree``,
     which its caller checks.  ``terminal`` counts those palette codes and
     ``marks`` holds a byte per palette code, 2 at those codes and 0
-    elsewhere, both from one pass that builds no row (:meth:`_terminal`);
-    the deterministic search takes ``marks`` as its own, so a space serves
-    one search.  ``orbit`` and ``reps`` are those of :func:`_orbits`.
+    elsewhere, both from the blocks :func:`proper_colorings` counts, which
+    build no row; the deterministic search takes ``marks`` as its own, so a
+    space serves one search.  ``orbit`` and ``reps`` are those of :func:`_orbits`.
     """
 
     def __init__(self, graph: DirectedGraph, kind: AlgorithmKind, k: int, policy_class: PolicyClass):
@@ -429,15 +491,18 @@ class _Space:
         self.total = k**n
         self.codes = k ** (n - 1)
         self.orbit, self.reps = _orbits(automorphism_generators(graph), n, k)
-        # A code's colors are the low digits' tuple joined to the high
-        # digits', process n-1 at color 0 last; ``product`` varies its last
-        # factor fastest, so reversed tuples come in ascending code order.
-        half = (n - 1) // 2
+        self.low, self.high = _halves(n, k)
+        half = len(self.low[0])
         self.split = k**half
-        self.low = [digits[::-1] for digits in product(range(k), repeat=half)]
-        self.high = [digits[::-1] + (0,) for digits in product(range(k), repeat=n - 1 - half)]
         self.row = self._row_builder(kind, policy_class, half)
-        self.terminal, self.marks = self._terminal()
+        # The terminal palette codes, counted and marked done.
+        self.terminal = 0
+        self.marks = bytearray(self.codes)
+        for high_code, bits in _proper_blocks(graph, k, self.low, self.high):
+            self.terminal += bits.bit_count()
+            flags = bin(bits)[:1:-1].encode().translate(_DONE)
+            start = high_code * self.split
+            self.marks[start : start + len(flags)] = flags
 
     def _row_builder(self, kind: AlgorithmKind, policy_class: PolicyClass, half: int):
         graph, k, orbit = self.graph, self.k, self.orbit
@@ -525,44 +590,6 @@ class _Space:
         """The colors of palette code ``code``."""
         high_code, low_code = divmod(code, self.split)
         return self.low[low_code] + self.high[high_code]
-
-    def _terminal(self) -> tuple[int, bytearray]:
-        """The palette codes at which no arc joins equal colors, the
-        terminal ones, whose rows are empty: their count, and a byte per
-        palette code, 2 at the terminal ones and 0 elsewhere.
-
-        The low digits' codes are the bits of an int: those at which no arc
-        inside the low digits joins equal colors, and per low process ``u``
-        and color ``x`` those at which ``u`` does not hold ``x``.  Each high
-        digits' code without a conflict inside them keeps the first set,
-        ANDed with one set per arc between the halves, adds its count and
-        writes its bits, lowest first, into its block of the bytes.
-        """
-        low, half, split = self.low, len(self.low[0]), self.split
-        inside_low, across, inside_high = [], [], []
-        for u, v in self.graph.arcs:
-            if u >= half and v >= half:
-                inside_high.append((u - half, v - half))
-            elif u < half and v < half:
-                inside_low.append((u, v))
-            else:
-                across.append((u, v - half) if u < half else (v, u - half))
-        proper = sum(1 << code for code, c in enumerate(low) if all(c[u] != c[v] for u, v in inside_low))
-        differs = [[sum(1 << code for code, c in enumerate(low) if c[u] != x) for x in range(self.k)] for u in range(half)]
-        count = 0
-        marks = bytearray(self.codes)
-        for high_code, colors in enumerate(self.high):
-            if any(colors[u] == colors[v] for u, v in inside_high):
-                continue
-            bits = proper
-            for u, v in across:
-                bits &= differs[u][colors[v]]
-            if bits:
-                count += bits.bit_count()
-                flags = bin(bits)[:1:-1].encode().translate(_DONE)
-                start = high_code * split
-                marks[start : start + len(flags)] = flags
-        return count, marks
 
     def report(self, worst_moves, divergence, worst_witness=None) -> VerificationReport:
         """The report; each terminal palette code stands for ``k``

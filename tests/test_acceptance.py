@@ -98,10 +98,10 @@ def test_criterion_4_clique_pigeonhole(tmp_path, capsys):
         details = payload["details"]
         ok = ok and code == 0 and payload["ok"]
         ok = ok and details["legitimate_with_k_delta"] == 0
-        ok = ok and details["legitimate_with_k_delta_plus_1"] >= 1
+        ok = ok and details["legitimate_with_k_delta_plus_1"] == math.factorial(delta + 1)
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
-        report(4, ok, "cliques: zero proper colorings with k=D, some with k=D+1 (full enumeration)", elapsed, 1.0)
+        report(4, ok, "cliques: zero proper colorings with k=D, (D+1)! with k=D+1 (full enumeration)", elapsed, 1.0)
 
 
 def test_criterion_5_exhaustive_stabilization():

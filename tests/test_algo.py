@@ -12,7 +12,6 @@ from unicolor import (
     UsageError,
     build_graph,
     conflict_creation_bound,
-    expected_new_conflicts,
     expected_steps_per_conflict,
     expected_total_steps_bound,
     ring,
@@ -185,22 +184,6 @@ class TestCommand:
 
 
 class TestBounds:
-    def test_expected_new_conflicts_values(self):
-        g = build_graph(4, [(1, 0), (0, 2), (0, 3)])  # process 0: 1 pred, 2 succs
-        assert expected_new_conflicts(g, 0, 4) == Fraction(2, 3)
-        g2 = build_graph(3, [(1, 0), (2, 0)])  # no successors at all
-        assert expected_new_conflicts(g2, 0, 5) == 0
-
-    def test_expected_new_conflicts_bidirectional_zero(self):
-        # Every successor is also a predecessor: degree == in-degree.
-        g = build_graph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
-        assert expected_new_conflicts(g, 0, 5) == 0
-
-    def test_expected_new_conflicts_requires_headroom(self):
-        g = build_graph(3, [(1, 0), (2, 0)])
-        with pytest.raises(ValueError):
-            expected_new_conflicts(g, 0, 2)
-
     @pytest.mark.parametrize(
         "delta,k,value",
         [(3, 4, Fraction(2, 3)), (1, 2, 0), (1, 17, 0), (2, 3, Fraction(1, 2))],

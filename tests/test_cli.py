@@ -726,7 +726,7 @@ GOLDEN_REPROS = {
     "ring-chase-3-1": (["ring-chase", "--n", "3", "--laps", "1"],
                        "f0b47be764ad0999ae56830cf60c932f6b279ea44ee6331ec397ed443b4916a5"),
     "clique-bound-4": (["clique-bound", "--delta", "4"],
-                       "9bcae317abffbde922b503783c40dce6d6f738a55662e52b1e02d69a1b45a9a1"),
+                       "911905c27f3d5fe70360ce6b29ac828969bec9464a03d864273ca56be10517d0"),
     "chain-10": (["chain", "--n", "10"],
                  "fc201de48beba80440bbbae455ca38955b98c9da2dd61c86f92d3b4fdf09a78c"),
     "sync-ring-4-50": (["sync-ring", "--n", "4", "--steps", "50"],

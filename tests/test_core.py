@@ -332,7 +332,6 @@ def assert_tracks(tracker, members, graph, colors) -> None:
     heads = [j for j, _ in oracle_conflict_pairs(arcs, colors)]
     assert tracker.conflicts == [heads.count(j) for j in range(graph.n)]
     assert tracker.conflicts == [sum(colors[p] == colors[j] for p in graph.preds[j]) for j in range(graph.n)]
-    assert [j for j in range(graph.n) if core.process_enabled(graph.preds[j], colors, j)] == expected
 
 
 class CountingColors(list):

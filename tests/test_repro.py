@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unicolor import repro
+from unicolor import repro, verify
 from unicolor import (
     AmbiguousChaseError,
     Configuration,
@@ -183,7 +183,20 @@ class TestCliqueBound:
         assert report.ok, report.failures
         assert report.details["legitimate_with_k_delta"] == 0
         assert report.details["legitimate_with_k_delta_plus_1"] == math.factorial(delta + 1)
-        assert report.details["probabilistic_support"] is True
+
+    def test_counts_without_a_state_space(self, monkeypatch):
+        # Both counts come from the rule-free pass: no verifier state space
+        # and no automorphism group is built.
+        def broken(*args, **kwargs):
+            raise AssertionError("clique-bound built a state space")
+
+        monkeypatch.setattr(verify, "_Space", broken)
+        monkeypatch.setattr(verify, "automorphism_generators", broken)
+        for delta in range(1, 7):
+            report = repro_clique_state_bound(delta)
+            assert report.ok, report.failures
+            assert report.details["legitimate_with_k_delta"] == 0
+            assert report.details["legitimate_with_k_delta_plus_1"] == math.factorial(delta + 1)
 
     def test_delta_floor(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from unicolor import (
     verify_probabilistic_support,
 )
 from unicolor.cli import main
-from unicolor.core import process_enabled
 from unicolor.verify import (
     DivergenceWitness,
     _check_arguments,
@@ -35,11 +34,13 @@ from unicolor.verify import (
     _palette_map,
     _Space,
     automorphism_generators,
+    proper_colorings,
 )
 
 from helpers import (
     _decode,
     _encode,
+    oracle_enabled,
     reference_row,
     reference_verify_deterministic,
     reference_verify_probabilistic_support,
@@ -541,9 +542,7 @@ class TestPaletteRotation:
         for r in range(k):
             rotated = tuple((c + r) % k for c in colors)
             for i in range(n):
-                assert process_enabled(graph.preds[i], rotated, i) == process_enabled(
-                    graph.preds[i], colors, i
-                )
+                assert oracle_enabled(graph.arcs, rotated, i) == oracle_enabled(graph.arcs, colors, i)
                 for kind in AlgorithmKind:
                     before, after = outcomes(kind, i, colors), outcomes(kind, i, rotated)
                     if isinstance(before, set):
@@ -573,7 +572,7 @@ class TestRule:
                     want = outcome(lambda: tuple(sorted({rule(kind, graph, k, _Pick(j))((i,), colors)[0]
                                                          for j in range(k)})))
                     got = outcome(lambda: moves_of(i, colors))
-                    disabled = not process_enabled(graph.preds[i], colors, i)
+                    disabled = not oracle_enabled(graph.arcs, colors, i)
                     assert (want == (ValueError, f"process {i} is not enabled")) == disabled
                     assert got == (() if disabled else want)
 
@@ -595,7 +594,7 @@ class TestRule:
             got, want = random.Random(seed), random.Random(seed)
             command = rule(kind, graph, k, got)
             for colors in product(range(k), repeat=graph.n):
-                enabled = [i for i in range(graph.n) if process_enabled(graph.preds[i], colors, i)]
+                enabled = [i for i in range(graph.n) if oracle_enabled(graph.arcs, colors, i)]
                 for processes in (enabled, range(graph.n)):
                     assert outcome(lambda: command(processes, colors)) == outcome(
                         lambda: rule(kind, graph, k, want)(processes, colors))
@@ -921,9 +920,16 @@ class TestTerminalCount:
     @example(build_graph(2, [(0, 1)]), 2)
     @example(build_graph(2, [(0, 1), (1, 0)]), 3)
     def test_brute_force(self, graph, k):
-        proper = sum(
-            all(colors[u] != colors[v] for u, v in graph.arcs) for colors in product(range(k), repeat=graph.n)
-        )
+        def brute_force(k):
+            return sum(
+                all(colors[u] != colors[v] for u, v in graph.arcs) for colors in product(range(k), repeat=graph.n)
+            )
+
+        # The count involves no rule, so every palette from 1 up is counted,
+        # those at most the in-degree included.
+        for palette in range(1, k + 1):
+            assert proper_colorings(graph, palette) == brute_force(palette)
+        proper = brute_force(k)
         assert terminal_count(graph, k) == proper
         # The same pass marks exactly the proper palette codes done.
         space = _Space(graph, AlgorithmKind.DETERMINISTIC, k, LC1)
