@@ -199,6 +199,50 @@ def default_max_steps(graph: DirectedGraph, algo: AlgorithmSpec) -> int:
     return math.ceil(100 * expected_total_steps_bound(graph.n, graph.max_degree, algo.k))
 
 
+# ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
+_step_record = partial(tuple.__new__, StepRecord)
+
+
+def _step_loop(select, command, tracker: EnabledTracker, max_steps: int,
+               steps: list[StepRecord] | None = None, full: bool = False) -> tuple[int, int, bool]:
+    """The steps of one run from ``tracker``'s colors, which it updates:
+    ``(total_steps, total_moves, terminated)``.
+
+    Each step takes ``select``'s pick and ``command``'s new colors, as
+    :func:`run` resolved them, and appends its record to ``steps`` unless
+    that is None; ``full`` keeps the configuration after each step.  A
+    model error is raised as an :class:`EngineStepError`.  ``run`` and the
+    trials of ``experiments.run_chunk`` both step through here.
+    """
+    colors = tracker.colors
+    enabled_now = tracker.members
+    apply = tracker.apply
+    recording = steps is not None
+    step_record = _step_record
+    total_moves = 0
+    total_steps = 0
+    while True:
+        if not enabled_now:
+            return total_steps, total_moves, True
+        if total_steps >= max_steps:
+            return total_steps, total_moves, False
+        try:
+            chosen = select(enabled_now, total_steps)
+            if chosen is None:
+                return total_steps, total_moves, False  # script exhausted before termination
+            # Every command reads the pre-step colors.
+            new_colors = command(chosen, colors)
+        except MODEL_ERRORS as exc:
+            raise EngineStepError(total_steps, exc) from exc
+        if recording:
+            old_colors = tuple(map(colors.__getitem__, chosen))
+        apply(chosen, new_colors)
+        total_moves += len(chosen)
+        total_steps += 1
+        if recording:
+            steps.append(step_record((chosen, old_colors, new_colors, tuple(colors) if full else None)))
+
+
 def run(
     graph: DirectedGraph,
     algo: AlgorithmSpec,
@@ -234,38 +278,10 @@ def run(
     select = selector(policy, graph, rng)
     command = rule(algo.kind, graph, algo.k, rng)
     colors = list(initial.colors)
-    tracker = EnabledTracker(graph, colors)
-    enabled_now = tracker.members
-    apply = tracker.apply
-    steps: list[StepRecord] = []
-    recording = record != "none"
-    full = record == "full"
-    # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``.
-    step_record = partial(tuple.__new__, StepRecord)
-    total_moves = 0
-    total_steps = 0
-    terminated = False
-    while True:
-        if not enabled_now:
-            terminated = True
-            break
-        if total_steps >= max_steps:
-            break
-        try:
-            chosen = select(enabled_now, total_steps)
-            if chosen is None:
-                break  # script exhausted before termination
-            # Every command reads the pre-step colors.
-            new_colors = command(chosen, colors)
-        except MODEL_ERRORS as exc:
-            raise EngineStepError(total_steps, exc) from exc
-        if recording:
-            old_colors = tuple(map(colors.__getitem__, chosen))
-        apply(chosen, new_colors)
-        total_moves += len(chosen)
-        total_steps += 1
-        if recording:
-            steps.append(step_record((chosen, old_colors, new_colors, tuple(colors) if full else None)))
+    steps: list[StepRecord] | None = None if record == "none" else []
+    total_steps, total_moves, terminated = _step_loop(
+        select, command, EnabledTracker(graph, colors), max_steps, steps, record == "full"
+    )
 
     return ExecutionTrace(
         graph=graph.summary(),
@@ -274,7 +290,7 @@ def run(
         seed=seed,
         max_steps=max_steps,
         initial=initial.colors,
-        steps=tuple(steps),
+        steps=tuple(steps or ()),
         final=tuple(colors),
         terminated=terminated,
         total_steps=total_steps,

@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 
-from .core import Configuration, DirectedGraph, UsageError
-from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound
-from .engine import EngineStepError, default_max_steps, run
-from .schedulers import SchedulerPolicy
+from .core import Configuration, DirectedGraph, EnabledTracker, UsageError, _random_colors
+from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound, rule
+from .engine import EngineStepError, _step_loop, default_max_steps
+from .schedulers import SchedulerPolicy, selector
 
 
 class InitialDistribution(Enum):
@@ -107,33 +107,65 @@ def random_initial(n: int, k: int, seed_base: int, index: int) -> Configuration:
     return Configuration.random(n, k, random.Random(split_seed(seed_base, index, "init")))
 
 
-def _initial_for_trial(config: ExperimentConfig, index: int) -> Configuration:
-    n = config.graph.n
-    k = config.algorithm.k
+def _initial_for_trial(config: ExperimentConfig, index: int, rng: random.Random) -> list[int]:
+    """The start of trial ``index`` of ``config``'s batch, as a list; a
+    random start is drawn with ``rng``, seeded here with the trial's init
+    stream."""
     if config.initial is InitialDistribution.RANDOM_EACH_TRIAL:
-        return random_initial(n, k, config.seed_base, index)
-    return Configuration.uniform(n, 0, k)
+        rng.seed(split_seed(config.seed_base, index, "init"))
+        return _random_colors(config.graph.n, config.algorithm.k, rng.getrandbits)
+    return [0] * config.graph.n
+
+
+# The most trials that share one run set-up.
+CHUNK = 64
+
+
+def run_chunk(config: ExperimentConfig, start: int, stop: int) -> list[TrialResult]:
+    """The results of trials ``start .. stop - 1`` of ``config``'s batch.
+
+    The set-up that ``engine.run`` makes per run is made here once for all
+    of them: the step cap, the scheduler's pick and, for the probabilistic
+    rule, the command.  Both read one generator, which each trial seeds
+    with its engine stream, so a trial draws what ``run`` from its own
+    ``Random`` would.  The deterministic command is made per trial, since
+    its view table lives for one run.  ``ExperimentConfig`` has checked the
+    palette and the cap, and every start holds ``n`` colors of the
+    palette.  A trial pays for its two seeds, its initial colors, the
+    tracker's first count and its steps, and builds no trace.
+    """
+    graph, algo = config.graph, config.algorithm
+    max_steps = config.max_steps
+    if max_steps is None:
+        max_steps = default_max_steps(graph, algo)
+    rng, init_rng = random.Random(), random.Random()
+    select = selector(config.scheduler, graph, rng)
+    per_trial = algo.kind is AlgorithmKind.DETERMINISTIC
+    command = None if per_trial else rule(algo.kind, graph, algo.k, rng)
+    results = []
+    for index in range(start, stop):
+        colors = _initial_for_trial(config, index, init_rng)
+        rng.seed(split_seed(config.seed_base, index, "engine"))
+        if per_trial:
+            command = rule(algo.kind, graph, algo.k, rng)
+        try:
+            steps, moves, converged = _step_loop(select, command, EnabledTracker(graph, colors), max_steps)
+        except EngineStepError as exc:
+            results.append(TrialResult(index=index, moves=0, steps=0, converged=False, error=str(exc)))
+        else:
+            results.append(TrialResult(index=index, moves=moves, steps=steps, converged=converged))
+    return results
+
+
+def _run_share(chunks: list[tuple[ExperimentConfig, int, int]]) -> list[TrialResult]:
+    """The results of the trials of ``chunks``, one ``run_chunk`` each, in
+    order: a process's part of a batch, sent to a pool worker as one task."""
+    return [t for chunk in chunks for t in run_chunk(*chunk)]
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
-    try:
-        trace = run(
-            config.graph,
-            config.algorithm,
-            config.scheduler,
-            _initial_for_trial(config, index),
-            max_steps=config.max_steps,
-            seed=split_seed(config.seed_base, index, "engine"),
-            record="none",
-        )
-    except EngineStepError as exc:
-        return TrialResult(index=index, moves=0, steps=0, converged=False, error=str(exc))
-    return TrialResult(
-        index=index,
-        moves=trace.total_moves,
-        steps=trace.total_steps,
-        converged=trace.terminated,
-    )
+    """Trial ``index`` of ``config``'s batch alone: a chunk of one."""
+    return run_chunk(config, index, index + 1)[0]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -145,12 +177,16 @@ def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[Experime
     """Run each batch in ``configs`` and aggregate; trial errors are
     recorded, not raised.
 
-    With ``jobs > 1`` every batch's trials go through one process pool.
-    The default step cap is resolved once per batch, not once per trial;
-    each report keeps its ``max_steps`` as given.  Reports come back in the
-    order of ``configs``, and trials in index order.  A trial that hits the
-    cap is censored: its move count is only a lower bound, so any censored
-    trial leaves the bound verdict null.
+    Each batch's trials run in chunks of at most ``CHUNK``, each chunk
+    with one run set-up (see ``run_chunk``).  ``jobs`` counts the
+    processes that run chunks, this one included; no more run than there
+    are chunks, and this one always does.  With two or more, one process
+    pool of the others runs the later chunks of every batch while this
+    process runs the first ones.  The default step cap is resolved once
+    per batch, not once per chunk; each report keeps its ``max_steps`` as given.  Reports come
+    back in the order of ``configs``, and trials in index order.  A trial
+    that hits the cap is censored: its move count is only a lower bound,
+    so any censored trial leaves the bound verdict null.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -159,16 +195,23 @@ def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[Experime
         else replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
         for config in configs
     ]
-    tasks = [c for c in capped for _ in range(c.trials)]
-    indices = [i for c in capped for i in range(c.trials)]
-    if jobs > 1:
+    chunks = [(c, start, min(start + CHUNK, c.trials)) for c in capped for start in range(0, c.trials, CHUNK)]
+    # One share of consecutive chunks per process, the first and largest
+    # for this one, which has no worker to start.
+    processes = max(1, min(jobs, len(chunks)))
+    bounds = [-(-i * len(chunks) // processes) for i in range(processes + 1)]
+    shares = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
+    if processes == 1:
+        results = _run_share(chunks)
+    else:
         # Imported here: the pool pulls in multiprocessing, which would slow every ``import unicolor``.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, tasks, indices, chunksize=64))
-    else:
-        results = list(map(run_trial, tasks, indices))
+        with ProcessPoolExecutor(max_workers=processes - 1) as pool:
+            theirs = pool.map(_run_share, shares[1:])
+            results = _run_share(shares[0])
+            for share in theirs:
+                results += share
     reports = []
     start = 0
     for config in configs:

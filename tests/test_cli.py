@@ -289,7 +289,7 @@ class TestExitCodes:
         "target, argv",
         [
             ("unicolor.engine.rule", ["run", "--graph", "ring:3", "--k", "3"]),
-            ("unicolor.engine.rule", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
+            ("unicolor.experiments.rule", ["experiment", "--graph", "ring:3", "--k", "3", "--trials", "2",
                                       "--initial", "uniform0", "--jobs", "1"]),
             ("unicolor.engine.rule", ["repro", "chain", "--n", "3"]),
             ("unicolor.verify.moves", ["verify", "--graph", "ring:3", "--k", "3"]),
@@ -298,8 +298,8 @@ class TestExitCodes:
     )
     def test_value_error_inside_the_search_is_not_a_usage_error(self, target, argv, monkeypatch, capsys):
         # A bug in a command must crash, not exit 2 as if the arguments were
-        # wrong.  Every step of a run calls the command of the patched
-        # ``rule``, and the verifier's first outcome-table miss calls the
+        # wrong.  Every step of a run or a trial calls the command of the
+        # patched ``rule``, and the verifier's first outcome-table miss calls the
         # moves of the patched ``moves``.
         def broken(*args):
             raise ValueError("process 0 is not enabled")
@@ -521,8 +521,9 @@ class TestExperimentCommand:
         assert [(rep["algorithm"]["k"], rep["trials"]) for rep in reports] == [(5, 5), (6, 5)]
 
     def test_invalid_palette_in_sweep_rejected_before_any_trial(self, capsys, monkeypatch):
+        # Every trial runs in a chunk: a call of ``run_chunk``.
         calls = []
-        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "run_chunk", lambda *args: calls.append(args) or [])
         argv = ["experiment", "--graph", "ring:8", "--algo", "prob", "--sweep", "3,2", "--trials", "10"]
         assert run_cli(argv, capsys) == (
             2, "", "error: probabilistic rule needs k > max_degree, got k=2, max_degree=2\n")
@@ -532,7 +533,7 @@ class TestExperimentCommand:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"graph": "ring:4", "k": 3, "trials": 3}))
         calls = []
-        monkeypatch.setattr(experiments, "run_trial", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiments, "run_chunk", lambda *args: calls.append(args) or [])
         argv = ["experiment", "--config", str(cfg_path), "--trials", "50", "--graph", "ring:9"]
         assert run_cli(argv, capsys) == (
             2, "", "error: --graph, --trials cannot be given with --config, which holds the settings\n")

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +19,7 @@ from unicolor import (
     ring,
     split_seed,
 )
-from unicolor import engine, experiments
+from unicolor import Configuration, engine, experiments
 from unicolor.cli import parse_initial
 from unicolor.engine import default_max_steps
 from unicolor.experiments import (
@@ -117,7 +119,7 @@ class TestRunExperiment:
         def broken(*args):
             raise TypeError("bug in a command")
 
-        monkeypatch.setattr(engine, "rule", lambda *args: broken)
+        monkeypatch.setattr(experiments, "rule", lambda *args: broken)
         with pytest.raises(TypeError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
@@ -126,7 +128,7 @@ class TestRunExperiment:
         def broken(*args):
             raise ValueError("bug in a command")
 
-        monkeypatch.setattr(engine, "rule", lambda *args: broken)
+        monkeypatch.setattr(experiments, "rule", lambda *args: broken)
         with pytest.raises(ValueError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
@@ -206,7 +208,8 @@ class TestSeedSplitting:
     def test_run_random_start_is_trial_zero_start(self, seed):
         graph = ring(9)
         config = prob_config(graph, 4, trials=1, seed_base=seed)
-        assert parse_initial("random", graph, 4, seed) == experiments._initial_for_trial(config, 0)
+        assert parse_initial("random", graph, 4, seed).colors == tuple(
+            experiments._initial_for_trial(config, 0, random.Random()))
 
 
 class TestSweep:
@@ -225,17 +228,9 @@ class TestSweep:
             assert hi.mean_moves <= lo.mean_moves + slack
 
     def test_parallel_sweep_uses_one_pool(self, monkeypatch):
-        import concurrent.futures
-
-        made = []
-
-        class Counting(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-        # 70 trials each: one chunk of 64 holds trials of both palettes.
+        made = counting_pools(monkeypatch)
+        # 70 trials each: every palette's trials run in chunks of 64 and 6,
+        # and all four chunks but this process's share go through one pool.
         configs = [prob_config(ring(8), k, trials=70) for k in [3, 5]]
         parallel = [rep.to_dict() for rep in run_batches(configs, jobs=2)]
         assert parallel == [rep.to_dict() for rep in run_batches(configs, jobs=1)]
@@ -246,3 +241,117 @@ class TestSweep:
         lines = table.strip().splitlines()
         assert lines[0] == "k\tmean_moves\tbound"
         assert len(lines) == 3
+
+
+def counting_pools(monkeypatch):
+    """The keyword arguments of every process pool started from here on."""
+    import concurrent.futures
+
+    made = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    return made
+
+
+def alone(config, index):
+    """Trial ``index`` of ``config``'s batch as ``engine.run`` makes it, with
+    its own ``Random`` for each stream."""
+    start = Configuration.random(config.graph.n, config.algorithm.k,
+                                 random.Random(split_seed(config.seed_base, index, "init")))
+    trace = engine.run(config.graph, config.algorithm, config.scheduler, start, max_steps=config.max_steps,
+                       seed=split_seed(config.seed_base, index, "engine"), record="none")
+    return trace.total_moves, trace.total_steps, trace.terminated
+
+
+class TestChunks:
+    """A batch runs in chunks of at most 64 trials, each with one run set-up;
+    ``jobs`` counts the processes that run chunks, this one included."""
+
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+    def test_reports_equal_at_every_jobs(self, trials):
+        config = prob_config(ring(8), 3, trials=trials, seed_base=trials)
+        serial = run_experiment(config, jobs=1)
+        assert [run_experiment(config, jobs=jobs).to_dict() for jobs in (2, 3)] == [serial.to_dict()] * 2
+        assert [t.index for t in serial.per_trial] == list(range(trials))
+        capped = replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
+        assert [(t.moves, t.steps, t.converged) for t in serial.per_trial] == [
+            alone(capped, index) for index in range(trials)]
+
+    def test_sweep_chunks_straddle_no_config(self):
+        # 70 trials each: a chunk of 64 and one of 6 per palette, so a
+        # chunk cut across the flat list of trials would hold both palettes.
+        configs = [prob_config(ring(8), k, trials=70) for k in [3, 5]]
+        alone_reports = [run_experiment(config).to_dict() for config in configs]
+        for jobs in (1, 2, 3):
+            assert [rep.to_dict() for rep in run_batches(configs, jobs=jobs)] == alone_reports
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_model_errors_recorded_at_every_jobs(self, jobs):
+        # Script activates process 1 twice; the second activation is illegal.
+        config = ExperimentConfig(
+            graph=ring(3),
+            algorithm=AlgorithmSpec.deterministic(3),
+            scheduler=SchedulerPolicy.scripted(Script(steps=((1,), (1,)))),
+            trials=70,
+            initial=InitialDistribution.UNIFORM_COLOR0,
+        )
+        report = run_experiment(config, jobs=jobs)
+        assert report.failed == 70
+        assert {t.error for t in report.per_trial} == {"step 1: script: process 1 is not enabled"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_other_errors_propagate_at_every_jobs(self, jobs):
+        # A batch past its config's checks: k = 2 on clique:3 leaves a
+        # conflicting process no free color, a bug and not a model error.
+        # It is the second of two chunks, the one a worker runs at jobs=2.
+        good = prob_config(bidirectional_clique(3), 3, trials=64, max_steps=100,
+                           initial=InitialDistribution.UNIFORM_COLOR0)
+        bad = replace(good, trials=1)
+        object.__setattr__(bad, "algorithm", AlgorithmSpec.probabilistic(2))
+        with pytest.raises(ValueError, match="empty candidate set"):
+            run_batches([good, bad], jobs=jobs)
+
+    def test_pool_sizes(self, monkeypatch):
+        made = counting_pools(monkeypatch)
+        run_experiment(prob_config(ring(8), 3, trials=65), jobs=2)
+        assert made == [{"max_workers": 1}]
+        # Two chunks: one for this process, one for a single worker.
+        run_experiment(prob_config(ring(8), 3, trials=65), jobs=3)
+        assert made == [{"max_workers": 1}] * 2
+        run_experiment(prob_config(ring(8), 3, trials=130), jobs=3)
+        assert made == [{"max_workers": 1}] * 2 + [{"max_workers": 2}]
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        made = counting_pools(monkeypatch)
+        for trials in (1, 64):
+            run_experiment(prob_config(ring(8), 3, trials=trials), jobs=4)
+        assert run_batches([], jobs=4) == []
+        assert made == []
+
+    @pytest.mark.parametrize("algo, calls", [(AlgorithmSpec.deterministic(3), 70),
+                                             (AlgorithmSpec.probabilistic(3), 2)], ids=["det", "prob"])
+    def test_no_view_table_outlives_a_trial(self, monkeypatch, algo, calls):
+        # The deterministic command keeps a view table for its run, so each
+        # trial gets its own; the probabilistic one keeps nothing and is
+        # made once per chunk.
+        made = []
+        real = experiments.rule
+
+        def counting_rule(*args):
+            made.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "rule", counting_rule)
+        run_experiment(replace(prob_config(ring(8), 3, trials=70), algorithm=algo), jobs=1)
+        assert made == [algo.kind] * calls
+
+    def test_run_trial_is_a_chunk_of_one(self):
+        config = prob_config(ring(8), 3, trials=70, max_steps=1000)
+        chunk = experiments.run_chunk(config, 60, 70)
+        assert [experiments.run_trial(config, index) for index in range(60, 70)] == chunk
+        assert [(t.moves, t.steps, t.converged) for t in chunk] == [alone(config, index) for index in range(60, 70)]
