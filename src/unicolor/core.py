@@ -85,19 +85,6 @@ class DirectedGraph:
         :func:`conflicting_heads`."""
         return tuple(zip(*self.arcs)) or ((), ())
 
-    @cached_property
-    def end_colors(self) -> tuple:
-        """The getters ``(tail_colors, head_colors)`` of :attr:`ends`:
-        ``tail_colors(colors)`` is the sequence of the arcs' tail colors,
-        in arc order.  ``itemgetter`` returns a bare item for one index and
-        takes no empty list, so a graph of at most one arc reads a slice.
-        Kept on the instance like :attr:`views`."""
-        return tuple(
-            itemgetter(*column) if len(column) > 1
-            else itemgetter(slice(column[0], column[0] + 1) if column else slice(0))
-            for column in self.ends
-        )
-
 
 def build_graph(n: int, arcs, label: str = "custom") -> DirectedGraph:
     """Validate an arc list and precompute all adjacency structure.
@@ -344,8 +331,9 @@ def conflicting_heads(graph: DirectedGraph, colors):
     """The head of each arc whose two ends hold equal colors, in arc order,
     as a lazy iterator: each is one conflict the paper's proof counts, and
     there is none iff ``colors`` is legitimate."""
-    tail_colors, head_colors = graph.end_colors
-    return compress(graph.ends[1], map(eq, tail_colors(colors), head_colors(colors)))
+    tails, heads = graph.ends
+    color_of = colors.__getitem__
+    return compress(heads, map(eq, map(color_of, tails), map(color_of, heads)))
 
 
 class EnabledTracker:

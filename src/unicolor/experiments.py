@@ -157,10 +157,10 @@ def run_chunk(config: ExperimentConfig, start: int, stop: int) -> list[TrialResu
     return results
 
 
-def _run_share(chunks: list[tuple[ExperimentConfig, int, int]]) -> list[TrialResult]:
-    """The results of the trials of ``chunks``, one ``run_chunk`` each, in
-    order: a process's part of a batch, sent to a pool worker as one task."""
-    return [t for chunk in chunks for t in run_chunk(*chunk)]
+def _run_share(chunks: list[tuple[ExperimentConfig, int, int]]) -> list[list[TrialResult]]:
+    """The results of ``chunks``, one ``run_chunk`` list each, in order: a
+    process's part of a batch, sent to a pool worker as one task."""
+    return [run_chunk(*chunk) for chunk in chunks]
 
 
 def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
@@ -180,11 +180,14 @@ def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[Experime
     Each batch's trials run in chunks of at most ``CHUNK``, each chunk
     with one run set-up (see ``run_chunk``).  ``jobs`` counts the
     processes that run chunks, this one included; no more run than there
-    are chunks, and this one always does.  With two or more, one process
-    pool of the others runs the later chunks of every batch while this
-    process runs the first ones.  The default step cap is resolved once
-    per batch, not once per chunk; each report keeps its ``max_steps`` as given.  Reports come
-    back in the order of ``configs``, and trials in index order.  A trial
+    are chunks, and this one always does.  With two or more, the chunks
+    are dealt out in turn, this process first, and one process pool of
+    the others runs theirs while this one runs its own; dealt so, every
+    process gets a like mix of the batches, whatever their order and
+    cost.  The default step cap is resolved
+    once per batch, not once per chunk; each report keeps its
+    ``max_steps`` as given.  Reports come back in the order of
+    ``configs``, and trials in index order.  A trial
     that hits the cap is censored: its move count is only a lower bound,
     so any censored trial leaves the bound verdict null.
     """
@@ -196,22 +199,22 @@ def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[Experime
         for config in configs
     ]
     chunks = [(c, start, min(start + CHUNK, c.trials)) for c in capped for start in range(0, c.trials, CHUNK)]
-    # One share of consecutive chunks per process, the first and largest
-    # for this one, which has no worker to start.
     processes = max(1, min(jobs, len(chunks)))
-    bounds = [-(-i * len(chunks) // processes) for i in range(processes + 1)]
-    shares = [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
     if processes == 1:
-        results = _run_share(chunks)
+        by_chunk = _run_share(chunks)
     else:
         # Imported here: the pool pulls in multiprocessing, which would slow every ``import unicolor``.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Chunk j is process j % processes's; this one is process 0, so
+        # it runs the first chunk and never fewer than a worker.
+        by_chunk = [None] * len(chunks)
         with ProcessPoolExecutor(max_workers=processes - 1) as pool:
-            theirs = pool.map(_run_share, shares[1:])
-            results = _run_share(shares[0])
-            for share in theirs:
-                results += share
+            theirs = pool.map(_run_share, [chunks[i::processes] for i in range(1, processes)])
+            by_chunk[::processes] = _run_share(chunks[::processes])
+            for i, share in enumerate(theirs, 1):
+                by_chunk[i::processes] = share
+    results = [t for chunk in by_chunk for t in chunk]
     reports = []
     start = 0
     for config in configs:

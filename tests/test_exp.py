@@ -316,6 +316,25 @@ class TestChunks:
         with pytest.raises(ValueError, match="empty candidate set"):
             run_batches([good, bad], jobs=jobs)
 
+    def test_chunks_dealt_in_turn(self, monkeypatch):
+        # Chunks (k=3, 0..64), (k=3, 64..70), (k=5, 0..64), (k=5, 64..70):
+        # at jobs=2 this process runs the first and third, one of each
+        # palette, and the worker the other two.
+        ran = []
+        real = experiments.run_chunk
+
+        def recording(config, start, stop):
+            ran.append((config.algorithm.k, start, stop))
+            return real(config, start, stop)
+
+        monkeypatch.setattr(experiments, "run_chunk", recording)
+        configs = [prob_config(ring(8), k, trials=70) for k in [3, 5]]
+        parallel = [rep.to_dict() for rep in run_batches(configs, jobs=2)]
+        assert ran == [(3, 0, 64), (5, 0, 64)]
+        ran.clear()
+        assert parallel == [rep.to_dict() for rep in run_batches(configs, jobs=1)]
+        assert ran == [(3, 0, 64), (3, 64, 70), (5, 0, 64), (5, 64, 70)]
+
     def test_pool_sizes(self, monkeypatch):
         made = counting_pools(monkeypatch)
         run_experiment(prob_config(ring(8), 3, trials=65), jobs=2)
