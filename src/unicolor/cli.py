@@ -99,7 +99,7 @@ def parse_initial(spec: str, graph: DirectedGraph, k: int, seed: int) -> Configu
         if spec.startswith("uniform:"):
             return Configuration.uniform(graph.n, int(spec.split(":", 1)[1]), k)
         if spec == "random":
-            return random_initial(graph.n, k, seed, 0)
+            return Configuration(random_initial(graph.n, k, seed, 0), k)
         colors = tuple(int(tok) for tok in spec.split(","))
         return Configuration(colors=colors, k=k)
     except ValueError as exc:

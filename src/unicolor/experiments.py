@@ -15,11 +15,11 @@ import hashlib
 import math
 import random
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
-from .core import Configuration, DirectedGraph, EnabledTracker, UsageError, _random_colors
+from .core import DirectedGraph, EnabledTracker, UsageError, _random_colors
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, expected_total_steps_bound, rule
 from .engine import EngineStepError, _step_loop, default_max_steps
 from .schedulers import SchedulerPolicy, selector
@@ -102,19 +102,11 @@ class ExperimentReport:
         return out
 
 
-def random_initial(n: int, k: int, seed_base: int, index: int) -> Configuration:
-    """The random start of trial ``index`` of a batch seeded ``seed_base``."""
-    return Configuration.random(n, k, random.Random(split_seed(seed_base, index, "init")))
-
-
-def _initial_for_trial(config: ExperimentConfig, index: int, rng: random.Random) -> list[int]:
-    """The start of trial ``index`` of ``config``'s batch, as a list; a
-    random start is drawn with ``rng``, seeded here with the trial's init
-    stream."""
-    if config.initial is InitialDistribution.RANDOM_EACH_TRIAL:
-        rng.seed(split_seed(config.seed_base, index, "init"))
-        return _random_colors(config.graph.n, config.algorithm.k, rng.getrandbits)
-    return [0] * config.graph.n
+def random_initial(n: int, k: int, seed_base: int, index: int) -> list[int]:
+    """The random start of trial ``index`` of a batch seeded ``seed_base``:
+    the ``n`` colors ``Configuration.random`` draws from a ``Random``
+    seeded with the trial's init stream."""
+    return _random_colors(n, k, random.Random(split_seed(seed_base, index, "init")).getrandbits)
 
 
 # The most trials that share one run set-up.
@@ -122,32 +114,35 @@ CHUNK = 64
 
 
 def run_chunk(config: ExperimentConfig, start: int, stop: int) -> list[TrialResult]:
-    """The results of trials ``start .. stop - 1`` of ``config``'s batch.
+    """The results of trials ``start .. stop - 1`` of ``config``'s batch:
+    the one path every trial takes, alone or in a batch.
 
     The set-up that ``engine.run`` makes per run is made here once for all
-    of them: the step cap, the scheduler's pick and, for the probabilistic
-    rule, the command.  Both read one generator, which each trial seeds
-    with its engine stream, so a trial draws what ``run`` from its own
-    ``Random`` would.  The deterministic command is made per trial, since
-    its view table lives for one run.  ``ExperimentConfig`` has checked the
-    palette and the cap, and every start holds ``n`` colors of the
-    palette.  A trial pays for its two seeds, its initial colors, the
-    tracker's first count and its steps, and builds no trace.
+    of them: the step cap (``default_max_steps`` when ``config.max_steps``
+    is None), the scheduler's pick and, for the probabilistic rule, the
+    command.  Both read one generator, which each trial seeds with its
+    engine stream, so a trial draws what ``run`` from its own ``Random``
+    would.  The deterministic command is made per trial, since its view
+    table lives for one run.  A trial starts from ``random_initial`` or
+    from color 0 everywhere.  ``ExperimentConfig`` has checked the palette
+    and the cap, and every start holds ``n`` colors of the palette.  A
+    trial pays for its two seeds, its initial colors, the tracker's first
+    count and its steps, and builds no trace.
     """
     graph, algo = config.graph, config.algorithm
-    max_steps = config.max_steps
-    if max_steps is None:
-        max_steps = default_max_steps(graph, algo)
-    rng, init_rng = random.Random(), random.Random()
+    n, k = graph.n, algo.k
+    max_steps = default_max_steps(graph, algo) if config.max_steps is None else config.max_steps
+    drawn = config.initial is InitialDistribution.RANDOM_EACH_TRIAL
+    rng = random.Random()
     select = selector(config.scheduler, graph, rng)
     per_trial = algo.kind is AlgorithmKind.DETERMINISTIC
-    command = None if per_trial else rule(algo.kind, graph, algo.k, rng)
+    command = None if per_trial else rule(algo.kind, graph, k, rng)
     results = []
     for index in range(start, stop):
-        colors = _initial_for_trial(config, index, init_rng)
+        colors = random_initial(n, k, config.seed_base, index) if drawn else [0] * n
         rng.seed(split_seed(config.seed_base, index, "engine"))
         if per_trial:
-            command = rule(algo.kind, graph, algo.k, rng)
+            command = rule(algo.kind, graph, k, rng)
         try:
             steps, moves, converged = _step_loop(select, command, EnabledTracker(graph, colors), max_steps)
         except EngineStepError as exc:
@@ -161,11 +156,6 @@ def _run_share(chunks: list[tuple[ExperimentConfig, int, int]]) -> list[list[Tri
     """The results of ``chunks``, one ``run_chunk`` list each, in order: a
     process's part of a batch, sent to a pool worker as one task."""
     return [run_chunk(*chunk) for chunk in chunks]
-
-
-def run_trial(config: ExperimentConfig, index: int) -> TrialResult:
-    """Trial ``index`` of ``config``'s batch alone: a chunk of one."""
-    return run_chunk(config, index, index + 1)[0]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -184,21 +174,15 @@ def run_batches(configs: list[ExperimentConfig], jobs: int = 1) -> list[Experime
     are dealt out in turn, this process first, and one process pool of
     the others runs theirs while this one runs its own; dealt so, every
     process gets a like mix of the batches, whatever their order and
-    cost.  The default step cap is resolved
-    once per batch, not once per chunk; each report keeps its
-    ``max_steps`` as given.  Reports come back in the order of
-    ``configs``, and trials in index order.  A trial
-    that hits the cap is censored: its move count is only a lower bound,
-    so any censored trial leaves the bound verdict null.
+    cost.  Each chunk resolves a default step cap for itself; each report
+    keeps its ``max_steps`` as given.  Reports come back in the order of
+    ``configs``, and trials in index order.  A trial that hits the cap is
+    censored: its move count is only a lower bound, so any censored trial
+    leaves the bound verdict null.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
-    capped = [
-        config if config.max_steps is not None
-        else replace(config, max_steps=default_max_steps(config.graph, config.algorithm))
-        for config in configs
-    ]
-    chunks = [(c, start, min(start + CHUNK, c.trials)) for c in capped for start in range(0, c.trials, CHUNK)]
+    chunks = [(c, start, min(start + CHUNK, c.trials)) for c in configs for start in range(0, c.trials, CHUNK)]
     processes = max(1, min(jobs, len(chunks)))
     if processes == 1:
         by_chunk = _run_share(chunks)

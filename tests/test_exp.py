@@ -25,6 +25,7 @@ from unicolor.engine import default_max_steps
 from unicolor.experiments import (
     ExperimentConfig,
     InitialDistribution,
+    random_initial,
     run_batches,
     run_experiment,
     sweep_table,
@@ -132,7 +133,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="bug in a command"):
             run_experiment(prob_config(ring(6), 3, trials=3), jobs=1)
 
-    def test_default_cap_resolved_once_per_batch(self, monkeypatch):
+    def test_default_cap_resolved_once_per_chunk(self, monkeypatch):
         calls = []
 
         def counting(graph, algo):
@@ -141,8 +142,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(engine, "default_max_steps", counting)
         monkeypatch.setattr(experiments, "default_max_steps", counting)
-        report = run_experiment(prob_config(ring(6), 3, trials=20), jobs=1)
-        assert calls == ["ring:6"]
+        # 70 trials: a chunk of 64 and one of 6.
+        report = run_experiment(prob_config(ring(6), 3, trials=70), jobs=1)
+        assert calls == ["ring:6"] * 2
         assert report.to_dict()["max_steps"] is None
 
     def test_censored_trials_leave_the_verdict_null(self):
@@ -207,9 +209,15 @@ class TestSeedSplitting:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
     def test_run_random_start_is_trial_zero_start(self, seed):
         graph = ring(9)
-        config = prob_config(graph, 4, trials=1, seed_base=seed)
-        assert parse_initial("random", graph, 4, seed).colors == tuple(
-            experiments._initial_for_trial(config, 0, random.Random()))
+        assert parse_initial("random", graph, 4, seed).colors == tuple(random_initial(graph.n, 4, seed, 0))
+
+    @pytest.mark.parametrize("seed_base", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("index", [0, 1, 63, 64])
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 16])
+    def test_random_initial_is_randrange_on_the_init_stream(self, k, index, seed_base):
+        n = 40
+        rng = random.Random(split_seed(seed_base, index, "init"))
+        assert random_initial(n, k, seed_base, index) == [rng.randrange(k) for _ in range(n)]
 
 
 class TestSweep:
@@ -369,8 +377,9 @@ class TestChunks:
         run_experiment(replace(prob_config(ring(8), 3, trials=70), algorithm=algo), jobs=1)
         assert made == [algo.kind] * calls
 
-    def test_run_trial_is_a_chunk_of_one(self):
+    def test_mid_batch_chunk_equals_its_trials_alone(self):
         config = prob_config(ring(8), 3, trials=70, max_steps=1000)
         chunk = experiments.run_chunk(config, 60, 70)
-        assert [experiments.run_trial(config, index) for index in range(60, 70)] == chunk
+        assert [t.index for t in chunk] == list(range(60, 70))
+        assert [experiments.run_chunk(config, index, index + 1)[0] for index in range(60, 70)] == chunk
         assert [(t.moves, t.steps, t.converged) for t in chunk] == [alone(config, index) for index in range(60, 70)]
