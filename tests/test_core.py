@@ -5,7 +5,7 @@ import random
 from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from unicolor import core
 from unicolor import (
@@ -347,12 +347,14 @@ class CountingColors(list):
 
 
 class TestEnabledTracker:
-    @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=12))
+    @given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(0, 15), max_size=6), max_size=12))
     def test_apply_matches_full_scan(self, seed, batches):
         # Arbitrary recolorings, not only legal moves: the tracker must
-        # follow any change the caller reports.
+        # follow any change the caller reports.  Up to 16 processes and 6
+        # movers, so a step of several movers falls on either side of the
+        # quarter that splits the multi-mover paths.
         rng = random.Random(seed)
-        graph, cfg = random_instance(rng)
+        graph, cfg = random_instance(rng, max_n=16)
         colors = list(cfg.colors)
         tracker = EnabledTracker(graph, colors)
         members = tracker.members
@@ -362,12 +364,18 @@ class TestEnabledTracker:
             tracker.apply(movers, [rng.randrange(cfg.k) for _ in movers])
             assert_tracks(tracker, members, graph, colors)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ring", "clique", "random", "arcs"]),
-           st.integers(2, 64), st.integers(1, 12))
-    def test_apply_after_sync_sized_batches(self, seed, shape, n, rounds):
-        # Every enabled process moves at once, as under ``sync``, to an
-        # arbitrary color.  On cliques and dense arc sets the movers share
-        # successors, so one process is touched by several movers.
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ring", "clique", "random", "arcs"]), st.integers(2, 64),
+           st.lists(st.sampled_from(["enabled", "two", "under", "over"]), min_size=1, max_size=12))
+    @example(0, "ring", 40, ["two", "under", "over", "enabled", "under", "two"])
+    @example(1, "clique", 12, ["under", "over", "two", "enabled", "over", "under"])
+    @example(2, "arcs", 20, ["over", "under", "two", "enabled", "two", "over"])
+    def test_apply_after_sync_sized_batches(self, seed, shape, n, sizes):
+        # Each step moves, to arbitrary colors, every enabled process at
+        # once, as under ``sync``, or a random set of two processes, of a
+        # quarter of them (the largest step taken one mover at a time) or
+        # of one more (the smallest counted afresh).  On cliques and dense
+        # arc sets the movers share successors, so one process is touched
+        # by several movers.
         rng = random.Random(seed)
         if shape == "ring":
             graph = ring(n)
@@ -381,8 +389,15 @@ class TestEnabledTracker:
         colors = [rng.randrange(k) for _ in range(graph.n)]
         tracker = EnabledTracker(graph, colors)
         members = tracker.members
-        for _ in range(rounds):
-            movers = list(members) or sorted(rng.sample(range(graph.n), rng.randint(1, graph.n)))
+        quarter = graph.n // 4
+        for size in sizes:
+            if size == "enabled" and members:
+                movers = list(members)
+            else:
+                # With nothing enabled, "enabled" moves a random set of any size.
+                sized = {"two": 2, "under": max(quarter, 1), "over": quarter + 1}
+                count = sized[size] if size in sized else rng.randint(1, graph.n)
+                movers = sorted(rng.sample(range(graph.n), count))
             tracker.apply(movers, [rng.randrange(k) for _ in movers])
             assert_tracks(tracker, members, graph, colors)
 
@@ -443,33 +458,41 @@ class TestEnabledTracker:
 
     @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
     def test_each_touched_process_rechecked_once(self, graph):
-        # A sync step from a uniform start moves every enabled process; on
-        # these graphs each successor of a mover is a mover too, so the step
-        # reads each mover's old color and its predecessors' colors once.
+        # A step that moves more than a quarter of the processes writes
+        # every color and then counts afresh: it reads each arc's two ends
+        # once and nothing else.  First a sync step from a uniform start,
+        # which moves every enabled process, then a quarter and one more.
         colors = CountingColors([0] * graph.n)
         tracker = EnabledTracker(graph, colors)
-        movers = tuple(tracker.members)
-        assert set().union(*(graph.succs[i] for i in movers)) <= set(movers)
-        colors.reads.clear()
-        tracker.apply(movers, (1,) * len(movers))
-        assert sorted(colors.reads) == sorted([*movers, *(p for i in movers for p in graph.preds[i])])
-        assert tracker.members == sorted(oracle_enabled_set(list(graph.arcs), colors))
+        members, conflicts = tracker.members, tracker.conflicts
+        tails, heads = zip(*graph.arcs)
+        quarter_and_one = tuple(range(0, graph.n, 2))[:graph.n // 4 + 1]
+        assert len(quarter_and_one) == graph.n // 4 + 1
+        for color, movers in enumerate((tuple(members), quarter_and_one), 1):
+            colors.reads.clear()
+            tracker.apply(movers, (color,) * len(movers))
+            assert sorted(colors.reads) == sorted([*tails, *heads])
+            assert tracker.conflicts is conflicts
+            assert_tracks(tracker, members, graph, colors)
 
     @pytest.mark.parametrize("lone", [False, True], ids=["every-other", "lone"])
-    @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(6), chain(9)], ids=lambda g: g.label)
+    @pytest.mark.parametrize("graph", [ring(40), bidirectional_clique(12), chain(9)], ids=lambda g: g.label)
     def test_standing_successor_read_once_per_arc(self, graph, lone):
-        # Every other process moves, or the last one alone: each mover that
-        # changes color also reads each standing successor once, and a
-        # mover that keeps its color reads none.
+        # The last process alone, or every other process up to a quarter
+        # of them, the largest step taken one mover at a time.  Each mover
+        # reads its own color and its predecessors' colors; a mover that
+        # changes color also reads each successor once per arc, standing or
+        # moving, and a mover that keeps its color reads none.
         colors = CountingColors([0] * graph.n)
         tracker = EnabledTracker(graph, colors)
-        movers = (graph.n - 1,) if lone else tuple(range(0, graph.n, 2))
-        new_colors = [1 if lone or m % 4 == 0 else 0 for m in movers]
+        movers = (graph.n - 1,) if lone else tuple(range(0, graph.n // 2, 2))
+        assert lone or len(movers) == graph.n // 4
+        new_colors = [1 if lone or m % 4 == 2 else 0 for m in movers]
         colors.reads.clear()
         tracker.apply(movers, new_colors)
-        standing = [j for i, c in zip(movers, new_colors) if c for j in graph.succs[i] if j not in movers]
-        assert standing
-        expected = [*movers, *(p for i in movers for p in graph.preds[i]), *standing]
+        successors = [j for i, c in zip(movers, new_colors) if c for j in graph.succs[i]]
+        assert any(j not in movers for j in successors)
+        expected = [*movers, *(p for i in movers for p in graph.preds[i]), *successors]
         assert sorted(colors.reads) == sorted(expected)
         assert_tracks(tracker, tracker.members, graph, colors)
 
