@@ -33,7 +33,7 @@ from .experiments import (
     run_batches,
     sweep_table,
 )
-from .schedulers import SchedulerPolicy, Script
+from .schedulers import SchedulerKind, SchedulerPolicy, Script
 from .verify import (
     DEFAULT_CAP,
     PolicyClass,
@@ -68,30 +68,42 @@ def parse_graph_spec(spec: str) -> DirectedGraph:
     raise UsageError(f"unknown graph spec {spec!r} (want ring:N, chain:N, clique:N, random:N:D:SEED, file:PATH)")
 
 
+# The --algo and --sched tokens are the enums' values; a scripted
+# scheduler's token also names its file.
+_ALGOS = [kind.value for kind in AlgorithmKind]
+_SCRIPT = SchedulerKind.SCRIPTED.value + ":"
+_SCHEDS = [_SCRIPT + "<file>" if kind is SchedulerKind.SCRIPTED else kind.value for kind in SchedulerKind]
+
+
 def parse_algo(name: str, k: int) -> AlgorithmSpec:
-    if name == "det":
-        return AlgorithmSpec.deterministic(k)
-    if name == "prob":
-        return AlgorithmSpec.probabilistic(k)
-    raise UsageError(f"unknown algorithm {name!r} (want det or prob)")
+    if name not in _ALGOS:
+        raise UsageError(f"unknown algorithm {name!r} (want {' or '.join(_ALGOS)})")
+    return AlgorithmSpec(AlgorithmKind(name), k)
 
 
 def parse_policy(spec: str) -> SchedulerPolicy:
-    if spec == "sync":
-        return SchedulerPolicy.synchronous()
-    if spec == "dist":
-        return SchedulerPolicy.distributed()
-    if spec == "lc1":
-        return SchedulerPolicy.locally_central_single()
-    if spec == "lcmax":
-        return SchedulerPolicy.locally_central_maximal()
-    if spec.startswith("script:"):
-        path = spec.split(":", 1)[1]
+    if spec.startswith(_SCRIPT):
+        path = spec[len(_SCRIPT):]
         try:
-            return SchedulerPolicy.scripted(Script.from_file(path))
+            return SchedulerPolicy(SchedulerKind.SCRIPTED, Script.from_file(path))
         except (OSError, ValueError) as exc:
             raise UsageError(f"bad script file {path!r}: {exc}") from exc
-    raise UsageError(f"unknown scheduler {spec!r} (want sync, dist, lc1, lcmax, script:<file>)")
+    # The scripted token starts with _SCRIPT, so only an unscripted kind's value matches here.
+    if spec not in _SCHEDS:
+        raise UsageError(f"unknown scheduler {spec!r} (want {', '.join(_SCHEDS)})")
+    return SchedulerPolicy(SchedulerKind(spec))
+
+
+def _check_script_range(policy: SchedulerPolicy, graph: DirectedGraph) -> None:
+    """Refuse a script that names a process outside the graph.  The library
+    reports such a process as not enabled at its step; from a file it is a
+    usage error, caught before any run."""
+    if policy.script is not None:
+        for t, step in enumerate(policy.script.steps):
+            for i in step:
+                if not 0 <= i < graph.n:
+                    raise UsageError(f"script step {t}: process {i} outside 0..{graph.n - 1} "
+                                     f"of a {graph.n}-process graph")
 
 
 def parse_initial(spec: str, graph: DirectedGraph, k: int, seed: int) -> Configuration:
@@ -121,14 +133,7 @@ def cmd_run(args) -> int:
     graph = parse_graph_spec(args.graph)
     algo = parse_algo(args.algo, args.k)
     policy = parse_policy(args.sched)
-    if policy.script is not None:
-        # The library reports such a process as not enabled at its step;
-        # from a file it is a usage error, caught before the run.
-        for t, step in enumerate(policy.script.steps):
-            for i in step:
-                if not 0 <= i < graph.n:
-                    raise UsageError(f"script step {t}: process {i} outside 0..{graph.n - 1} "
-                                     f"of a {graph.n}-process graph")
+    _check_script_range(policy, graph)
     initial = parse_initial(args.initial, graph, args.k, args.seed)
     try:
         trace = run(
@@ -158,19 +163,15 @@ def cmd_run(args) -> int:
 # The flags fill the same fields (--sweep fills k_sweep) with the same defaults.
 EXPERIMENT_SETTINGS = {
     "graph": (str, None),
-    "algo": (str, "prob"),
+    "algo": (str, AlgorithmKind.PROBABILISTIC.value),
     "k": (int, None),
-    "sched": (str, "lc1"),
+    "sched": (str, SchedulerKind.LOCALLY_CENTRAL_SINGLE.value),
     "trials": (int, 100),
     "seed_base": (int, 0),
     "initial": (str, "random"),
     "max_steps": (int, None),
     "k_sweep": (list, None),
 }
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
 
 
 def _experiment_settings(args) -> dict:
@@ -224,6 +225,7 @@ def cmd_experiment(args) -> int:
     graph = parse_graph_spec(settings["graph"])
     algos = [parse_algo(settings["algo"], k) for k in palettes]
     policy = parse_policy(settings["sched"])
+    _check_script_range(policy, graph)
     configs = [
         ExperimentConfig(
             graph=graph,
@@ -325,11 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write the machine-readable artifact here")
 
+    # argparse names this function in its error for a malformed --sweep.
+    def palettes(text: str) -> list[int]:
+        return [int(tok) for tok in text.split(",")]
+
     p_run = sub.add_parser("run", help="run one execution and print its summary")
     p_run.add_argument("--graph", required=True, help="ring:N | chain:N | clique:N | random:N:D:SEED | file:PATH")
-    p_run.add_argument("--algo", default="det", choices=["det", "prob"])
+    p_run.add_argument("--algo", default=AlgorithmKind.DETERMINISTIC.value, choices=_ALGOS)
     p_run.add_argument("--k", type=int, required=True, help="palette size")
-    p_run.add_argument("--sched", default="lc1", help="sync | dist | lc1 | lcmax | script:<file>")
+    p_run.add_argument("--sched", default=SchedulerKind.LOCALLY_CENTRAL_SINGLE.value, help=" | ".join(_SCHEDS))
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--initial", default="uniform:0", help="uniform:<c> | random | c0,c1,...")
     p_run.add_argument("--max-steps", type=int, default=None)
@@ -341,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="seeded Monte Carlo batches with bound comparison")
     p_exp.add_argument("--config", help="JSON experiment config file")
     p_exp.add_argument("--graph")
-    p_exp.add_argument("--algo", choices=["det", "prob"])
+    p_exp.add_argument("--algo", choices=_ALGOS)
     p_exp.add_argument("--k", type=int)
-    p_exp.add_argument("--sched")
+    p_exp.add_argument("--sched", help=" | ".join(_SCHEDS))
     p_exp.add_argument("--trials", type=int)
     p_exp.add_argument("--seed-base", type=int)
     p_exp.add_argument("--initial", choices=[d.value for d in InitialDistribution])
     p_exp.add_argument("--max-steps", type=int)
-    p_exp.add_argument("--sweep", dest="k_sweep", metavar="SWEEP", type=_int_list,
+    p_exp.add_argument("--sweep", dest="k_sweep", metavar="SWEEP", type=palettes,
                        help="comma-separated palette sizes, one report each")
     p_exp.add_argument("--jobs", type=int, default=1)
     p_exp.add_argument("--trials-tsv", help="also write per-trial moves as TSV here")
@@ -359,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="exhaustive small-instance stabilization check")
     p_ver.add_argument("--graph", required=True)
-    p_ver.add_argument("--algo", default="det", choices=["det", "prob"])
+    p_ver.add_argument("--algo", default=AlgorithmKind.DETERMINISTIC.value, choices=_ALGOS)
     p_ver.add_argument("--k", type=int, required=True)
-    p_ver.add_argument("--policy-class", default="lc1", choices=[c.value for c in PolicyClass])
+    p_ver.add_argument("--policy-class", default=PolicyClass.ALL_LOCALLY_CENTRAL_SINGLE.value,
+                       choices=[c.value for c in PolicyClass])
     p_ver.add_argument("--max-depth", type=int, default=None)
     p_ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_ver.add_argument("--expect-diverge", action="store_true",

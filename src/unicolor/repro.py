@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import Configuration, UsageError, bidirectional_clique, chain, is_legitimate, ring
 from .algorithms import AlgorithmSpec
 from .engine import EngineStepError, ExecutionTrace, run
-from .schedulers import SchedulerPolicy, Script, ScriptViolationError
+from .schedulers import SchedulerKind, SchedulerPolicy, Script, ScriptViolationError
 from .verify import DEFAULT_CAP, EnumerationCapError, proper_colorings
 
 
@@ -79,7 +79,8 @@ def ring_chase(
     """
     config = ring_chase_initial(n, k) if initial is None else initial
     algo = AlgorithmSpec.deterministic(config.k)
-    trace = run(ring(n), algo, SchedulerPolicy.synchronous(), config, max_steps=max_steps, record="full")
+    sync = SchedulerPolicy(SchedulerKind.SYNCHRONOUS)
+    trace = run(ring(n), algo, sync, config, max_steps=max_steps, record="full")
     for t, rec in enumerate(trace.steps):
         if len(rec.activated) > 1:
             raise AmbiguousChaseError(
@@ -105,7 +106,7 @@ def repro_sync_ring(n: int, steps: int, k: int | None = None) -> ReproReport:
     trace = run(
         graph,
         algo,
-        SchedulerPolicy.synchronous(),
+        SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
         Configuration.uniform(n, 0, k),
         max_steps=steps,
         record="full",
@@ -144,7 +145,7 @@ def repro_chain_worst_case(n: int) -> ReproReport:
         trace = run(
             graph,
             algo,
-            SchedulerPolicy.scripted(script),
+            SchedulerPolicy(SchedulerKind.SCRIPTED, script),
             Configuration.uniform(n, 0, k),
             max_steps=len(script) + 1,
             record="none",

@@ -85,26 +85,6 @@ class SchedulerPolicy:
         if self.kind is SchedulerKind.SCRIPTED and self.script is None:
             raise ValueError("scripted policy needs a script")
 
-    @classmethod
-    def synchronous(cls) -> SchedulerPolicy:
-        return cls(SchedulerKind.SYNCHRONOUS)
-
-    @classmethod
-    def distributed(cls) -> SchedulerPolicy:
-        return cls(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET)
-
-    @classmethod
-    def locally_central_single(cls) -> SchedulerPolicy:
-        return cls(SchedulerKind.LOCALLY_CENTRAL_SINGLE)
-
-    @classmethod
-    def locally_central_maximal(cls) -> SchedulerPolicy:
-        return cls(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL)
-
-    @classmethod
-    def scripted(cls, script: Script) -> SchedulerPolicy:
-        return cls(SchedulerKind.SCRIPTED, script=script)
-
     @property
     def name(self) -> str:
         return self.kind.value

@@ -106,7 +106,7 @@ from operator import add
 from .core import Configuration, DirectedGraph, UsageError
 from .algorithms import AlgorithmKind, AlgorithmSpec, _check_prob_headroom, moves
 from .engine import ExecutionTrace, run
-from .schedulers import SchedulerPolicy, Script
+from .schedulers import SchedulerKind, SchedulerPolicy, Script
 
 # The most configurations, k^n, a search enumerates unless told otherwise.
 DEFAULT_CAP = 10**6
@@ -805,7 +805,7 @@ def replay_witness(
     validated step by step).
     """
     script = Script(steps=witness.schedule, locally_central=False)
-    policy = SchedulerPolicy.scripted(script)
+    policy = SchedulerPolicy(SchedulerKind.SCRIPTED, script)
     initial = Configuration(colors=witness.initial, k=algo.k)
     return run(
         graph,

@@ -25,6 +25,7 @@ from unicolor import (
     AlgorithmSpec,
     Configuration,
     EngineStepError,
+    SchedulerKind,
     SchedulerPolicy,
     Script,
     bidirectional_clique,
@@ -38,10 +39,10 @@ from unicolor import (
 from helpers import reference_trace_dict, reference_tsv
 
 POLICIES = [
-    SchedulerPolicy.synchronous(),
-    SchedulerPolicy.distributed(),
-    SchedulerPolicy.locally_central_single(),
-    SchedulerPolicy.locally_central_maximal(),
+    SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
+    SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET),
+    SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE),
+    SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL),
 ]
 
 
@@ -76,7 +77,7 @@ def fixed_cases():
     yield big, AlgorithmSpec.probabilistic(5), dist, Configuration.random(120, 5, start), None, "full"
     yield big, AlgorithmSpec.probabilistic(6), lcmax, Configuration.random(120, 6, start), None, "moves"
     # A scripted step that activates nobody: empty arrays.
-    empty = SchedulerPolicy.scripted(Script(steps=((), (1,))))
+    empty = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((), (1,))))
     yield ring(3), AlgorithmSpec.deterministic(3), empty, Configuration.uniform(3, 0, 3), None, "full"
     label = 'file:a "quoted" \\ graph ß☃.txt'
     yield parse_graph_text("3\n0 1\n1 2\n2 0\n", label=label), AlgorithmSpec.deterministic(3), lc1, Configuration.uniform(3, 0, 3), None, "moves"

@@ -15,6 +15,7 @@ from unicolor import (
     AlgorithmSpec,
     Configuration,
     PolicyClass,
+    SchedulerKind,
     SchedulerPolicy,
     build_graph,
     is_legitimate,
@@ -134,7 +135,7 @@ def test_criterion_6_probabilistic_move_bound():
             config = ExperimentConfig(
                 graph=graph,
                 algorithm=AlgorithmSpec.probabilistic(k),
-                scheduler=SchedulerPolicy.locally_central_single(),
+                scheduler=SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE),
                 trials=2000,
                 seed_base=2024,
                 initial=InitialDistribution.RANDOM_EACH_TRIAL,
@@ -154,9 +155,9 @@ def test_criterion_7_terminal_iff_legitimate():
         graph, cfg = random_instance(rng, max_n=8)
         ok = ok and (not tracker_members(graph, cfg)) == is_legitimate(graph, cfg)
     policies = [
-        SchedulerPolicy.locally_central_single(),
-        SchedulerPolicy.locally_central_maximal(),
-        SchedulerPolicy.distributed(),
+        SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE),
+        SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL),
+        SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET),
     ]
     terminated_seen = 0
     for trial in range(200):

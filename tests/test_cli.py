@@ -9,11 +9,13 @@ import pytest
 
 import unicolor
 from unicolor import (
+    AlgorithmKind,
     AlgorithmSpec,
     Configuration,
     EnumerationCapError,
     GraphConstructionError,
     NonTerminatingCommandError,
+    SchedulerKind,
     SchedulerPolicy,
     ScriptViolationError,
     UsageError,
@@ -21,7 +23,7 @@ from unicolor import (
     ring,
     run,
 )
-from unicolor.cli import main, parse_graph_spec
+from unicolor.cli import main, parse_algo, parse_graph_spec, parse_policy
 
 
 def run_cli(argv, capsys):
@@ -100,10 +102,12 @@ class TestRun:
     def test_script_process_out_of_range_is_a_usage_error(self, text, bad, tmp_path):
         script = tmp_path / "bad.script"
         script.write_text(text)
-        proc = run_cli_process(["run", "--graph", "ring:5", "--k", "3", "--sched", f"script:{script}"])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: script {bad} outside 0..4 of a 5-process graph\n"
+        # A batch refuses the script before any trial, as a run does before any step.
+        for command in (["run"], ["experiment", "--trials", "3"]):
+            proc = run_cli_process([*command, "--graph", "ring:5", "--k", "3", "--sched", f"script:{script}"])
+            assert proc.returncode == 2, command
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: script {bad} outside 0..4 of a 5-process graph\n"
 
     def test_script_violation_names_its_step_once(self, tmp_path):
         script = tmp_path / "clash.script"
@@ -276,6 +280,14 @@ class TestExitCodes:
             (["repro", "sync-ring", "--n", "3", "--steps", "-1"], None, "need steps >= 1, got -1"),
             (["verify", "--graph", "ring:4", "--algo", "prob", "--k", "3", "--policy-class", "subsets"], None,
              "--policy-class subsets needs --algo det: the probabilistic check searches lc1 only"),
+            (["run", "--graph", "ring:3", "--k", "3", "--sched", "script"], None,
+             "unknown scheduler 'script' (want sync, dist, lc1, lcmax, script:<file>)"),
+            (["run", "--graph", "ring:3", "--k", "3", "--sched", "lc2"], None,
+             "unknown scheduler 'lc2' (want sync, dist, lc1, lcmax, script:<file>)"),
+            (["experiment", "--config", "CONFIG"], {"graph": "ring:3", "k": 3, "sched": "sync:x"},
+             "unknown scheduler 'sync:x' (want sync, dist, lc1, lcmax, script:<file>)"),
+            (["experiment", "--config", "CONFIG"], {"graph": "ring:3", "k": 3, "algo": "Det"},
+             "unknown algorithm 'Det' (want det or prob)"),
         ],
     )
     def test_usage_error_exits_two(self, argv, config, message, capsys, tmp_path):
@@ -308,6 +320,31 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="process 0 is not enabled"):
             main(argv)
         assert capsys.readouterr().err == ""
+
+
+class TestVocabulary:
+    """The --sched and --algo tokens are the values of ``SchedulerKind``
+    and ``AlgorithmKind``; the scripted scheduler's token names its file."""
+
+    @pytest.mark.parametrize(
+        "read, token",
+        [pytest.param(lambda token: parse_policy(token).name, kind.value, id=f"sched-{kind.value}")
+         for kind in SchedulerKind if kind is not SchedulerKind.SCRIPTED]
+        + [pytest.param(lambda token: parse_algo(token, 4).summary()["kind"], kind.value, id=f"algo-{kind.value}")
+           for kind in AlgorithmKind],
+    )
+    def test_each_token_reads_back_as_itself(self, read, token):
+        assert read(token) == token
+
+    @pytest.mark.parametrize("command", ["run", "experiment"])
+    def test_help_lists_the_tokens(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  --algo {det,prob}" in lines
+        assert "  --sched SCHED         sync | dist | lc1 | lcmax | script:<file>" in lines
 
 
 class TestReproCommand:
@@ -528,6 +565,13 @@ class TestExperimentCommand:
         assert run_cli(argv, capsys) == (
             2, "", "error: probabilistic rule needs k > max_degree, got k=2, max_degree=2\n")
         assert calls == []
+
+    def test_malformed_sweep_names_the_palettes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--graph", "ring:5", "--sweep", "3,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "unicolor experiment: error: argument --sweep: invalid palettes value: '3,x'"
 
     def test_settings_flags_with_config_are_a_usage_error(self, capsys, monkeypatch, tmp_path):
         cfg_path = tmp_path / "exp.json"
@@ -761,7 +805,7 @@ class TestGoldenArtifacts:
     def test_record_none_artifact_unchanged(self):
         # ``run --trace`` takes moves or full only; record="none" is the
         # experiment batches' mode, reachable from the library.
-        trace = run(ring(5), AlgorithmSpec.deterministic(5), SchedulerPolicy.locally_central_single(),
+        trace = run(ring(5), AlgorithmSpec.deterministic(5), SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE),
                     Configuration.uniform(5, 0, 5), seed=7, record="none")
         digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
         assert digest == "365736d6ba3b450fe77fcc0fda31643f0d47606ba0018f58a97e703aaaa44000"

@@ -13,6 +13,7 @@ from unicolor import (
     Configuration,
     EnabledTracker,
     GraphConstructionError,
+    SchedulerKind,
     SchedulerPolicy,
     bidirectional_clique,
     build_graph,
@@ -228,8 +229,8 @@ class TestViews:
 
     def test_graph_pickles_after_a_deterministic_step(self):
         graph = chain(5)
-        run(graph, AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(), Configuration.uniform(5, 0, 3),
-            max_steps=1)
+        run(graph, AlgorithmSpec.deterministic(3), SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
+            Configuration.uniform(5, 0, 3), max_steps=1)
         assert "views" in vars(graph) and "ends" in vars(graph)
         copy = pickle.loads(pickle.dumps(graph))
         assert copy == graph

@@ -12,6 +12,7 @@ from unicolor import (
     EngineStepError,
     Move,
     NonTerminatingCommandError,
+    SchedulerKind,
     SchedulerPolicy,
     Script,
     ScriptViolationError,
@@ -41,7 +42,7 @@ from helpers import (
     with_colors,
 )
 
-LC1 = SchedulerPolicy.locally_central_single()
+LC1 = SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE)
 
 
 def start(graph, algo):
@@ -84,7 +85,7 @@ class TestRun:
     def test_synchronous_uniform_ring_never_terminates(self, n, k):
         g = ring(n)
         algo = AlgorithmSpec.deterministic(k)
-        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=50, record="full")
+        trace = run(g, algo, SchedulerPolicy(SchedulerKind.SYNCHRONOUS), start(g, algo), max_steps=50, record="full")
         assert not trace.terminated
         assert trace.total_steps == 50
         for t, rec in enumerate(trace.steps, start=1):
@@ -93,7 +94,7 @@ class TestRun:
     def test_chain_schedule_exact_moves(self):
         g = chain(4)
         algo = AlgorithmSpec.deterministic(4)
-        policy = SchedulerPolicy.scripted(chain_schedule(4))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, chain_schedule(4))
         trace = run(g, algo, policy, start(g, algo))
         assert trace.total_moves == 6
         assert trace.terminated
@@ -103,7 +104,7 @@ class TestRun:
         # processes step to color 1, then the sink must move again to 2.
         g = chain(3)
         algo = AlgorithmSpec.deterministic(3)
-        trace = run(g, algo, SchedulerPolicy.scripted(chain_schedule(3)), start(g, algo))
+        trace = run(g, algo, SchedulerPolicy(SchedulerKind.SCRIPTED, chain_schedule(3)), start(g, algo))
         assert [tuple(m for m in rec.moves) for rec in trace.steps] == [
             (Move(0, 0, 1),),
             (Move(1, 0, 1),),
@@ -169,14 +170,14 @@ class TestRun:
     def test_counters_consistent(self):
         g = ring(5)
         algo = AlgorithmSpec.deterministic(5)
-        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=10)
+        trace = run(g, algo, SchedulerPolicy(SchedulerKind.SYNCHRONOUS), start(g, algo), max_steps=10)
         assert trace.total_steps == len(trace.steps) == 10
         assert trace.total_moves == sum(len(rec.moves) for rec in trace.steps)
 
     def test_step_cap_reported_not_raised(self):
         g = ring(4)
         algo = AlgorithmSpec.deterministic(4)
-        trace = run(g, algo, SchedulerPolicy.synchronous(), start(g, algo), max_steps=7)
+        trace = run(g, algo, SchedulerPolicy(SchedulerKind.SYNCHRONOUS), start(g, algo), max_steps=7)
         assert not trace.terminated
         assert trace.total_steps == 7
 
@@ -184,7 +185,7 @@ class TestRun:
         g = ring(3)
         algo = AlgorithmSpec.deterministic(3)
         # After (1,) fires, process 1 is disabled; the second entry violates.
-        policy = SchedulerPolicy.scripted(Script(steps=((1,), (1,))))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((1,), (1,))))
         with pytest.raises(EngineStepError) as err:
             run(g, algo, policy, start(g, algo))
         assert err.value.step_index == 1
@@ -193,7 +194,7 @@ class TestRun:
     def test_exhausted_script_stops_without_termination(self):
         g = ring(3)
         algo = AlgorithmSpec.deterministic(3)
-        trace = run(g, algo, SchedulerPolicy.scripted(Script(steps=((1,),))), start(g, algo))
+        trace = run(g, algo, SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((1,),))), start(g, algo))
         assert not trace.terminated
         assert trace.total_steps == 1
 
@@ -243,10 +244,10 @@ class TestRun:
 
 
 POLICIES = {
-    "sync": SchedulerPolicy.synchronous(),
-    "dist": SchedulerPolicy.distributed(),
+    "sync": SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
+    "dist": SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET),
     "lc1": LC1,
-    "lcmax": SchedulerPolicy.locally_central_maximal(),
+    "lcmax": SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL),
 }
 
 GRAPHS = st.one_of(
@@ -276,7 +277,8 @@ def executions(draw):
     name = draw(st.sampled_from(["sync", "dist", "lc1", "lcmax", "script-random", "script-replay"]))
     if name == "script-random":
         steps = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), max_size=10))
-        policy = SchedulerPolicy.scripted(Script(steps=tuple(map(tuple, steps)), locally_central=draw(st.booleans())))
+        script = Script(steps=tuple(map(tuple, steps)), locally_central=draw(st.booleans()))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, script)
     elif name == "script-replay":
         source = draw(st.sampled_from(sorted(POLICIES)))
         try:
@@ -285,7 +287,8 @@ def executions(draw):
             steps = []
         steps = steps[: draw(st.integers(0, len(steps)))]
         steps += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2).map(tuple), max_size=2))
-        policy = SchedulerPolicy.scripted(Script(steps=tuple(steps), locally_central=source in ("lc1", "lcmax")))
+        script = Script(steps=tuple(steps), locally_central=source in ("lc1", "lcmax"))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, script)
     else:
         policy = POLICIES[name]
     max_steps = draw(st.one_of(st.none(), st.integers(0, 40)))
@@ -348,7 +351,7 @@ class TestIncrementalEngine:
     def test_nonterminating_command_is_a_step_error(self):
         # On clique:4 with k = 3, after processes 0 and 1 move from the
         # uniform start, process 2's predecessors hold all three colors.
-        policy = SchedulerPolicy.scripted(Script(steps=((0,), (1,), (2,), (3,))))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((0,), (1,), (2,), (3,))))
         with pytest.raises(EngineStepError) as err:
             run(bidirectional_clique(4), AlgorithmSpec.deterministic(3), policy, Configuration.uniform(4, 0, 3))
         assert err.value.step_index == 2
@@ -436,7 +439,7 @@ class TestViewTable:
         reads = counting_misses(monkeypatch)
         graph, algo = bidirectional_clique(5), AlgorithmSpec.deterministic(5)
         script = Script(steps=((0, 1, 2, 3, 4),) * 7 + ((0,), (1, 2)), locally_central=False)
-        self.assert_matches_reference(graph, algo, SchedulerPolicy.scripted(script), start(graph, algo))
+        self.assert_matches_reference(graph, algo, SchedulerPolicy(SchedulerKind.SCRIPTED, script), start(graph, algo))
         assert reads == [0, 1, 2, 3, 4] * 5 + [1, 2]
 
     def test_kept_where_views_recur(self, monkeypatch):
@@ -448,7 +451,7 @@ class TestViewTable:
         # one mover, so each miss reads ``preds`` once.
         misses = counting_misses(monkeypatch)
         graph, algo = chain(30), AlgorithmSpec.deterministic(30)
-        policy = SchedulerPolicy.scripted(chain_schedule(30))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, chain_schedule(30))
         trace = self.assert_matches_reference(graph, algo, policy, start(graph, algo), record="full")
         assert trace.total_moves == 435
         assert len(misses) == len(set(mover_views(graph, trace))) == 29
@@ -480,7 +483,7 @@ class TestViewTable:
 
         monkeypatch.setattr(engine, "rule", counting_rule)
         graph, algo = random_digraph(60, 4, 1), AlgorithmSpec(kind, 5)
-        trace = run(graph, algo, SchedulerPolicy.distributed(), start(graph, algo), seed=2)
+        trace = run(graph, algo, SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET), start(graph, algo), seed=2)
         assert calls == [rec.activated for rec in trace.steps]
         assert len(calls) == trace.total_steps > 1
 
@@ -510,7 +513,7 @@ class TestTraceJson:
 
     def test_multi_digit_colors(self):
         g = bidirectional_clique(11)
-        trace = run(g, AlgorithmSpec.deterministic(12), SchedulerPolicy.locally_central_maximal(),
+        trace = run(g, AlgorithmSpec.deterministic(12), SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL),
                     Configuration.uniform(11, 0, 12), seed=2, record="full")
         assert max(trace.final) >= 10
         assert trace.to_json() == stdlib_json(trace)
@@ -526,7 +529,7 @@ class TestTraceJson:
 
     def test_one_chunk_per_step(self):
         g = ring(6)
-        trace = run(g, AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(),
+        trace = run(g, AlgorithmSpec.deterministic(3), SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
                     Configuration.uniform(6, 0, 3), max_steps=5)
         chunks = list(trace.json_chunks())
         assert len(chunks) == 1 + len(trace.steps) + 2
@@ -547,7 +550,7 @@ class TestTraceTsv:
         assert trace.to_tsv() == reference_tsv(trace)
 
     def test_moves_are_derived_from_the_columns(self):
-        trace = run(ring(4), AlgorithmSpec.deterministic(3), SchedulerPolicy.synchronous(),
+        trace = run(ring(4), AlgorithmSpec.deterministic(3), SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
                     Configuration((0, 0, 1, 1), 3), max_steps=2)
         rec = trace.steps[0]
         assert (rec.activated, rec.old_colors, rec.new_colors) == ((1, 3), (0, 1), (1, 2))

@@ -10,6 +10,7 @@ import pytest
 import unicolor
 from unicolor import (
     AlgorithmSpec,
+    SchedulerKind,
     SchedulerPolicy,
     Script,
     UsageError,
@@ -31,7 +32,7 @@ from unicolor.experiments import (
     sweep_table,
 )
 
-LC1 = SchedulerPolicy.locally_central_single()
+LC1 = SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE)
 
 
 def prob_config(graph, k, trials=200, **kwargs):
@@ -55,7 +56,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             graph=chain(n),
             algorithm=AlgorithmSpec.deterministic(n),
-            scheduler=SchedulerPolicy.scripted(chain_schedule(n)),
+            scheduler=SchedulerPolicy(SchedulerKind.SCRIPTED, chain_schedule(n)),
             trials=1,
             initial=InitialDistribution.UNIFORM_COLOR0,
         )
@@ -94,7 +95,7 @@ class TestRunExperiment:
         config = ExperimentConfig(
             graph=ring(3),
             algorithm=AlgorithmSpec.deterministic(3),
-            scheduler=SchedulerPolicy.scripted(Script(steps=((1,), (1,)))),
+            scheduler=SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((1,), (1,)))),
             trials=3,
             initial=InitialDistribution.UNIFORM_COLOR0,
         )
@@ -304,7 +305,7 @@ class TestChunks:
         config = ExperimentConfig(
             graph=ring(3),
             algorithm=AlgorithmSpec.deterministic(3),
-            scheduler=SchedulerPolicy.scripted(Script(steps=((1,), (1,)))),
+            scheduler=SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((1,), (1,)))),
             trials=70,
             initial=InitialDistribution.UNIFORM_COLOR0,
         )

@@ -22,10 +22,10 @@ def pick(policy, graph, cfg, rng, step_index=0):
 
 
 ALL_RANDOM_KINDS = [
-    SchedulerPolicy.synchronous(),
-    SchedulerPolicy.distributed(),
-    SchedulerPolicy.locally_central_single(),
-    SchedulerPolicy.locally_central_maximal(),
+    SchedulerPolicy(SchedulerKind.SYNCHRONOUS),
+    SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET),
+    SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE),
+    SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL),
 ]
 
 
@@ -33,13 +33,13 @@ class TestSelect:
     def test_synchronous_takes_everyone(self):
         g = ring(3)
         cfg = Configuration.uniform(3, 0, 3)
-        assert pick(SchedulerPolicy.synchronous(), g, cfg, random.Random(0)) == (0, 1, 2)
+        assert pick(SchedulerPolicy(SchedulerKind.SYNCHRONOUS), g, cfg, random.Random(0)) == (0, 1, 2)
 
     def test_lc1_singleton_from_enabled(self):
         g = ring(3)
         cfg = Configuration.uniform(3, 0, 3)
         for seed in range(10):
-            picked = pick(SchedulerPolicy.locally_central_single(), g, cfg, random.Random(seed))
+            picked = pick(SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE), g, cfg, random.Random(seed))
             assert len(picked) == 1
             assert picked[0] in (0, 1, 2)
 
@@ -48,7 +48,7 @@ class TestSelect:
         cfg = Configuration.uniform(3, 0, 3)
         assert tracker_members(g, cfg) == (0, 1)
         for seed in range(10):
-            picked = pick(SchedulerPolicy.locally_central_maximal(), g, cfg, random.Random(seed))
+            picked = pick(SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL), g, cfg, random.Random(seed))
             assert len(picked) == 1  # 0 and 1 are neighbors
 
     @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS, ids=lambda p: p.name)
@@ -67,7 +67,7 @@ class TestSelect:
 
     @pytest.mark.parametrize(
         "policy",
-        [SchedulerPolicy.locally_central_single(), SchedulerPolicy.locally_central_maximal()],
+        [SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_SINGLE), SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL)],
         ids=lambda p: p.name,
     )
     def test_locally_central_independence(self, policy):
@@ -92,7 +92,7 @@ class TestSelect:
             enabled_now = set(tracker_members(graph, cfg))
             if not enabled_now:
                 continue
-            picked = set(pick(SchedulerPolicy.locally_central_maximal(), graph, cfg, rng))
+            picked = set(pick(SchedulerPolicy(SchedulerKind.LOCALLY_CENTRAL_MAXIMAL), graph, cfg, rng))
             for i in enabled_now - picked:
                 assert picked & set(graph.neighbors[i]), f"{i} could have been added"
             tried += 1
@@ -101,7 +101,7 @@ class TestSelect:
         g = ring(2)
         cfg = Configuration.uniform(2, 0, 2)
         rng = random.Random(8)
-        seen = {pick(SchedulerPolicy.distributed(), g, cfg, rng) for _ in range(200)}
+        seen = {pick(SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET), g, cfg, rng) for _ in range(200)}
         assert seen == {(0,), (1,), (0, 1)}
 
     @pytest.mark.parametrize("policy", ALL_RANDOM_KINDS, ids=lambda p: p.name)
@@ -130,7 +130,7 @@ class TestSelect:
             def getrandbits(self, bits):
                 return self.value
 
-        policy, graph = SchedulerPolicy.distributed(), chain(2000)
+        policy, graph = SchedulerPolicy(SchedulerKind.DISTRIBUTED_RANDOM_SUBSET), chain(2000)
         rng = random.Random(5)
         for m in range(1, 1001):
             enabled_now = tuple(sorted(rng.sample(range(2 * m), m)))
@@ -154,7 +154,7 @@ class TestSelect:
                     if not picked & set(graph.neighbors[i]):
                         picked.add(i)
                 steps.append(tuple(picked))
-            policy = SchedulerPolicy.scripted(Script(steps=tuple(steps)))
+            policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=tuple(steps)))
         got, want = random.Random(1), random.Random(1)
         pick = selector(policy, graph, got)
         for t in range(250):
@@ -172,7 +172,7 @@ class TestSelect:
         (((0,), (4, 2, 3)), (2, 3, 4), "processes 2 and 3 are neighbors"),
     ])
     def test_one_pick_raises_as_fresh_selectors(self, steps, enabled_now, message):
-        policy = SchedulerPolicy.scripted(Script(steps=steps))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=steps))
         graph = chain(6)
         pick = selector(policy, graph, random.Random(0))
         assert pick((0, 1), 0) == (0,)
@@ -194,19 +194,19 @@ class TestScripted:
     def test_replay_in_order(self):
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)
-        policy = SchedulerPolicy.scripted(Script(steps=((0,), (1,))))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((0,), (1,))))
         assert pick(policy, g, cfg, random.Random(0), step_index=0) == (0,)
 
     def test_exhausted_script_returns_none(self):
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)
-        policy = SchedulerPolicy.scripted(Script(steps=((0,),)))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((0,),)))
         assert pick(policy, g, cfg, random.Random(0), step_index=1) is None
 
     def test_disabled_activation_flagged(self):
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)  # source (2) is never enabled
-        policy = SchedulerPolicy.scripted(Script(steps=((2,),)))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((2,),)))
         with pytest.raises(ScriptViolationError, match="^script: process 2 is not enabled$") as err:
             pick(policy, g, cfg, random.Random(0), step_index=0)
         assert err.value.step_index == 0
@@ -214,14 +214,14 @@ class TestScripted:
     def test_neighbor_clash_flagged(self):
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)
-        policy = SchedulerPolicy.scripted(Script(steps=((0, 1),)))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((0, 1),)))
         with pytest.raises(ScriptViolationError, match="neighbors"):
             pick(policy, g, cfg, random.Random(0), step_index=0)
 
     def test_non_locally_central_script_allows_clash(self):
         g = chain(3)
         cfg = Configuration.uniform(3, 0, 3)
-        policy = SchedulerPolicy.scripted(Script(steps=((0, 1),), locally_central=False))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=((0, 1),), locally_central=False))
         assert pick(policy, g, cfg, random.Random(0), step_index=0) == (0, 1)
 
     def test_text_round_trip(self):

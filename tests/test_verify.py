@@ -148,9 +148,9 @@ class TestDeterministic:
         report = verify_deterministic(chain(4), 4, LC1)
         witness = report.worst_case_witness
         assert witness.moves == report.worst_case_moves == 6
-        from unicolor import Script, SchedulerPolicy, run
+        from unicolor import SchedulerKind, SchedulerPolicy, Script, run
 
-        policy = SchedulerPolicy.scripted(Script(steps=witness.schedule, locally_central=False))
+        policy = SchedulerPolicy(SchedulerKind.SCRIPTED, Script(steps=witness.schedule, locally_central=False))
         trace = run(
             chain(4),
             AlgorithmSpec.deterministic(4),
